@@ -4,13 +4,14 @@
 # optimization flow via the core stage-subset test, just not the
 # multi-minute matrices), then the skewd crash/fault/drain end-to-end, the
 # skewfleet replica-failover end-to-end, and the skewload group-commit
-# load/durability end-to-end.
+# load/durability end-to-end, then builds, tests and lints the bench/
+# module.
 
 GO ?= go
 
-.PHONY: tier1 vet lint lint-new lint-fix-report cover build test race serve-e2e fleet-e2e load-e2e journal-e2e bench bench-gate fuzz help
+.PHONY: tier1 vet lint lint-new lint-fix-report cover build test race serve-e2e fleet-e2e load-e2e journal-e2e bench bench-gate bench-check fuzz help
 
-tier1: lint cover build test race serve-e2e fleet-e2e load-e2e journal-e2e bench-gate
+tier1: lint cover build test race serve-e2e fleet-e2e load-e2e journal-e2e bench-gate bench-check
 
 vet:
 	$(GO) vet ./...
@@ -127,6 +128,14 @@ bench-gate:
 		-require 'BenchmarkGroupCommitParallel/batch=1:ns<=1.15x' \
 		BENCH_pr9.json BENCH_pr10.json
 
+# The pipeline benchmark (bench/) is its own Go module, so the root
+# `go build ./...` never compiles it, yet it calls the flow entry points
+# (NewMoveScorer, Gain, BuildDataset, RunFlows). Vet and test it against
+# the working tree, then lint it together with the packages it imports.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) run ./cmd/skewlint -dir bench ./... skewvar/internal/...
+
 # 30-second fuzz pass over the design reader's validation layer.
 fuzz:
 	$(GO) test ./internal/edaio/ -run '^$$' -fuzz FuzzReadDesign -fuzztime 30s
@@ -146,4 +155,5 @@ help:
 	@echo "journal-e2e      storage-fault end-to-end (compaction crash boundaries, disk-fault matrix, scrub)"
 	@echo "bench            parallel STA + group-commit + journal-replay benchmarks -> BENCH_pr10.json"
 	@echo "bench-gate       compare BENCH_pr7/pr9 vs BENCH_pr10 (regressions + kernel + checksum-cost targets)"
+	@echo "bench-check      vet + test + skewlint the bench/ pipeline-benchmark module"
 	@echo "fuzz             30s fuzz of the design reader"

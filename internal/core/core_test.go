@@ -73,7 +73,7 @@ func TestStageFeaturesShape(t *testing.T) {
 		s := tr.AddNode(ctree.KindSink, geom.Pt(150+float64(10*i), 80+float64(15*i)), "", b.ID)
 		sinks = append(sinks, s.ID)
 	}
-	feats := StageFeatures(th, tr, b.ID, sinks[2], 40, 0)
+	feats := StageFeatures(th, tr, b.ID, sinks[2], []float64{40})[0]
 	if len(feats) != numStageFeatures {
 		t.Fatalf("features = %d", len(feats))
 	}
@@ -96,7 +96,7 @@ func TestStageFeaturesShape(t *testing.T) {
 		t.Error("Trunk D2M exceeds Elmore")
 	}
 	// Missing pin → zero features, no panic.
-	z := StageFeatures(th, tr, b.ID, ctree.NodeID(999), 40, 0)
+	z := StageFeatures(th, tr, b.ID, ctree.NodeID(999), []float64{40})[0]
 	for _, v := range z {
 		if v != 0 {
 			t.Error("missing pin produced features")
@@ -117,7 +117,7 @@ func TestStageFeaturesTrackGolden(t *testing.T) {
 		d := tc.Target
 		for _, pin := range tc.Tree.FanoutPins(d) {
 			slew := a.Slew[0][d]
-			f := StageFeatures(th, tc.Tree, d, pin, slew, 0)
+			f := StageFeatures(th, tc.Tree, d, pin, []float64{slew})[0]
 			est = append(est, f[RSMTD2M])
 			golden = append(golden, GoldenStageDelay(a, d, pin, 0))
 		}

@@ -89,6 +89,7 @@ func BuildDataset(ctx context.Context, t *tech.Tech, cases, movesPer int, seed i
 		tm.Cong = route.NewCongestion(tc.Die, 8, 8, 0.18, uint64(seed)+uint64(c)*7919)
 		lg := legalize.New(tc.Die, t.SiteW, t.RowH)
 		preA := tm.Analyze(tc.Tree)
+		est := newStageEstimator(t, tc.Tree, preA)
 		moves := eco.Enumerate(tc.Tree, t, tc.Target, tc.Die)
 		rng.Shuffle(len(moves), func(i, j int) { moves[i], moves[j] = moves[j], moves[i] })
 		if len(moves) > movesPer {
@@ -109,9 +110,8 @@ func BuildDataset(ctx context.Context, t *tech.Tech, cases, movesPer int, seed i
 			postA := tm.AnalyzeIncremental(post, preA, moveDirty(mv))
 			for _, st := range affectedStages(post, mv) {
 				d, pin := st[0], st[1]
-				for kk := 0; kk < k; kk++ {
-					feats := DeltaFeatures(t, tc.Tree, post, preA, d, pin, kk)
-					base := GoldenStageDelay(preA, d, pin, kk)
+				for kk, feats := range est.features(post, d, pin) {
+					base := feats[FeatGoldenPre]
 					target := GoldenStageDelta(preA, postA, d, pin, kk)
 					if math.IsNaN(target) || math.IsNaN(base) || base <= 0 {
 						continue

@@ -10,12 +10,15 @@
 //     and verified by the golden timer.
 //   - Predictors (estimate.go, dataset.go, predictor.go): the four analytic
 //     stage-delay estimators ({FLUTE-like RSMT, single-trunk} × {Elmore,
-//     D2M}), the delta-feature encoding, training-set generation on
+//     D2M}), the stage estimator that encodes them as delta features for
+//     both training and move scoring, training-set generation on
 //     artificial testcases, and per-corner ANN/SVR/HSM residual models.
 package core
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"skewvar/internal/ctree"
 	"skewvar/internal/geom"
@@ -76,15 +79,17 @@ const (
 // StageFeatures: 4 absolute estimates + fanout, bbox area, AR, slew, drive.
 const numStageFeatures = 9
 
-// StageFeatures computes the 7 model features for the stage "driving node d
-// → fanout pin" at corner k, using slewIn as the driver input slew (taken
-// from the latest golden analysis at prediction time).
+// StageFeatures computes the per-net building block for the stage "driving
+// node d → fanout pin" at every corner: row k uses slews[k] as the driver
+// input slew (taken from the latest golden analysis at prediction time).
+// The RSMT and single-trunk routes are corner-independent, so each is built
+// once and converted to an RC tree per corner.
 //
 // The estimators deliberately see less than the golden timer: they route
 // the net fresh with RSMT / single-trunk topologies over pin locations
 // (ignoring the CTS tap embedding) and know nothing about router congestion
 // — that estimation gap is what the trained models absorb.
-func StageFeatures(t *tech.Tech, tr *ctree.Tree, d, pin ctree.NodeID, slewIn float64, k int) []float64 {
+func StageFeatures(t *tech.Tech, tr *ctree.Tree, d, pin ctree.NodeID, slews []float64) [][]float64 {
 	dn := tr.Node(d)
 	cell := t.CellByName(dn.CellName)
 	pins := tr.FanoutPins(d)
@@ -97,36 +102,47 @@ func StageFeatures(t *tech.Tech, tr *ctree.Tree, d, pin ctree.NodeID, slewIn flo
 			pinIdx = i + 1
 		}
 	}
-	feats := make([]float64, numStageFeatures)
+	feats := zeroRows(len(slews), numStageFeatures)
 	if pinIdx < 0 || cell == nil {
 		return feats
 	}
-	for topo := 0; topo < 2; topo++ {
-		var rt *route.Tree
-		if topo == 0 {
-			rt = route.RSMT(locs)
-		} else {
-			rt = route.SingleTrunk(locs)
-		}
+	routes := [2]*route.Tree{route.RSMT(locs), route.SingleTrunk(locs)}
+	for _, rt := range routes {
 		// Estimator knows intended snaking detours (they are in the design
 		// database) but not congestion.
 		for i, p := range pins {
 			rt.AddPinDetour(i+1, tr.Node(p).Detour)
 		}
-		rc, pinNode := routeToRC(t, tr, rt, pins, k)
-		gate, _ := sta.PairDelayTable(t, cell, k, slewIn, rc.TotalCap())
-		m1, m2 := rc.Moments()
-		ri := pinNode[pinIdx]
-		feats[2*topo] = gate + m1[ri]                       // Elmore
-		feats[2*topo+1] = gate + rctree.D2M(m1[ri], m2[ri]) // D2M
 	}
-	feats[4] = float64(len(pins))
 	bb := geom.BBox(locs)
-	feats[5] = bb.Area()
-	feats[6] = bb.AspectRatio()
-	feats[7] = slewIn
-	feats[8] = cell.InCap // proxy for drive strength
+	for k, f := range feats {
+		for topo, rt := range routes {
+			rc, pinNode := routeToRC(t, tr, rt, pins, k)
+			gate, _ := sta.PairDelayTable(t, cell, k, slews[k], rc.TotalCap())
+			m1, m2 := rc.Moments()
+			ri := pinNode[pinIdx]
+			f[2*topo] = gate + m1[ri]                       // Elmore
+			f[2*topo+1] = gate + rctree.D2M(m1[ri], m2[ri]) // D2M
+		}
+		f[4] = float64(len(pins))
+		f[5] = bb.Area()
+		f[6] = bb.AspectRatio()
+		f[7] = slews[k]
+		f[8] = cell.InCap // proxy for drive strength
+	}
 	return feats
+}
+
+// zeroRows returns n zeroed rows of the given width over one backing array;
+// each row's capacity ends at its width, so appending to one never
+// overwrites the next.
+func zeroRows(n, width int) [][]float64 {
+	buf := make([]float64, n*width)
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = buf[i*width : (i+1)*width : (i+1)*width]
+	}
+	return out
 }
 
 // routeToRC converts a routing tree into an RC tree at corner k, attaching
@@ -171,44 +187,84 @@ func GoldenStageDelay(a *sta.Analysis, d, pin ctree.NodeID, k int) float64 {
 	return a.Arrive[k][pin] - top
 }
 
-// DeltaFeatures computes the delta-latency model features for a move's
-// effect on the stage "driver d → pin": the four analytic estimates of the
-// stage-delay *change* plus the post-move net context. pre/post are the
-// trees before and after the move; a is the golden analysis of the pre
-// tree (supplying slews and, for stages that do not exist pre-move, the
-// golden baseline the estimated deltas are measured against).
-func DeltaFeatures(t *tech.Tech, pre, post *ctree.Tree, a *sta.Analysis, d, pin ctree.NodeID, k int) []float64 {
-	slew := a.Slew[k][d]
-	if math.IsNaN(slew) {
-		slew = sta.DefaultSourceSlew
-	}
-	fPost := StageFeatures(t, post, d, pin, slew, k)
-	// Pre estimates: same pipeline when the stage exists; golden baseline
-	// otherwise (Type-III surgery creates brand-new stages).
-	exists := false
-	for _, pp := range pre.FanoutPins(d) {
-		if pp == pin {
-			exists = true
-			break
+// stageEstimator computes the delta-latency model features of stages
+// against one pre-move tree and its golden analysis; training-set
+// generation and move scoring both go through it. It is safe for
+// concurrent use. Pre-move estimates are cached per stage, since many
+// candidate moves touch the same stages.
+type stageEstimator struct {
+	t   *tech.Tech
+	pre *ctree.Tree
+	a   *sta.Analysis
+
+	mu       sync.Mutex
+	preCache map[[2]ctree.NodeID][][]float64
+}
+
+func newStageEstimator(t *tech.Tech, pre *ctree.Tree, a *sta.Analysis) *stageEstimator {
+	return &stageEstimator{t: t, pre: pre, a: a, preCache: map[[2]ctree.NodeID][][]float64{}}
+}
+
+// estimate runs StageFeatures on tr with the pre-move golden slews at
+// driver d; where the analysis holds no slew for d (NaN), the default
+// source slew stands in.
+func (e *stageEstimator) estimate(tr *ctree.Tree, d, pin ctree.NodeID) [][]float64 {
+	slews := make([]float64, e.a.K)
+	for k := range slews {
+		slews[k] = e.a.Slew[k][d]
+		if math.IsNaN(slews[k]) {
+			slews[k] = sta.DefaultSourceSlew
 		}
 	}
-	var preEst [4]float64
-	if exists {
-		fPre := StageFeatures(t, pre, d, pin, slew, k)
-		copy(preEst[:], fPre[:4])
+	return StageFeatures(e.t, tr, d, pin, slews)
+}
+
+// preEstimates returns the per-corner pre-move estimates of the stage
+// "d → pin": the same analytic pipeline when the stage exists before the
+// move; otherwise (Type-III surgery creates brand-new stages) the golden
+// pre-move stage delay in every mode, so the estimated delta is measured
+// against the true old path.
+func (e *stageEstimator) preEstimates(d, pin ctree.NodeID) [][]float64 {
+	key := [2]ctree.NodeID{d, pin}
+	e.mu.Lock()
+	v, ok := e.preCache[key]
+	e.mu.Unlock()
+	if ok {
+		return v
+	}
+	if slices.Contains(e.pre.FanoutPins(d), pin) {
+		v = e.estimate(e.pre, d, pin)
 	} else {
-		g := GoldenStageDelay(a, d, pin, k)
-		for m := range preEst {
-			preEst[m] = g
+		v = zeroRows(e.a.K, int(NumEstModes))
+		for k, r := range v {
+			g := GoldenStageDelay(e.a, d, pin, k)
+			for m := range r {
+				r[m] = g
+			}
 		}
 	}
-	out := make([]float64, NumFeatures)
-	for m := 0; m < 4; m++ {
-		out[m] = fPost[m] - preEst[m]
-		out[FeatPostBase+m] = fPost[m]
+	e.mu.Lock()
+	e.preCache[key] = v
+	e.mu.Unlock()
+	return v
+}
+
+// features returns one delta-latency feature row per corner (the layout
+// above) for the stage "d → pin" of the post-move tree: the four analytic
+// estimates of the stage-delay change, the post-move estimates and net
+// context, and the golden pre-move stage delay.
+func (e *stageEstimator) features(post *ctree.Tree, d, pin ctree.NodeID) [][]float64 {
+	fPost := e.estimate(post, d, pin)
+	pre := e.preEstimates(d, pin)
+	out := zeroRows(e.a.K, NumFeatures)
+	for k, row := range out {
+		for m := range NumEstModes {
+			row[m] = fPost[k][m] - pre[k][m]
+			row[FeatPostBase+m] = fPost[k][m]
+		}
+		copy(row[FeatFanout:], fPost[k][NumEstModes:]) // fanout, bbox area, AR, slew, drive
+		row[FeatGoldenPre] = GoldenStageDelay(e.a, d, pin, k)
 	}
-	copy(out[FeatFanout:], fPost[4:]) // fanout, bbox area, AR, slew, drive
-	out[FeatGoldenPre] = GoldenStageDelay(a, d, pin, k)
 	return out
 }
 

@@ -93,9 +93,6 @@ func (c *GlobalConfig) setDefaults() {
 	}
 }
 
-// debugECO enables verbose ECO tracing (tests only).
-var debugECO = false
-
 // LPStat records one block LP solve.
 type LPStat struct {
 	UFrac       float64
@@ -296,13 +293,6 @@ func globalSweep(ctx context.Context, tm *sta.Timer, reb *eco.Rebuilder, d *ctre
 				aB := tm.Analyze(tree)
 				vB := sta.SumVariation(aB, alphas, pairs)
 				degraded := vB >= prevVar-1e-9
-				if debugECO {
-					fmt.Printf("  [block %d U=%.2f] vB=%.0f prev=%.0f", bi, frac, vB, prevVar)
-					for k := 0; k < aB.K; k++ {
-						fmt.Printf(" skew%d=%.1f/%.1f", k, sta.MaxAbsSkew(aB, k, pairs), skew0[k])
-					}
-					fmt.Println()
-				}
 				for k := 0; k < aB.K && !degraded; k++ {
 					if sta.MaxAbsSkew(aB, k, pairs) > sta.SkewGuard(skew0[k]) {
 						degraded = true
@@ -1089,6 +1079,3 @@ func rebuildEndLoad(tm *sta.Timer, tree *ctree.Tree, bottom ctree.NodeID) float6
 	}
 	return load
 }
-
-// SetDebugECO toggles verbose ECO tracing (debug builds only).
-func SetDebugECO(v bool) { debugECO = v }

@@ -1,16 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
 
 	"skewvar/internal/ctree"
 	"skewvar/internal/eco"
+	"skewvar/internal/edaio"
 	"skewvar/internal/geom"
 	"skewvar/internal/legalize"
 	"skewvar/internal/lp"
 	"skewvar/internal/sta"
+	"skewvar/internal/testgen"
 )
 
 func TestPartitionPairs(t *testing.T) {
@@ -172,5 +175,43 @@ func TestGlobalOptEq8AndAllCorners(t *testing.T) {
 	}
 	if res.SumVar > res.SumVar0+1e-9 {
 		t.Errorf("full-constraint LP worsened ΣV")
+	}
+}
+
+// TestGlobalNoNegativeDetour replays a CLS2v1 design, written and read
+// back as a document, whose global sweep rebuilt an arc with a detour
+// rounded a hair below zero: the sweep tree failed Validate, GlobalOpt
+// dropped it as tree-corrupt, and the flow ended Degraded.
+func TestGlobalNoNegativeDetour(t *testing.T) {
+	base, ch := testTech(t)
+	v := testgen.CLS2v1(80)
+	v.Seed = 15335
+	d, _, err := testgen.Build(base, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := edaio.WriteDesign(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	d, err = edaio.ReadDesign(&buf, edaio.WithCells(func(name string) bool { return base.CellByName(name) != nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := base.SubCorners(d.CornerNames...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunFlows(context.Background(), sta.New(view), ch, d, nil, FlowConfig{
+		TopPairs: 24, Global: GlobalConfig{MaxPairsPerLP: 24}, Only: []string{"global"}, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded {
+		t.Errorf("flow degraded: faults %v", res.Faults)
+	}
+	if err := res.Trees["global"].Validate(); err != nil {
+		t.Errorf("global tree invalid: %v", err)
 	}
 }

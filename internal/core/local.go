@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
 	"skewvar/internal/ctree"
 	"skewvar/internal/eco"
@@ -18,6 +17,7 @@ import (
 	"skewvar/internal/obs"
 	"skewvar/internal/resilience"
 	"skewvar/internal/sta"
+	"skewvar/internal/tech"
 )
 
 // LocalConfig tunes the Algorithm-2 iterative optimization. Zero values
@@ -144,12 +144,6 @@ func LocalOpt(ctx context.Context, tm *sta.Timer, d *ctree.Design, alphas []floa
 		skew0[k] = sta.MaxAbsSkew(a0, k, pairs)
 	}
 
-	pairsBySink := map[ctree.NodeID][]int{}
-	for i, p := range pairs {
-		pairsBySink[p.A] = append(pairsBySink[p.A], i)
-		pairsBySink[p.B] = append(pairsBySink[p.B], i)
-	}
-
 	// The span tree (and every counter below) is schedule-independent: the
 	// set of iterations, enumerated moves, and accepted moves is identical
 	// at any Workers setting, so canonical traces compare across -j.
@@ -179,7 +173,7 @@ func LocalOpt(ctx context.Context, tm *sta.Timer, d *ctree.Design, alphas []floa
 			isp.End()
 			break
 		}
-		scored := predictGains(ctx, tm, cur, a, alphas, pairs, pairsBySink, moves, cfg, lg)
+		scored := predictGains(ctx, newMoveScorer(tm.Tech, cur, a, lg, alphas, pairs, cfg.Model), moves, cfg)
 		res.MovesPred += len(moves)
 		cfg.Obs.Counter("local.moves.predicted").Add(int64(len(moves)))
 		// A cancellation that landed mid-predict leaves unevaluated slots;
@@ -389,105 +383,48 @@ type scoredMove struct {
 }
 
 // MoveScorer predicts the ΣV gain of candidate moves against a fixed
-// pre-move tree state. It is safe for concurrent use; pre-move analytic
-// stage estimates are cached across calls, since many candidate moves touch
-// the same stages.
+// pre-move tree state. It is safe for concurrent use; its stage estimator
+// caches pre-move estimates across calls.
 type MoveScorer struct {
-	tm          *sta.Timer
-	cur         *ctree.Tree
-	a           *sta.Analysis
+	est         *stageEstimator // owns the pre-move tree and its golden analysis
 	alphas      []float64
 	pairs       []ctree.SinkPair
 	pairsBySink map[ctree.NodeID][]int
 	model       StageModel
 	lg          *legalize.Legalizer
 	skewCap     []float64 // per-corner local-skew ceiling (pre-move max |skew|)
-
-	preMu    sync.Mutex
-	preCache map[moveScorerKey][4]float64
-}
-
-type moveScorerKey struct {
-	d, p ctree.NodeID
-	k    int
 }
 
 // NewMoveScorer analyzes the tree and prepares a scorer over the pair set.
 func NewMoveScorer(tm *sta.Timer, tr *ctree.Tree, die geom.Rect, alphas []float64, pairs []ctree.SinkPair, model StageModel) *MoveScorer {
+	return newMoveScorer(tm.Tech, tr, tm.Analyze(tr), legalize.New(die, tm.Tech.SiteW, tm.Tech.RowH), alphas, pairs, model)
+}
+
+// newMoveScorer prepares a scorer over tree tr and its golden analysis a.
+func newMoveScorer(t *tech.Tech, tr *ctree.Tree, a *sta.Analysis, lg *legalize.Legalizer, alphas []float64, pairs []ctree.SinkPair, model StageModel) *MoveScorer {
 	pbs := map[ctree.NodeID][]int{}
 	for i, p := range pairs {
 		pbs[p.A] = append(pbs[p.A], i)
 		pbs[p.B] = append(pbs[p.B], i)
 	}
-	a := tm.Analyze(tr)
 	caps := make([]float64, a.K)
 	for k := range caps {
 		caps[k] = sta.MaxAbsSkew(a, k, pairs)
 	}
 	return &MoveScorer{
-		tm: tm, cur: tr, a: a, alphas: alphas, pairs: pairs,
-		pairsBySink: pbs, model: model,
-		lg:       legalize.New(die, tm.Tech.SiteW, tm.Tech.RowH),
-		skewCap:  caps,
-		preCache: map[moveScorerKey][4]float64{},
+		est:    newStageEstimator(t, tr, a),
+		alphas: alphas, pairs: pairs, pairsBySink: pbs, model: model,
+		lg: lg, skewCap: caps,
 	}
 }
 
 // Analysis exposes the scorer's pre-move golden analysis.
-func (s *MoveScorer) Analysis() *sta.Analysis { return s.a }
-
-// preEstimates returns the cached analytic pre-move stage estimates (4
-// modes) for the stage "d → p" at corner k. Stages that do not exist
-// pre-move (surgery targets) use the golden pre arrival difference for all
-// modes, so the estimated delta is measured against the true old path.
-func (s *MoveScorer) preEstimates(d, p ctree.NodeID, k int) [4]float64 {
-	key := moveScorerKey{d, p, k}
-	s.preMu.Lock()
-	v, ok := s.preCache[key]
-	s.preMu.Unlock()
-	if ok {
-		return v
-	}
-	slew := s.a.Slew[k][d]
-	if math.IsNaN(slew) {
-		slew = sta.DefaultSourceSlew
-	}
-	exists := false
-	for _, pp := range s.cur.FanoutPins(d) {
-		if pp == p {
-			exists = true
-			break
-		}
-	}
-	if exists {
-		f := StageFeatures(s.tm.Tech, s.cur, d, p, slew, k)
-		copy(v[:], f[:4])
-	} else {
-		g := GoldenStageDelay(s.a, d, p, k)
-		for m := range v {
-			v[m] = g
-		}
-	}
-	s.preMu.Lock()
-	s.preCache[key] = v
-	s.preMu.Unlock()
-	return v
-}
+func (s *MoveScorer) Analysis() *sta.Analysis { return s.est.a }
 
 // predictGains evaluates every candidate move on the worker pool (inline
 // when Workers <= 1). Scores land in indexed slots, so the ranking that
 // follows is identical at any worker count.
-func predictGains(ctx context.Context, tm *sta.Timer, cur *ctree.Tree, a *sta.Analysis, alphas []float64, pairs []ctree.SinkPair, pairsBySink map[ctree.NodeID][]int, moves []eco.Move, cfg LocalConfig, lg *legalize.Legalizer) []scoredMove {
-	caps := make([]float64, a.K)
-	for k := range caps {
-		caps[k] = sta.MaxAbsSkew(a, k, pairs)
-	}
-	sc := &MoveScorer{
-		tm: tm, cur: cur, a: a, alphas: alphas, pairs: pairs,
-		pairsBySink: pairsBySink, model: cfg.Model, lg: lg,
-		skewCap:  caps,
-		preCache: map[moveScorerKey][4]float64{},
-	}
+func predictGains(ctx context.Context, sc *MoveScorer, moves []eco.Move, cfg LocalConfig) []scoredMove {
 	out := make([]scoredMove, len(moves))
 	for i := range out {
 		out[i] = scoredMove{move: moves[i], gain: math.Inf(-1)}
@@ -510,9 +447,9 @@ func predictGains(ctx context.Context, tm *sta.Timer, cur *ctree.Tree, a *sta.An
 // per-sink latency deltas are propagated down the post-move tree, and the
 // predicted variation reduction over the touched pairs is summed.
 func (s *MoveScorer) Gain(mv eco.Move) float64 {
-	tm, cur, a, alphas, pairs, pairsBySink := s.tm, s.cur, s.a, s.alphas, s.pairs, s.pairsBySink
-	post := cur.CloneShared(mutableForMove(cur, mv)...)
-	if err := eco.Apply(post, tm.Tech, s.lg, mv); err != nil {
+	a, alphas, pairs, pairsBySink := s.est.a, s.alphas, s.pairs, s.pairsBySink
+	post := s.est.pre.CloneShared(mutableForMove(s.est.pre, mv)...)
+	if err := eco.Apply(post, s.est.t, s.lg, mv); err != nil {
 		return math.Inf(-1)
 	}
 	stages := affectedStages(post, mv)
@@ -530,20 +467,7 @@ func (s *MoveScorer) Gain(mv eco.Move) float64 {
 		d, p := st[0], st[1]
 		delta := make([]float64, K)
 		changed := false
-		for k := 0; k < K; k++ {
-			slew := a.Slew[k][d]
-			if math.IsNaN(slew) {
-				slew = sta.DefaultSourceSlew
-			}
-			fPost := StageFeatures(tm.Tech, post, d, p, slew, k)
-			pre := s.preEstimates(d, p, k)
-			feats := make([]float64, NumFeatures)
-			for m := 0; m < 4; m++ {
-				feats[m] = fPost[m] - pre[m]
-				feats[FeatPostBase+m] = fPost[m]
-			}
-			copy(feats[FeatFanout:], fPost[4:])
-			feats[FeatGoldenPre] = GoldenStageDelay(a, d, p, k)
+		for k, feats := range s.est.features(post, d, p) {
 			delta[k] = s.model.PredictDelta(k, feats)
 			if math.Abs(delta[k]) > 1e-3 {
 				changed = true

@@ -252,6 +252,7 @@ func fullAnalysisDataset(th *tech.Tech, cases, movesPer int, seed int64) *Datase
 		tm.Cong = route.NewCongestion(tc.Die, 8, 8, 0.18, uint64(seed)+uint64(c)*7919)
 		lg := legalize.New(tc.Die, th.SiteW, th.RowH)
 		preA := tm.Analyze(tc.Tree)
+		est := newStageEstimator(th, tc.Tree, preA)
 		moves := eco.Enumerate(tc.Tree, th, tc.Target, tc.Die)
 		rng.Shuffle(len(moves), func(i, j int) { moves[i], moves[j] = moves[j], moves[i] })
 		if len(moves) > movesPer {
@@ -265,8 +266,7 @@ func fullAnalysisDataset(th *tech.Tech, cases, movesPer int, seed int64) *Datase
 			postA := tm.Analyze(post)
 			for _, st := range affectedStages(post, mv) {
 				d, pin := st[0], st[1]
-				for kk := 0; kk < k; kk++ {
-					feats := DeltaFeatures(th, tc.Tree, post, preA, d, pin, kk)
+				for kk, feats := range est.features(post, d, pin) {
 					base := GoldenStageDelay(preA, d, pin, kk)
 					target := GoldenStageDelta(preA, postA, d, pin, kk)
 					if math.IsNaN(target) || math.IsNaN(base) || base <= 0 {

@@ -7,7 +7,8 @@ import (
 )
 
 // StageModel predicts the golden-timer *change* of one stage's delay from
-// the delta-feature encoding (see DeltaFeatures). Implementations: trained
+// the delta-feature encoding (the NumFeatures-wide rows of the stage
+// estimator, stageEstimator.features). Implementations: trained
 // ML models (MLStageModel) and the four raw analytic estimators
 // (AnalyticStageModel) used as baselines in the paper's Figure 6.
 type StageModel interface {

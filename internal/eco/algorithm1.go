@@ -135,8 +135,10 @@ func (r *Rebuilder) Select(directUM float64, endLoad float64, dlp []float64) (*S
 			est[k] = r.Estimate(p, eff, u, k, endLoad)
 		}
 		if err := errOf(est); err < best.Err {
+			// At the clamped spacing eff*(u+1) can round a hair below
+			// directUM; a wire never runs shorter than the direct path.
 			best = &Solution{CellIdx: p, SpacingUM: eff, Pairs: u,
-				DetourUM: eff*float64(u+1) - directUM, Err: err, Est: est}
+				DetourUM: math.Max(0, eff*float64(u+1)-directUM), Err: err, Est: est}
 		}
 	}
 	// Bare-wire options (full buffer removal), with optional snaking.

@@ -258,6 +258,32 @@ func TestSelectPrefersBareWireForTinyTargets(t *testing.T) {
 	}
 }
 
+// TestSelectNeverNegativeDetour sweeps direct lengths with targets that
+// favor a buffered chain at exactly the direct spacing, where the spacing
+// is clamped to directUM/(u+1) and multiplying back can round below
+// directUM. A negative detour would corrupt the rebuilt arc.
+func TestSelectNeverNegativeDetour(t *testing.T) {
+	th, ch, lg := env(t)
+	r := NewRebuilder(th, ch, lg)
+	endLoad := th.SinkCap
+	target := make([]float64, th.NumCorners())
+	for direct := 150.0; direct < 600; direct += 3.7 {
+		for u := 1; u <= 3; u++ {
+			for k := range target {
+				target[k] = r.Estimate(1, direct/float64(u+1), u, k, endLoad)
+			}
+			sol, err := r.Select(direct, endLoad, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.DetourUM < 0 {
+				t.Fatalf("direct %v, %d pairs: detour %v < 0 (spacing %v, %d pairs chosen)",
+					direct, u, sol.DetourUM, sol.SpacingUM, sol.Pairs)
+			}
+		}
+	}
+}
+
 func TestRebuildArcEndToEnd(t *testing.T) {
 	th, ch, lg := env(t)
 	tm := sta.New(th)

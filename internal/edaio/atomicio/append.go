@@ -3,61 +3,13 @@ package atomicio
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"os"
 )
 
 // ErrLineBreak reports an AppendLine input containing a newline — the one
-// malformed input the appenders reject outright, since writing it would
-// silently split one record into two. Both Appender and GroupAppender
-// wrap it, so journal writers classify the rejection with errors.Is.
+// malformed input the appender rejects outright, since writing it would
+// silently split one record into two. GroupAppender wraps it, so journal
+// writers classify the rejection with errors.Is.
 var ErrLineBreak = errors.New("journal line contains a newline")
-
-// Appender is the crash-safe append-only line writer behind the skewd job
-// journal. Every AppendLine is written as one write call and fsynced
-// before returning, so a line that AppendLine reported as durable survives
-// a kill -9; a crash mid-write can tear at most the final line, which
-// readers must tolerate (the journal replayer stops at the first
-// undecodable line).
-//
-// A failed or short write leaves the file in an unknown state, so Appender
-// tracks the last known-good offset and truncates back to it before the
-// next attempt — a retried append never leaves half a line in front of a
-// whole one.
-//
-// Appender is not safe for concurrent use; callers serialize (the journal
-// holds one lock across its append-with-retry loop). For concurrent
-// callers and batched fsyncs see GroupAppender.
-type Appender struct {
-	f     File
-	off   int64 // end of the last fully written line
-	dirty bool  // bytes written since the last successful fsync
-	syncs int64 // successful fsyncs issued (observable cost of durability)
-}
-
-// OpenAppender opens (or creates) path for appending on the real
-// filesystem. A torn final line from a previous crash (the file not
-// ending in '\n') is truncated away, so the first append lands directly
-// after the last complete line and never concatenates onto torn bytes.
-// Callers replaying the journal read it before opening the appender.
-func OpenAppender(path string) (*Appender, error) {
-	return OpenAppenderFS(OS, path)
-}
-
-// OpenAppenderFS is OpenAppender against an explicit filesystem —
-// storage-fault tests pass a WithFaults wrapper here.
-func OpenAppenderFS(fsys FS, path string) (*Appender, error) {
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("edaio: opening journal %s: %w", path, err)
-	}
-	off, err := healTornTail(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("edaio: healing journal %s: %w", path, err)
-	}
-	return &Appender{f: f, off: off}, nil
-}
 
 // healTornTail truncates an unterminated final line and returns the end
 // offset of the newline-terminated prefix.
@@ -103,64 +55,4 @@ func healTornTail(f File) (int64, error) {
 		return 0, err
 	}
 	return 0, nil
-}
-
-// AppendLine durably appends one line (a trailing newline is added; line
-// itself must not contain one). On any failure the file is truncated back
-// to the last known-good offset, so the append either happened completely
-// or not at all from the next reader's point of view.
-func (a *Appender) AppendLine(line []byte) error {
-	if bytes.IndexByte(line, '\n') >= 0 {
-		return fmt.Errorf("edaio: %w", ErrLineBreak)
-	}
-	buf := make([]byte, 0, len(line)+1)
-	buf = append(buf, line...)
-	buf = append(buf, '\n')
-	n, err := a.f.WriteAt(buf, a.off)
-	if err != nil {
-		a.dirty = true
-	} else {
-		err = a.f.Sync()
-		if err == nil {
-			a.dirty = false
-			a.syncs++
-		}
-	}
-	if err != nil {
-		// Roll back whatever partial bytes landed; if even the truncate
-		// fails the stored offset still marks the good prefix and the next
-		// attempt truncates again. Offset keeps reporting the durable tail.
-		if a.f.Truncate(a.off) == nil {
-			a.dirty = false
-		}
-		return fmt.Errorf("edaio: appending journal line (%d/%d bytes): %w", n, len(buf), err)
-	}
-	a.off += int64(len(buf))
-	return nil
-}
-
-// Offset returns the end of the last durably appended line. It is defined
-// after failures too: a failed or rolled-back append never advances it.
-func (a *Appender) Offset() int64 { return a.off }
-
-// Syncs returns how many fsyncs the appender has issued — the unit the
-// group-commit throughput work optimizes, exposed so benchmarks and load
-// tests can report fsyncs per appended line.
-func (a *Appender) Syncs() int64 { return a.syncs }
-
-// Close closes the underlying file, syncing first only if unsynced bytes
-// remain from a failed append (every successful AppendLine already synced,
-// so the common path issues no redundant fsync).
-func (a *Appender) Close() error {
-	if a.dirty {
-		if err := a.f.Sync(); err != nil {
-			a.f.Close()
-			return fmt.Errorf("edaio: syncing journal: %w", err)
-		}
-		a.syncs++
-	}
-	if err := a.f.Close(); err != nil {
-		return fmt.Errorf("edaio: closing journal: %w", err)
-	}
-	return nil
 }

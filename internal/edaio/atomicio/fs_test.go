@@ -27,7 +27,7 @@ func fireOnce(op string, n int) func(string) bool {
 func TestFaultFSDiskFullTearsWrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	fsys := WithFaults(OS, fireOnce(FaultDiskFull, 1))
-	a, err := OpenAppenderFS(fsys, path)
+	a, err := OpenGroupAppenderFS(fsys, path, GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFaultFSPassThrough(t *testing.T) {
 	// With no fault firing, the wrapper must be byte-transparent.
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	fsys := WithFaults(OS, func(string) bool { return false })
-	a, err := OpenAppenderFS(fsys, path)
+	a, err := OpenGroupAppenderFS(fsys, path, GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

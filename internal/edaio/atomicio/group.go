@@ -9,14 +9,14 @@ import (
 	"time"
 )
 
-// GroupAppender is the group-commit variant of Appender: it is safe for
-// concurrent use and coalesces concurrent AppendLine calls into one
-// write+fsync per batch, flushing when MaxBatch lines are pending or the
-// Window has elapsed since a line became pending — whichever comes first.
-// Each caller blocks until *its* line is durable, so the caller-visible
-// contract is identical to the per-line Appender: a line whose AppendLine
-// returned nil survives kill -9, and a crash can tear at most the bytes
-// past the durable tail, which reopening heals.
+// GroupAppender is the crash-safe append-only line writer behind the skewd
+// job journal. It is safe for concurrent use and coalesces concurrent
+// AppendLine calls into one write+fsync per batch, flushing when MaxBatch
+// lines are pending or the Window has elapsed since a line became pending
+// — whichever comes first. Each caller blocks until *its* line is
+// durable: a line whose AppendLine returned nil survives kill -9, and a
+// crash can tear at most the bytes past the durable tail, which reopening
+// heals.
 //
 // Flushing is leader-based: the caller that fills a batch (or whose
 // window timer fires) performs the write+fsync for everyone in it, while
@@ -116,8 +116,11 @@ var ErrAppenderDead = errors.New("edaio: journal appender is dead (crashed or cl
 var errInjectedCrash = fmt.Errorf("edaio: injected flush crash: %w", ErrAppenderDead)
 
 // OpenGroupAppender opens (or creates) path for group-commit appending
-// on the real filesystem, healing a torn final line exactly as
-// OpenAppender does.
+// on the real filesystem. A torn final line from a previous crash (the
+// file not ending in '\n') is truncated away, so the first append lands
+// directly after the last complete line and never concatenates onto torn
+// bytes. Callers replaying the journal read it before opening the
+// appender.
 func OpenGroupAppender(path string, opts GroupOptions) (*GroupAppender, error) {
 	return OpenGroupAppenderFS(OS, path, opts)
 }

@@ -2,6 +2,7 @@ package atomicio
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -183,7 +184,7 @@ func TestGroupCommitDurabilityTorture(t *testing.T) {
 		}
 
 		// Reopen as the replayer would: heal the torn tail, then read.
-		re, err := OpenAppender(path)
+		re, err := OpenGroupAppender(path, GroupOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: reopen: %v", seed, err)
 		}
@@ -278,7 +279,7 @@ func TestGroupCrashLosesOnlyUnacked(t *testing.T) {
 				t.Error("append after crash succeeded; appender must be dead")
 			}
 
-			re, err := OpenAppender(path)
+			re, err := OpenGroupAppender(path, GroupOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,5 +315,133 @@ func TestGroupAppenderKill(t *testing.T) {
 	lines := readLines(t, path)
 	if len(lines) != 1 || lines[0] != "survives" {
 		t.Errorf("post-kill journal = %q, want just the flushed line", lines)
+	}
+}
+
+// readAll returns path's full contents, torn tail included.
+func readAll(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// The cases below pin the per-line discipline of the zero GroupOptions —
+// the configuration the journal runs at by default.
+
+func TestAppenderAppendsAcrossReopens(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	a, err := OpenGroupAppender(path, GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := a.AppendLine([]byte(fmt.Sprintf(`{"seq":%d}`, i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	a2, err := OpenGroupAppender(path, GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a2.AppendLine([]byte(`{"seq":4}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := []byte("{\"seq\":1}\n{\"seq\":2}\n{\"seq\":3}\n{\"seq\":4}\n")
+	if got := readAll(t, path); !bytes.Equal(got, want) {
+		t.Errorf("journal = %q, want %q", got, want)
+	}
+}
+
+func TestAppenderHealsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	// Two good lines plus a torn third (no trailing newline), as a crash
+	// mid-append would leave.
+	if err := os.WriteFile(path, []byte("{\"seq\":1}\n{\"seq\":2}\n{\"se"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := OpenGroupAppender(path, GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AppendLine([]byte(`{"seq":3}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("{\"seq\":1}\n{\"seq\":2}\n{\"seq\":3}\n")
+	if got := readAll(t, path); !bytes.Equal(got, want) {
+		t.Errorf("healed journal = %q, want %q", got, want)
+	}
+}
+
+func TestAppenderHealsWhollyTornFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte("garbage-without-newline"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := OpenGroupAppender(path, GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Offset() != 0 {
+		t.Errorf("offset after healing a newline-free file = %d, want 0", a.Offset())
+	}
+	if err := a.AppendLine([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	if got := readAll(t, path); !bytes.Equal(got, []byte("first\n")) {
+		t.Errorf("journal = %q", got)
+	}
+}
+
+func TestAppenderRejectsEmbeddedNewline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	a, err := OpenGroupAppender(path, GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.AppendLine([]byte("two\nlines")); !errors.Is(err, ErrLineBreak) {
+		t.Errorf("embedded newline: got %v, want ErrLineBreak", err)
+	}
+	if a.Offset() != 0 {
+		t.Errorf("offset advanced on rejected line: %d", a.Offset())
+	}
+}
+
+func TestAppenderCloseDoesNotDoubleSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	a, err := OpenGroupAppender(path, GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := a.AppendLine([]byte(fmt.Sprintf("l%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := a.Syncs(); got != 3 {
+		t.Fatalf("Syncs() after 3 appends = %d, want 3 (one fsync per line)", got)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Every AppendLine already synced, so Close must not have issued a
+	// redundant fourth fsync — the double-sync regression.
+	if got := a.Syncs(); got != 3 {
+		t.Errorf("Syncs() after Close = %d, want 3 (no redundant close-time fsync)", got)
 	}
 }

@@ -87,13 +87,3 @@ func (r *ring) Sequence(id string) []string {
 	}
 	return out
 }
-
-// Owner returns the home replica for a job id (the head of its
-// failover sequence).
-func (r *ring) Owner(id string) string {
-	seq := r.Sequence(id)
-	if len(seq) == 0 {
-		return ""
-	}
-	return seq[0]
-}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"sync"
@@ -302,42 +301,6 @@ func (jl *journal) Close() error {
 		return nil
 	}
 	return app.Close()
-}
-
-// readJournal decodes the journal's records in order — framed lines are
-// checksum-verified, legacy lines are format-sniffed and parsed as bare
-// JSON — skipping genesis markers and any line that fails verification
-// (scrub handles quarantine; this is the read-only view). A missing
-// journal is an empty one.
-func readJournal(path string) ([]record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("serve: reading journal %s: %w", path, err)
-	}
-	defer f.Close()
-	var recs []record
-	sc := atomicio.NewFrameScanner(f)
-	for {
-		fr, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("serve: reading journal %s: %w", path, err)
-		}
-		if fr.Err != nil || fr.Torn {
-			continue
-		}
-		var rec record
-		if jerr := json.Unmarshal(fr.Payload, &rec); jerr != nil || rec.Kind == "" || rec.Kind == recGenesis {
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
 }
 
 // ledgerEntry is one job's reduced journal state: the fold of every

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"skewvar/internal/edaio/atomicio"
 )
 
 // These tests pin the journal-replay hardening the fleet's work
@@ -73,11 +75,7 @@ func writeJournalFile(t *testing.T, dir string, recs []record, tornTail []byte, 
 	var lines [][]byte
 	for i, r := range recs {
 		r.Seq = i + 1
-		b, err := json.Marshal(&r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, b)
+		lines = append(lines, frameLine(t, r))
 	}
 	// Duplicate the last dupTail full lines — what a crashed copy/retry
 	// can leave behind.
@@ -90,7 +88,6 @@ func writeJournalFile(t *testing.T, dir string, recs []record, tornTail []byte, 
 	var buf []byte
 	for _, l := range lines {
 		buf = append(buf, l...)
-		buf = append(buf, '\n')
 	}
 	buf = append(buf, tornTail...) // torn partial line, no newline
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
@@ -111,14 +108,20 @@ func entriesSummary(es []*ledgerEntry) []string {
 	return out
 }
 
-// TestJournalReduceProperty drives reduceJournal over 200 seeded random
-// journals, each read back in four corrupted variants, and checks the
+// TestJournalReduceProperty writes 200 seeded random journals as framed
+// lines, each in four corrupted variants, recovers every one through
+// loadSpool — the path a restart or a steal runs — and checks the
 // invariants the steal protocol relies on.
 func TestJournalReduceProperty(t *testing.T) {
+	// A crash mid-append tears the final frame: half its bytes, no newline.
+	torn := func(seq int) []byte {
+		f := frameLine(t, record{Seq: seq, Kind: recFinish, Job: "j000001", State: StateDone})
+		return f[:len(f)/2]
+	}
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		recs := genJournal(rng)
-		clean := reduceJournal(recs)
+		clean := foldRecords(nil, recs, 0)
 
 		dir := t.TempDir()
 		variants := []struct {
@@ -127,17 +130,21 @@ func TestJournalReduceProperty(t *testing.T) {
 			dupTail int
 		}{
 			{"clean", nil, 0},
-			{"torn-tail", []byte(`{"seq":999,"kind":"fin`), 0},
+			{"torn-tail", torn(999), 0},
 			{"dup-tail", nil, 1 + rng.Intn(3)},
-			{"dup-and-torn", []byte(`{"seq":1000,"ki`), 1 + rng.Intn(len(recs))},
+			{"dup-and-torn", torn(1000), 1 + rng.Intn(len(recs))},
 		}
 		for _, v := range variants {
 			path := writeJournalFile(t, dir, recs, v.torn, v.dupTail)
-			got, err := readJournal(path)
+			st, err := loadSpool(atomicio.OS, dir, false)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, v.name, err)
 			}
-			reduced := reduceJournal(got)
+			if st.scrub.quarantined != 0 || st.scrub.records < len(recs) {
+				t.Fatalf("seed %d %s: recovered %d records (%d quarantined), want at least %d",
+					seed, v.name, st.scrub.records, st.scrub.quarantined, len(recs))
+			}
+			reduced := st.entries
 
 			// Invariant 1: corruption never changes the reduction — a
 			// duplicated tail re-applies last-wins records, a torn line
@@ -178,7 +185,7 @@ func TestJournalDuplicateSubmitFirstSpecWins(t *testing.T) {
 		{Kind: recSubmit, Job: "j000001", Spec: json.RawMessage(`{"pairs":1}`)},
 		{Kind: recSubmit, Job: "j000001", Spec: json.RawMessage(`{"pairs":2}`)},
 	}
-	es := reduceJournal(recs)
+	es := foldRecords(nil, recs, 0)
 	if len(es) != 1 {
 		t.Fatalf("got %d entries, want 1", len(es))
 	}
@@ -251,7 +258,24 @@ func TestAdmitIdempotent(t *testing.T) {
 	if st1.ID != "j000042" {
 		t.Fatalf("admitted id %q", st1.ID)
 	}
-	before := len(readLines(t, filepath.Join(spool, journalName)))
+	// Count submit records, not lines: a worker may journal the job's
+	// start between the two admissions.
+	submits := func() int {
+		lines, _, err := scanJournal(atomicio.OS, spool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, jl := range lines {
+			if jl.ok && jl.rec.Kind == recSubmit && jl.rec.Job == "j000042" {
+				n++
+			}
+		}
+		return n
+	}
+	if n := submits(); n != 1 {
+		t.Fatalf("first admit journaled %d submits of j000042, want 1", n)
+	}
 	st2, err := s.Admit(context.Background(), "j000042", spec)
 	if err != nil {
 		t.Fatal(err)
@@ -259,9 +283,8 @@ func TestAdmitIdempotent(t *testing.T) {
 	if st2.ID != st1.ID {
 		t.Fatalf("second admit returned id %q", st2.ID)
 	}
-	after := len(readLines(t, filepath.Join(spool, journalName)))
-	if after != before {
-		t.Errorf("idempotent re-admit grew the journal: %d -> %d lines", before, after)
+	if n := submits(); n != 1 {
+		t.Errorf("idempotent re-admit journaled %d submits of j000042, want 1", n)
 	}
 	// HTTP-assigned ids must not collide with the fleet-supplied one.
 	if _, err := s.admitValidated(context.Background(), "", spec, mustReq(t, spec), nil); err != nil {
@@ -284,34 +307,4 @@ func mustReq(t *testing.T, spec []byte) JobRequest {
 		t.Fatal(err)
 	}
 	return req
-}
-
-func readLines(t *testing.T, path string) [][]byte {
-	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines [][]byte
-	for _, l := range splitLines(b) {
-		if len(l) > 0 {
-			lines = append(lines, l)
-		}
-	}
-	return lines
-}
-
-func splitLines(b []byte) [][]byte {
-	var out [][]byte
-	start := 0
-	for i, c := range b {
-		if c == '\n' {
-			out = append(out, b[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(b) {
-		out = append(out, b[start:])
-	}
-	return out
 }

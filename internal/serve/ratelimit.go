@@ -66,13 +66,16 @@ func (l *tenantLimiter) allow(tenant string) (bool, time.Duration) {
 		b = &bucket{tokens: l.burst, last: now}
 		l.buckets[tenant] = b
 	}
+	// The clock is read before the lock, so a caller can arrive holding an
+	// older reading than the bucket's; only a newer reading refills, or the
+	// next caller would be credited the same interval twice.
 	if dt := now - b.last; dt > 0 {
 		b.tokens += float64(dt) * l.rate / 1e9
 		if b.tokens > l.burst {
 			b.tokens = l.burst
 		}
+		b.last = now
 	}
-	b.last = now
 	if b.tokens >= 1 {
 		b.tokens--
 		return true, 0

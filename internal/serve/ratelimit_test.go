@@ -71,6 +71,31 @@ func TestTenantLimiterDeterministic(t *testing.T) {
 	}
 }
 
+// TestTenantLimiterStaleReading replays the race the limiter's clock read
+// outside its lock allows: a caller arriving with a reading older than the
+// bucket's last refill must neither refill nor move the bucket's clock
+// back, or the next caller is credited the same interval twice.
+func TestTenantLimiterStaleReading(t *testing.T) {
+	clk := &manualClock{}
+	l := newTenantLimiter(1, 1, clk) // 1 token/s, burst 1
+	if ok, _ := l.allow("acme"); !ok {
+		t.Fatal("burst request rejected")
+	}
+	clk.advance(time.Second)
+	if ok, _ := l.allow("acme"); !ok {
+		t.Fatal("request after a full refill interval rejected")
+	}
+	// A reading taken at t=0 lands after the t=1s refill.
+	clk.advance(-time.Second)
+	if ok, wait := l.allow("acme"); ok || wait != time.Second {
+		t.Fatalf("stale reading: ok=%v wait=%v, want reject/1s", ok, wait)
+	}
+	clk.advance(time.Second)
+	if ok, _ := l.allow("acme"); ok {
+		t.Fatal("second-in-interval request admitted: a stale reading rewound the bucket clock")
+	}
+}
+
 // TestTenantLimiterIsolation checks buckets are per-tenant: one tenant
 // draining its bucket cannot starve another.
 func TestTenantLimiterIsolation(t *testing.T) {

@@ -14,8 +14,9 @@
 //   - Per-job isolation: every job runs under resilience.Safely; a
 //     panicking job becomes a typed failure ("panic" class) on that job
 //     and never takes down the daemon.
-//   - Crash-safe journal: an append-only JSONL journal (fsync per line via
-//     atomicio.Appender, seeded-jitter retries) records every submit,
+//   - Crash-safe journal: an append-only journal of checksummed JSON lines
+//     (atomicio.GroupAppender: fsync per line by default, group commit
+//     when JournalBatch > 1; seeded-jitter retries) records every submit,
 //     start, finish, and suspend. On startup the journal is replayed:
 //     jobs without a terminal record are re-enqueued and resume from
 //     their flow checkpoints; a corrupt checkpoint falls back to a fresh
@@ -386,9 +387,6 @@ func (s *Server) Start(ln net.Listener) {
 // AcceptErr reports the HTTP accept loop's exit (http.ErrServerClosed
 // after a drain). Valid after Start.
 func (s *Server) AcceptErr() <-chan error { return s.acceptErr }
-
-// Draining reports whether a drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // drainGrace bounds the wait for jobs to observe forced cancellation and
 // checkpoint themselves after the drain budget expires.

@@ -122,39 +122,6 @@ type journalLine struct {
 	ok     bool // decoded to a record
 }
 
-// writeSnapshot atomically writes the snapshot file for dir.
-func writeSnapshot(fsys atomicio.FS, dir string, hdr snapHeader, entries []*ledgerEntry) error {
-	hdr.Version = 1
-	hdr.Jobs = len(entries)
-	return atomicio.WriteFileFS(fsys, filepath.Join(dir, snapshotName), func(w io.Writer) error {
-		writeFrame := func(v interface{}) error {
-			b, err := json.Marshal(v)
-			if err != nil {
-				return err
-			}
-			frame, err := atomicio.EncodeFrame(b)
-			if err != nil {
-				return err
-			}
-			frame = append(frame, '\n')
-			_, err = w.Write(frame)
-			return err
-		}
-		if err := writeFrame(&hdr); err != nil {
-			return err
-		}
-		for _, e := range entries {
-			se := snapEntry{ID: e.id, Spec: e.spec, State: e.state, Attempts: e.attempts,
-				Class: e.class, Error: e.errMsg, Degraded: e.degraded, Faults: e.faults,
-				Stolen: e.stolen, Thief: e.thief}
-			if err := writeFrame(&se); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // readSnapshot loads dir's snapshot. A missing file is an empty
 // generation-0 snapshot. Any corruption — a bad frame, a header/entry
 // count mismatch, a truncated file — is unrepairable locally (the
@@ -304,13 +271,6 @@ func foldRecords(base []*ledgerEntry, recs []record, afterSeq int) []*ledgerEntr
 		}
 	}
 	return order
-}
-
-// reduceJournal folds a plain record sequence from an empty base — the
-// pre-snapshot semantics, kept for callers and tests that work on raw
-// record lists.
-func reduceJournal(recs []record) []*ledgerEntry {
-	return foldRecords(nil, recs, 0)
 }
 
 // loadSpool recovers a spool's durable state: snapshot, scrubbed
