@@ -1,74 +1,20 @@
 package sta
 
-import (
-	"fmt"
-	"math"
-	"sync"
+import "math"
 
-	"skewvar/internal/ctree"
-	"skewvar/internal/geom"
-	"skewvar/internal/rctree"
-)
-
-// The timer keeps, per (driving node, corner), the electrical view of the
-// driven net that Analyze derives from the RC tree: the total load, and the
-// first two impulse-response moments at every net node. These are what the
-// hot loop actually consumes — the *rctree.RC itself is never cached because
-// its lazily built topological order mutates on first use, which would race
-// when corners share an entry.
-//
-// Entries are validated on every lookup against a 64-bit FNV-1a hash of the
-// net's timing-relevant state (topology, node kinds, locations, detours,
-// load cells, and the driver location that anchors the first wire). A stale
-// entry can therefore never be served: any edit that changes what netRC
-// would build changes the hash, and the lookup rebuilds. AnalyzeIncremental
-// gets its "invalidate only dirty nets" behavior for free — clean nets hash
-// to the same value and hit; dirty nets miss and are replaced in place.
-type netEval struct {
-	hash     uint64
-	totalCap float64        // driver load (fF) — input to the gate tables
-	ids      []ctree.NodeID // net nodes downstream of the driver, walk order
-	m1, m2   []float64      // impulse-response moments at ids[i]
-}
-
-type netKey struct {
-	d ctree.NodeID
-	k int
-}
-
-// maxCachedNets bounds cache memory. Real designs sit far below this
-// (drivers × corners); concurrent move trials churn a handful of dirty-net
-// entries on top. On overflow the whole map is dropped — correctness never
-// depends on retention.
+// maxCachedNets bounds net-cache memory. Real designs sit far below this
+// (one entry per distinct driven net); concurrent move trials add a
+// handful of dirty-net entries on top. On overflow the whole map is
+// dropped — correctness never depends on retention.
 const maxCachedNets = 1 << 16
 
-type netCache struct {
-	mu sync.RWMutex
-	m  map[netKey]*netEval
-}
-
-// netcache returns the timer's cache, resetting it when the technology or
-// congestion field has been swapped since the last use: both feed the cached
-// electrics but are not part of the per-net hash.
-func (tm *Timer) netcache() *netCache {
-	tm.cacheMu.Lock()
-	defer tm.cacheMu.Unlock()
-	if tm.cache == nil || tm.cacheTech != tm.Tech || tm.cacheCong != tm.Cong {
-		tm.cache = &netCache{m: make(map[netKey]*netEval)}
-		tm.cacheTech, tm.cacheCong = tm.Tech, tm.Cong
-	}
-	return tm.cache
-}
-
-// FlushNetCache drops every cached per-net electrical view — the legacy
-// kernel's per-(net, corner) map, the flat kernel's timer-owned cache,
-// and the attached SharedCache, if any. Flushing is never needed for
-// correctness (legacy lookups hash-validate; flat lookups key by hash);
-// it exists to bound memory in long-lived timers and to time cache-cold
+// FlushNetCache drops every cached per-net electrical view — the
+// timer-owned NetCache and the attached SharedCache, if any. Flushing is
+// never needed for correctness (lookups key by the topology hash); it
+// exists to bound memory in long-lived timers and to time cache-cold
 // paths in benchmarks.
 func (tm *Timer) FlushNetCache() {
 	tm.cacheMu.Lock()
-	tm.cache = nil
 	fc := tm.fcache
 	tm.cacheMu.Unlock()
 	if fc != nil {
@@ -101,73 +47,11 @@ func (h *fnv64) str(s string) {
 	h.byte(0x1f) // terminator so "ab","c" ≠ "a","bc"
 }
 
-// netHash digests everything buildNetEval reads from the tree for the net
-// driven by d, walking the same transparent-tap traversal.
-func (tm *Timer) netHash(tr *ctree.Tree, d ctree.NodeID) uint64 {
-	h := newFNV()
-	dn := tr.Node(d)
-	h.f64(dn.Loc.X)
-	h.f64(dn.Loc.Y)
-	type item struct{ id, parent ctree.NodeID }
-	stack := make([]item, 0, len(dn.Children))
-	for _, c := range dn.Children {
-		stack = append(stack, item{c, d})
-	}
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := tr.Node(it.id)
-		if n == nil {
-			h.byte(0) // removed-node slot, skipped by the builder too
-			continue
-		}
-		h.u64(uint64(uint32(it.parent)))
-		h.u64(uint64(uint32(it.id)))
-		h.byte(byte(n.Kind))
-		h.f64(n.Loc.X)
-		h.f64(n.Loc.Y)
-		h.f64(n.Detour)
-		if n.Kind == ctree.KindBuffer {
-			h.str(n.CellName)
-		}
-		if n.Kind == ctree.KindTap {
-			for _, c := range n.Children {
-				stack = append(stack, item{c, it.id})
-			}
-		}
-	}
-	return uint64(h)
-}
-
-// evalNet returns the net's electrical view at corner k, from cache when the
-// topology hash still matches and rebuilt (and re-stored) otherwise.
-func (tm *Timer) evalNet(c *netCache, tr *ctree.Tree, d ctree.NodeID, k int) *netEval {
-	h := tm.netHash(tr, d)
-	key := netKey{d, k}
-	c.mu.RLock()
-	ev := c.m[key]
-	c.mu.RUnlock()
-	if ev != nil && ev.hash == h {
-		tm.cacheHits.Add(1)
-		return ev
-	}
-	tm.cacheMisses.Add(1)
-	ev = tm.buildNetEval(tr, d, k, h)
-	c.mu.Lock()
-	if len(c.m) >= maxCachedNets {
-		c.m = make(map[netKey]*netEval)
-		tm.cacheEvicts.Add(1)
-	}
-	c.m[key] = ev
-	c.mu.Unlock()
-	return ev
-}
-
 // CacheStats is a point-in-time reading of the net cache's traffic counters
 // since the timer was built (they survive cache resets and flushes).
 type CacheStats struct {
-	Hits      int64 // lookups served from a hash-valid entry
-	Misses    int64 // lookups that rebuilt the net view
+	Hits      int64 // lookups served from a cached view
+	Misses    int64 // lookups that built the net view
 	Evictions int64 // whole-map drops on overflow (maxCachedNets)
 }
 
@@ -180,8 +64,8 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // CacheStats reads the net-cache traffic counters. Counts are exact but
-// schedule-dependent under concurrent move trials (workers race to replace
-// shared dirty entries), so they belong in metrics snapshots, not in traces
+// schedule-dependent under concurrent move trials (workers race to build
+// the same dirty nets), so they belong in metrics snapshots, not in traces
 // compared across worker counts.
 func (tm *Timer) CacheStats() CacheStats {
 	return CacheStats{
@@ -189,64 +73,4 @@ func (tm *Timer) CacheStats() CacheStats {
 		Misses:    tm.cacheMisses.Load(),
 		Evictions: tm.cacheEvicts.Load(),
 	}
-}
-
-// buildNetEval builds the per-corner RC tree of the net driven by node d —
-// walking the clock tree through transparent tap nodes, exactly as the
-// pre-cache netRC did — and reduces it to the immutable view the timing
-// loop consumes.
-func (tm *Timer) buildNetEval(tr *ctree.Tree, d ctree.NodeID, k int, hash uint64) *netEval {
-	rPer, cPer := tm.Tech.WireR(k), tm.Tech.WireC(k)
-	b := rctree.NewBuilder(0)
-	rcIdx := map[ctree.NodeID]int{d: 0}
-	dn := tr.Node(d)
-	type item struct{ id, parent ctree.NodeID }
-	stack := make([]item, 0, len(dn.Children))
-	for _, c := range dn.Children {
-		stack = append(stack, item{c, d})
-	}
-	ev := &netEval{hash: hash}
-	var ris []int
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := tr.Node(it.id)
-		if n == nil {
-			continue
-		}
-		p := tr.Node(it.parent)
-		length := p.Loc.Manhattan(n.Loc)
-		if tm.Cong != nil && length > 0 {
-			length *= tm.Cong.Factor(geom.Midpoint(p.Loc, n.Loc))
-		}
-		length += n.Detour
-		ni := b.AddWire(rcIdx[it.parent], length, rPer, cPer)
-		rcIdx[it.id] = ni
-		ev.ids = append(ev.ids, it.id)
-		ris = append(ris, ni)
-		switch n.Kind {
-		case ctree.KindBuffer:
-			cell := tm.Tech.CellByName(n.CellName)
-			if cell == nil {
-				panic(fmt.Sprintf("sta: unknown cell %q at node %d", n.CellName, n.ID))
-			}
-			b.AddLoad(ni, cell.InCap)
-		case ctree.KindSink:
-			b.AddLoad(ni, tm.Tech.SinkCap)
-		case ctree.KindTap:
-			for _, c := range n.Children {
-				stack = append(stack, item{c, it.id})
-			}
-		}
-	}
-	rc := b.Done()
-	ev.totalCap = rc.TotalCap()
-	m1, m2 := rc.Moments()
-	ev.m1 = make([]float64, len(ris))
-	ev.m2 = make([]float64, len(ris))
-	for i, ri := range ris {
-		ev.m1[i] = m1[ri]
-		ev.m2[i] = m2[ri]
-	}
-	return ev
 }

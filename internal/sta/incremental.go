@@ -1,11 +1,6 @@
 package sta
 
-import (
-	"math"
-
-	"skewvar/internal/ctree"
-	"skewvar/internal/obs"
-)
+import "skewvar/internal/ctree"
 
 // slewConvergedEps is the input-slew change (ps) below which a downstream
 // stage's gate delay is considered unchanged — the same observation the
@@ -22,150 +17,15 @@ const slewConvergedEps = 0.01
 // to the affected subtree, not the design.
 //
 // Like Analyze, corners propagate independently across the timer's worker
-// pool, and dirty-net recomputation goes through the hash-validated net
-// cache: clean nets hit the baseline tree's entries untouched, dirty nets
-// miss on their changed hash and are rebuilt — the cache is invalidated for
-// exactly the dirty nets. The full/offset decision is made per corner (a
-// net can have converged slews at one corner and not another), which stays
-// within the same slew-convergence tolerance as the joint decision.
+// pool, and dirty-net recomputation goes through the hash-keyed net cache:
+// clean nets hash to the baseline tree's views and hit them untouched,
+// dirty nets hash to new keys and are rebuilt, so exactly the dirty nets
+// miss. The full/offset decision is made per corner
+// (a net can have converged slews at one corner and not another), which
+// stays within the same slew-convergence tolerance as the joint decision.
 //
 // The result is equivalent to Analyze within slew-convergence tolerance
-// (picoseconds-e-3); see the equivalence tests. As with Analyze, the
-// flat default kernel and KernelLegacy are bit-identical.
+// (picoseconds-e-3); see the equivalence tests.
 func (tm *Timer) AnalyzeIncremental(tr *ctree.Tree, base *Analysis, dirty []ctree.NodeID) *Analysis {
-	if tm.Kernel == KernelLegacy {
-		return tm.analyzeIncrementalLegacy(tr, base, dirty)
-	}
 	return tm.analyzeIncrementalFlat(tr, base, dirty)
-}
-
-// analyzeIncrementalLegacy is the retained reference implementation.
-func (tm *Timer) analyzeIncrementalLegacy(tr *ctree.Tree, base *Analysis, dirty []ctree.NodeID) *Analysis {
-	K := tm.Tech.NumCorners()
-	n := len(tr.Nodes)
-	a := &Analysis{K: K, MaxLat: make([]float64, K)}
-	a.Arrive = make([][]float64, K)
-	a.Slew = make([][]float64, K)
-
-	recompute := make(map[ctree.NodeID]bool, 2*len(dirty))
-	for _, d := range dirty {
-		node := tr.Node(d)
-		if node == nil {
-			continue
-		}
-		if node.Kind == ctree.KindSource || node.Kind == ctree.KindBuffer {
-			recompute[d] = true
-		}
-		if drv := tr.Driver(d); drv != ctree.NoNode {
-			recompute[drv] = true
-		}
-	}
-
-	drivers := tm.drivingNodes(tr)
-	sinks := tr.Sinks()
-	cache := tm.netcache()
-	var sp *obs.Span
-	if tm.Obs != nil {
-		sp = tm.Obs.StartSpan("sta.analyze_inc", obs.I("corners", K), obs.I("dirty", len(dirty)))
-		tm.Obs.Counter("sta.analyses_incremental").Inc()
-	}
-	tm.forEachCorner(K, func(k int) {
-		var csp *obs.Span
-		if sp != nil {
-			csp = sp.StartChild("sta.corner", obs.I("corner", k))
-		}
-		defer csp.End()
-		arr := make([]float64, n)
-		slw := make([]float64, n)
-		var bArr, bSlw []float64
-		if k < base.K {
-			bArr, bSlw = base.Arrive[k], base.Slew[k]
-		}
-		for i := 0; i < n; i++ {
-			if bArr != nil && i < len(bArr) {
-				arr[i], slw[i] = bArr[i], bSlw[i]
-			} else {
-				arr[i], slw[i] = math.NaN(), math.NaN()
-			}
-		}
-		arr[tr.Source] = 0
-		slw[tr.Source] = tm.SourceSlew
-		a.Arrive[k], a.Slew[k] = arr, slw
-
-		baseAt := func(id ctree.NodeID) (arrB, slewB float64, ok bool) {
-			if bArr == nil || int(id) >= len(bArr) {
-				return 0, 0, false
-			}
-			arrB, slewB = bArr[id], bSlw[id]
-			return arrB, slewB, !math.IsNaN(arrB)
-		}
-
-		for di := range drivers {
-			dr := &drivers[di]
-			id := dr.id
-			needFull := recompute[id]
-			var delta float64
-			if !needFull {
-				bA, bS, ok := baseAt(id)
-				switch {
-				case !ok, math.Abs(slw[id]-bS) > slewConvergedEps:
-					needFull = true
-				default:
-					delta = arr[id] - bA
-				}
-			}
-			if needFull {
-				tm.timeNet(cache, tr, dr, a, k)
-				continue
-			}
-			// Arrival-offset fast path: the driver's input slew is unchanged,
-			// so every stage delay in this net is identical to the baseline;
-			// net arrivals shift by the driver's arrival delta.
-			if delta == 0 {
-				continue
-			}
-			ok := true
-			for _, nid := range netNodes(tr, id) {
-				bA, bS, present := baseAt(nid)
-				if !present {
-					// A net node is new relative to the baseline: fall back.
-					ok = false
-					break
-				}
-				arr[nid] = bA + delta
-				slw[nid] = bS
-			}
-			if !ok {
-				tm.timeNet(cache, tr, dr, a, k)
-			}
-		}
-		for _, s := range sinks {
-			if v := arr[s]; !math.IsNaN(v) && v > a.MaxLat[k] {
-				a.MaxLat[k] = v
-			}
-		}
-	})
-	sp.End()
-	return a
-}
-
-// netNodes walks the net of driving node id (through transparent taps),
-// returning every net node except the driver.
-func netNodes(tr *ctree.Tree, id ctree.NodeID) []ctree.NodeID {
-	var out []ctree.NodeID
-	n := tr.Node(id)
-	stack := append([]ctree.NodeID(nil), n.Children...)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		c := tr.Node(cur)
-		if c == nil {
-			continue
-		}
-		out = append(out, cur)
-		if c.Kind == ctree.KindTap {
-			stack = append(stack, c.Children...)
-		}
-	}
-	return out
 }

@@ -158,7 +158,7 @@ func TestAnalyzeIncrementalParallelBitIdentical(t *testing.T) {
 		want := ref.AnalyzeIncremental(tr, base, dirty)
 		for _, j := range workerSweep()[1:] {
 			// Warm path: a full analysis populates the cache with the
-			// pre-edit topology; hash validation must refuse stale entries.
+			// pre-edit topology; dirty nets must miss on their new hashes.
 			warm := timerLike(tm, j)
 			warm.Analyze(d.Tree)
 			got := warm.AnalyzeIncremental(tr, base, dirty)
