@@ -58,7 +58,8 @@ type FlowConfig struct {
 	// fan-out and the local stage's concurrent move trials (cmd/skewopt's
 	// -j flag). 0 = runtime.GOMAXPROCS(0); 1 = the exact serial paths.
 	// Results — FlowResult metrics and checkpoint bytes — are identical at
-	// any setting. Stage-level Workers values, when set, take precedence.
+	// any setting. A LocalConfig.Workers value, when set, takes precedence
+	// for the local stage.
 	Workers int
 
 	// Faults is an optional deterministic fault injector threaded into every
@@ -255,9 +256,6 @@ func RunFlows(ctx context.Context, tm *sta.Timer, ch *lut.Char, d *ctree.Design,
 	}
 	if gcfg.Rec == nil {
 		gcfg.Rec = rec
-	}
-	if gcfg.Workers == 0 {
-		gcfg.Workers = workers
 	}
 	if gcfg.Obs == nil {
 		gcfg.Obs = cfg.Obs

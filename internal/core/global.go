@@ -39,11 +39,6 @@ type GlobalConfig struct {
 	Faults *faults.Injector
 	Rec    *resilience.Recorder
 
-	// Workers, when positive, is installed as the timer's per-corner STA
-	// parallelism for the run (normally threaded in by RunFlows; the LP
-	// itself is serial). Results are identical at any setting.
-	Workers int
-
 	// Obs, when non-nil, receives the global.opt/global.sweep span tree,
 	// lp.solve and global.budget_halved events, and the LP counters
 	// (docs/OBSERVABILITY.md). Normally set by RunFlows. Nil keeps
@@ -138,9 +133,6 @@ func GlobalOpt(ctx context.Context, tm *sta.Timer, ch *lut.Char, d *ctree.Design
 	pairs := d.TopPairs(cfg.TopPairs)
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("core: no sink pairs: %w", resilience.ErrInvalidDesign)
-	}
-	if cfg.Workers > 0 {
-		tm.Workers = cfg.Workers
 	}
 	// Envelopes for every corner pair (constraint (11) / Figure 2).
 	K := tm.Tech.NumCorners()
