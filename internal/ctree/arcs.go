@@ -12,18 +12,6 @@ type Arc struct {
 	Interior []NodeID // chain nodes between Top and Bottom, top→bottom order
 }
 
-// InteriorBuffers returns the interior nodes that are buffers (the inverter
-// pairs the ECO may remove/replace).
-func (a *Arc) InteriorBuffers(t *Tree) []NodeID {
-	var out []NodeID
-	for _, id := range a.Interior {
-		if n := t.Node(id); n != nil && n.Kind == KindBuffer {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Segmentation is the arc decomposition of a tree at a moment in time. It is
 // invalidated by any structural edit; re-run Segment afterwards.
 type Segmentation struct {
@@ -66,15 +54,6 @@ func Segment(t *Tree) *Segmentation {
 	return s
 }
 
-// ArcEndingAt returns the index of the arc whose bottom anchor is the given
-// node, or -1.
-func (s *Segmentation) ArcEndingAt(id NodeID) int {
-	if i, ok := s.arcOfBottom[id]; ok {
-		return i
-	}
-	return -1
-}
-
 // PathArcs returns the arc indices on the path from the source to the given
 // sink, source-side first. It errors if the node is not an anchor reachable
 // through the segmentation (e.g. after a structural edit).
@@ -94,15 +73,6 @@ func (s *Segmentation) PathArcs(t *Tree, sink NodeID) ([]int, error) {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev, nil
-}
-
-// ArcNodesInOrder returns the full node chain Top, Interior..., Bottom.
-func (a *Arc) ArcNodesInOrder() []NodeID {
-	out := make([]NodeID, 0, len(a.Interior)+2)
-	out = append(out, a.Top)
-	out = append(out, a.Interior...)
-	out = append(out, a.Bottom)
-	return out
 }
 
 // Check verifies the segmentation is consistent with the tree: arcs tile the

@@ -346,18 +346,11 @@ func TestSegmentation(t *testing.T) {
 	if len(seg.Arcs) != 5 {
 		t.Fatalf("arcs = %d, want 5", len(seg.Arcs))
 	}
-	a0 := seg.Arcs[seg.ArcEndingAt(ids["tap"])]
+	a0 := seg.Arcs[seg.arcOfBottom[ids["tap"]]]
 	if a0.Top != tr.Source || len(a0.Interior) != 1 || a0.Interior[0] != ids["b1"] {
 		t.Errorf("source arc = %+v", a0)
 	}
-	if got := a0.InteriorBuffers(tr); len(got) != 1 || got[0] != ids["b1"] {
-		t.Errorf("InteriorBuffers = %v", got)
-	}
-	nodes := a0.ArcNodesInOrder()
-	if len(nodes) != 3 || nodes[0] != tr.Source || nodes[2] != ids["tap"] {
-		t.Errorf("ArcNodesInOrder = %v", nodes)
-	}
-	if seg.ArcEndingAt(ids["b1"]) != -1 {
+	if _, ok := seg.arcOfBottom[ids["b1"]]; ok {
 		t.Error("interior node reported as arc bottom")
 	}
 	// Path of s1: source→tap arc, tap→s1 arc.

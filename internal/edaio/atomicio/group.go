@@ -47,7 +47,6 @@ type GroupAppender struct {
 	needTrunc bool
 	dead      error // sticky: set by Kill, Close, or an injected crash
 	syncs     int64
-	flushes   int64
 	lines     int64
 }
 
@@ -247,7 +246,6 @@ func (g *GroupAppender) flushLoopLocked() {
 			g.off = off + int64(len(buf))
 			g.needTrunc = false
 			g.syncs++
-			g.flushes++
 			g.lines += int64(len(batch))
 		case crashed:
 			g.dead = ErrAppenderDead
@@ -347,14 +345,6 @@ func (g *GroupAppender) Syncs() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.syncs
-}
-
-// Flushes returns how many batches have committed; Lines returns how many
-// lines they carried. Lines/Flushes is the achieved group-commit factor.
-func (g *GroupAppender) Flushes() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.flushes
 }
 
 // Lines returns how many lines have been durably committed.

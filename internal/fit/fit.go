@@ -80,9 +80,6 @@ func (p Poly) Eval(x float64) float64 {
 	return v
 }
 
-// Degree returns the nominal degree (len-1); -1 for an empty polynomial.
-func (p Poly) Degree() int { return len(p) - 1 }
-
 // PolyFit fits a least-squares polynomial of the given degree to (x, y) with
 // optional ridge regularization lambda ≥ 0 on the non-constant coefficients.
 // It solves the normal equations directly, which is adequate for the low
@@ -354,25 +351,4 @@ func RMSE(pred, truth []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(pred)))
-}
-
-// MAPE returns the mean absolute percentage error (in %), skipping samples
-// whose truth magnitude is below eps to avoid division blow-ups.
-func MAPE(pred, truth []float64, eps float64) float64 {
-	if len(pred) != len(truth) {
-		return math.NaN()
-	}
-	var sum float64
-	n := 0
-	for i := range pred {
-		if math.Abs(truth[i]) < eps {
-			continue
-		}
-		sum += math.Abs((pred[i] - truth[i]) / truth[i])
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return 100 * sum / float64(n)
 }

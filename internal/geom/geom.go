@@ -30,12 +30,6 @@ func (p Point) Manhattan(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
 }
 
-// Euclid returns the Euclidean distance between p and q.
-func (p Point) Euclid(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Hypot(dx, dy)
-}
-
 // Eq reports whether p and q coincide exactly.
 func (p Point) Eq(q Point) bool { return p.X == q.X && p.Y == q.Y }
 
@@ -97,25 +91,12 @@ func (r Rect) Clamp(p Point) Point {
 	}
 }
 
-// Expand grows r by d on every side (shrinks for negative d).
-func (r Rect) Expand(d float64) Rect {
-	return Rect{
-		Lo: Point{r.Lo.X - d, r.Lo.Y - d},
-		Hi: Point{r.Hi.X + d, r.Hi.Y + d},
-	}
-}
-
 // Union returns the smallest rectangle covering both r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
 		Lo: Point{math.Min(r.Lo.X, s.Lo.X), math.Min(r.Lo.Y, s.Lo.Y)},
 		Hi: Point{math.Max(r.Hi.X, s.Hi.X), math.Max(r.Hi.Y, s.Hi.Y)},
 	}
-}
-
-// Intersects reports whether r and s overlap (inclusive boundary).
-func (r Rect) Intersects(s Rect) bool {
-	return r.Lo.X <= s.Hi.X && s.Lo.X <= r.Hi.X && r.Lo.Y <= s.Hi.Y && s.Lo.Y <= r.Hi.Y
 }
 
 // BBox returns the bounding box of a non-empty point set. It panics on an
@@ -140,38 +121,6 @@ func BBox(pts []Point) Rect {
 		}
 	}
 	return r
-}
-
-// Segment is an axis-parallel or general wire segment between two points.
-type Segment struct {
-	A, B Point
-}
-
-// Len returns the Manhattan length of the segment. Clock routing is
-// rectilinear, so segments are axis-parallel and Manhattan length equals
-// geometric length; for a diagonal segment this is the length of its
-// L-shaped realization.
-func (s Segment) Len() float64 { return s.A.Manhattan(s.B) }
-
-// TotalLen sums the Manhattan lengths of a segment list.
-func TotalLen(segs []Segment) float64 {
-	var t float64
-	for _, s := range segs {
-		t += s.Len()
-	}
-	return t
-}
-
-// SnapToGrid rounds p to the nearest multiple of pitch in both axes.
-// A non-positive pitch returns p unchanged.
-func SnapToGrid(p Point, pitch float64) Point {
-	if pitch <= 0 {
-		return p
-	}
-	return Point{
-		X: math.Round(p.X/pitch) * pitch,
-		Y: math.Round(p.Y/pitch) * pitch,
-	}
 }
 
 // MedianPoint returns the componentwise median of the point set, the

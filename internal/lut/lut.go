@@ -191,20 +191,6 @@ func (c *Char) MinDelayPerUM(k int) float64 {
 	return best
 }
 
-// MaxDelayPerUM returns the largest characterized stage delay per µm at
-// corner k (delay achievable by dense small buffers).
-func (c *Char) MaxDelayPerUM(k int) float64 {
-	worst := 0.0
-	for p := range c.uniform {
-		for qi, q := range c.Spacings {
-			if v := c.uniform[p][qi][k] / q; v > worst {
-				worst = v
-			}
-		}
-	}
-	return worst
-}
-
 // RatioSample is one point of the Figure-2 scatter.
 type RatioSample struct {
 	Cell       int

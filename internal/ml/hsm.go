@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // HSMConfig tunes Hybrid Surrogate Modeling. Zero values select defaults.
 type HSMConfig struct {
@@ -87,15 +84,4 @@ func (h *HSM) Predict(x []float64) float64 {
 		v += h.Weights[i] * m.Predict(x)
 	}
 	return v
-}
-
-// BestComponent returns the index of the component with the lowest CV error.
-func (h *HSM) BestComponent() int {
-	best, bi := math.Inf(1), 0
-	for i, e := range h.CVErrs {
-		if e < best {
-			best, bi = e, i
-		}
-	}
-	return bi
 }

@@ -111,6 +111,3 @@ func (s *SVR) Predict(x []float64) float64 {
 	}
 	return s.ys.back(v)
 }
-
-// NumSupport returns the support-set size (for reporting).
-func (s *SVR) NumSupport() int { return len(s.sv) }

@@ -215,19 +215,6 @@ func (r *Recorder) Counts() map[string]int {
 	return out
 }
 
-// Absorb merges a per-class count map (e.g. a sub-flow's report) into the
-// recorder. Nil-safe.
-func (r *Recorder) Absorb(counts map[string]int) {
-	if r == nil || len(counts) == 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for k, v := range counts {
-		r.counts[k] += v
-	}
-}
-
 // FormatCounts renders a count map as "class:count class:count" in sorted
 // class order ("none" when empty), for DEGRADED warning lines.
 func FormatCounts(counts map[string]int) string {

@@ -109,11 +109,6 @@ func TestRecorder(t *testing.T) {
 	if c["lp-solve"] != 10 || c["move-apply"] != 10 {
 		t.Fatalf("counts = %v", c)
 	}
-	// Absorb merges.
-	r.Absorb(map[string]int{"lp-solve": 2, "panic": 1})
-	if c := r.Counts(); c["lp-solve"] != 12 || c["panic"] != 1 {
-		t.Fatalf("after absorb: %v", c)
-	}
 	// Mutating the copy must not leak back.
 	c["lp-solve"] = 999
 	if r.Counts()["lp-solve"] == 999 {
@@ -124,7 +119,6 @@ func TestRecorder(t *testing.T) {
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Record("x") // must not panic
-	r.Absorb(map[string]int{"x": 1})
 	if r.Total() != 0 || r.Counts() != nil {
 		t.Fatal("nil recorder not empty")
 	}

@@ -282,20 +282,6 @@ func (c *Congestion) Factor(p geom.Point) float64 {
 	return c.f[j*c.Nx+i]
 }
 
-// ApplyCongestion returns a copy of the tree with every edge stretched by
-// the congestion factor at its midpoint. A nil congestion map is identity.
-func ApplyCongestion(t *Tree, c *Congestion) *Tree {
-	out := &Tree{Nodes: append([]Node(nil), t.Nodes...)}
-	if c == nil {
-		return out
-	}
-	for i := 1; i < len(out.Nodes); i++ {
-		mid := geom.Midpoint(out.Nodes[i].P, out.Nodes[out.Nodes[i].Parent].P)
-		out.Nodes[i].EdgeLen *= c.Factor(mid)
-	}
-	return out
-}
-
 // AddPinDetour stretches the edge reaching the given pin by extra µm
 // (U-shape snaking inserted by the ECO). It is a no-op for the root pin or
 // an absent pin.

@@ -201,25 +201,6 @@ func TestCongestionDeterminismAndRange(t *testing.T) {
 	NewCongestion(die, 0, 5, 0.1, 1)
 }
 
-func TestApplyCongestionStretches(t *testing.T) {
-	die := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
-	c := NewCongestion(die, 4, 4, 0.3, 7)
-	pins := []geom.Point{geom.Pt(10, 10), geom.Pt(90, 90), geom.Pt(90, 10)}
-	tr := RSMT(pins)
-	stretched := ApplyCongestion(tr, c)
-	if stretched.Wirelength() < tr.Wirelength() {
-		t.Error("congestion shrank the route")
-	}
-	if ident := ApplyCongestion(tr, nil); ident.Wirelength() != tr.Wirelength() {
-		t.Error("nil congestion changed the route")
-	}
-	// Original untouched.
-	tr2 := RSMT(pins)
-	if tr.Wirelength() != tr2.Wirelength() {
-		t.Error("ApplyCongestion mutated input")
-	}
-}
-
 func TestAddPinDetour(t *testing.T) {
 	pins := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0)}
 	tr := MST(pins)

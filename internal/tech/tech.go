@@ -473,22 +473,6 @@ func (t *Tech) SubCorners(names ...string) (*Tech, error) {
 	return &view, nil
 }
 
-// AlphaEstimate returns a technology-derived normalization factor αk for
-// corner k with respect to the nominal corner: the ratio of a reference
-// buffer stage delay at nominal over corner k (so αk·delay(ck) ≈ delay(c0)).
-// The framework refines α from measured skews; this is the "technology
-// information" fallback the paper mentions.
-func (t *Tech) AlphaEstimate(k int) float64 {
-	c := t.Cells[len(t.Cells)/2]
-	const refSlew, refLoad = 40, 24
-	d0 := c.DelayPS(t.Nominal, refSlew, refLoad)
-	dk := c.DelayPS(k, refSlew, refLoad)
-	if dk == 0 {
-		return 1
-	}
-	return d0 / dk
-}
-
 // Validate checks internal consistency of the technology.
 func (t *Tech) Validate() error {
 	if len(t.Corners) == 0 {

@@ -234,22 +234,6 @@ func TestSubCorners(t *testing.T) {
 	}
 }
 
-func TestAlphaEstimate(t *testing.T) {
-	th := Default28nm()
-	a0 := th.AlphaEstimate(0)
-	if math.Abs(a0-1) > 1e-9 {
-		t.Errorf("alpha(c0) = %v, want 1", a0)
-	}
-	a1 := th.AlphaEstimate(1)
-	if a1 >= 1 {
-		t.Errorf("alpha(c1) = %v, want < 1 (c1 slower)", a1)
-	}
-	a3 := th.AlphaEstimate(3)
-	if a3 <= 1 {
-		t.Errorf("alpha(c3) = %v, want > 1 (c3 faster)", a3)
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	th := Default28nm()
 	th.Cells[0], th.Cells[1] = th.Cells[1], th.Cells[0]
