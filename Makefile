@@ -1,5 +1,5 @@
 # Developer entry points. `make tier1` is the gate a change must pass:
-# lint (go vet + skewlint) + build + the full test suite, then the suite
+# lint (go vet + gofmt + skewlint) + build + the full test suite, then the suite
 # again under the race detector in -short mode (which still runs a real
 # optimization flow via the core stage-subset test, just not the
 # multi-minute matrices), then the skewd crash/fault/drain end-to-end, the
@@ -8,6 +8,7 @@
 # module.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: tier1 vet lint lint-new lint-fix-report cover build test race serve-e2e fleet-e2e load-e2e journal-e2e bench bench-gate bench-check fuzz help
 
@@ -16,10 +17,15 @@ tier1: lint cover build test race serve-e2e fleet-e2e load-e2e journal-e2e bench
 vet:
 	$(GO) vet ./...
 
-# skewlint enforces the repo's machine-checked invariants (determinism,
-# cancellation, error taxonomy, pooled concurrency — see docs/ANALYSIS.md).
-# Exit codes: 0 clean, 1 findings, 2 analysis failure (docs/ROBUSTNESS.md).
+# gofmt must leave every tracked Go file unchanged, except the analyzer
+# corpus under internal/analysis/testdata: it is analyzer input, and its
+# `// want` comment layout is part of the test. skewlint enforces the
+# repo's machine-checked invariants (determinism, cancellation, error
+# taxonomy, pooled concurrency — see docs/ANALYSIS.md). Exit codes: 0
+# clean, 1 findings, 2 analysis failure (docs/ROBUSTNESS.md).
 lint: vet
+	@unformatted=$$($(GOFMT) -l $$(git ls-files '*.go' | grep -v '^internal/analysis/testdata/')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt would change:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/skewlint ./...
 
 # Fast iteration on the flow-sensitive service-layer analyzers only
@@ -142,7 +148,7 @@ fuzz:
 
 help:
 	@echo "tier1            lint + cover + build + test + race (the merge gate)"
-	@echo "lint             go vet + skewlint invariant analyzers (docs/ANALYSIS.md)"
+	@echo "lint             go vet + gofmt check + skewlint invariant analyzers (docs/ANALYSIS.md)"
 	@echo "lint-new         only the flow-sensitive analyzers (lockscope/ackorder/deferbal)"
 	@echo "lint-fix-report  skewlint -json -> LINT_report.json (never fails the build)"
 	@echo "cover            -short coverage -> COVER_report.txt; internal/obs must be >= 70%"

@@ -84,9 +84,9 @@ func main() {
 
 	rec := obs.New()
 	s, err := serve.New(serve.Config{
-		SpoolDir:     *spool,
-		Workers:      *workers,
-		QueueDepth:   *queue,
+		SpoolDir:      *spool,
+		Workers:       *workers,
+		QueueDepth:    *queue,
 		JobTimeout:    *jobTimeout,
 		DrainTimeout:  *drainTimeout,
 		JournalBatch:  *journalBatch,

@@ -52,11 +52,11 @@ type osFS struct{}
 func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
-func (osFS) Open(name string) (File, error)              { return os.Open(name) }
+func (osFS) Open(name string) (File, error)               { return os.Open(name) }
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
-func (osFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                    { return os.Remove(name) }
-func (osFS) Stat(name string) (os.FileInfo, error)       { return os.Stat(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
 
 // Storage-fault operation names, consulted through the WithFaults fire
 // callback. They double as the hook names of internal/faults, so a

@@ -106,7 +106,10 @@ func (c *Cluster) rebuild() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	type orphan struct{ victim, thief string; job serve.JournalJob }
+	type orphan struct {
+		victim, thief string
+		job           serve.JournalJob
+	}
 	var orphans []orphan
 	present := make(map[string]map[string]bool, len(c.names))
 	journals := make(map[string][]serve.JournalJob, len(c.names))

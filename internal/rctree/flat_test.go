@@ -26,7 +26,7 @@ func decodeOps(data []byte) []buildOp {
 		data = data[6:]
 		ops = append(ops, buildOp{
 			parentSel: sel,
-			length:    float64(lraw) / 97.0,  // 0..~675 µm
+			length:    float64(lraw) / 97.0,   // 0..~675 µm
 			load:      float64(praw%512) / 64, // 0..8 fF
 		})
 	}

@@ -40,6 +40,7 @@ func (wallClockNS) Now() int64 { return int64(time.Since(limiterEpoch)) }
 // Rate limiting is admission policy, not job computation — the replay
 // surface (same design+seed+config ⇒ same artifacts) is untouched by when
 // tokens refill, and deterministic tests inject a FakeClock instead.
+//
 //lint:ignore detsource epoch anchor for the default clock; job results never read it
 var limiterEpoch = time.Now()
 

@@ -61,10 +61,10 @@ const (
 // faults.CompactCrash hook: `compact-crash:at=N` simulates kill -9 at
 // the N-th boundary of the swap.
 const (
-	compactSnapWritten    = "snapshot-written"  // temp snapshot on disk, not yet renamed
-	compactSnapRenamed    = "snapshot-renamed"  // snapshot live, journal still the old one
-	compactJournalWritten = "journal-written"   // temp genesis journal on disk
-	compactJournalRenamed = "journal-renamed"   // swap complete
+	compactSnapWritten    = "snapshot-written" // temp snapshot on disk, not yet renamed
+	compactSnapRenamed    = "snapshot-renamed" // snapshot live, journal still the old one
+	compactJournalWritten = "journal-written"  // temp genesis journal on disk
+	compactJournalRenamed = "journal-renamed"  // swap complete
 )
 
 var compactBoundaries = []string{compactSnapWritten, compactSnapRenamed, compactJournalWritten, compactJournalRenamed}
