@@ -1,10 +1,10 @@
 package rctree
 
 // Flat is the struct-of-arrays counterpart of RC + Builder for the hot
-// analysis path: one value per column, no per-node objects, and every
+// analysis paths: one value per column, no per-node objects, and every
 // working array (topological order, depth/counting-sort scratch, moment
-// accumulators) retained across Reset so a pooled Flat reaches a steady
-// state with zero allocations per net.
+// accumulators, the recorded program) retained across Reset so a pooled
+// Flat reaches a steady state with zero allocations per net.
 //
 // The numerical contract is strict bit-identity with the pointer-based
 // implementation: AddWire/AddLoad perform the same floating-point
@@ -13,6 +13,12 @@ package rctree
 // replicate RC.Moments/RC.TotalCap operation for operation. The
 // differential fuzz test in flat_test.go enforces this.
 //
+// A Flat records what its Reset/AddWire/AddLoad calls did — the root cap,
+// each π section's length and each pin load, in call order — so Replay
+// can refill Res/Cap for another per-µm R/C without repeating the walk
+// that produced the calls. This file is the only place that knows the op
+// order the refill must follow.
+//
 // A Flat is built front to back: node 0 is the driving point and every
 // AddWire appends segments whose parent index is strictly smaller than
 // their own, so depths can be derived in one forward sweep.
@@ -20,6 +26,12 @@ type Flat struct {
 	Parent []int32
 	Res    []float64 // kΩ
 	Cap    []float64 // fF
+
+	// The recorded program: the root cap, the π-section length (µm) per
+	// node (seg[0] unused), and the AddLoad calls in call order.
+	rootCap float64
+	seg     []float64
+	loads   []flatLoad
 
 	// Scratch, reused across Reset. order is valid while orderOK holds;
 	// AddWire and Reset invalidate it, Moments/Topo rebuild it on demand.
@@ -31,12 +43,22 @@ type Flat struct {
 	m1, m2  []float64
 }
 
+// flatLoad is one recorded AddLoad call: capFF lumped at node, made when
+// the tree held `before` nodes.
+type flatLoad struct {
+	before, node int32
+	capFF        float64
+}
+
 // Reset re-initializes the tree to a single driving point carrying
 // rootCap, keeping every backing array's capacity.
 func (f *Flat) Reset(rootCap float64) {
 	f.Parent = append(f.Parent[:0], -1)
 	f.Res = append(f.Res[:0], 0)
 	f.Cap = append(f.Cap[:0], rootCap)
+	f.rootCap = rootCap
+	f.seg = append(f.seg[:0], 0)
+	f.loads = f.loads[:0]
 	f.orderOK = false
 }
 
@@ -51,27 +73,56 @@ func (f *Flat) AddWire(parent int, lengthUM, rPerUM, cPerUM float64) int {
 	if lengthUM < 0 {
 		panic("rctree: negative wire length")
 	}
-	segs := WireSegments
-	segLen := lengthUM / float64(segs)
+	segLen := lengthUM / float64(WireSegments)
 	cur := parent
-	for s := 0; s < segs; s++ {
+	for s := 0; s < WireSegments; s++ {
 		idx := len(f.Parent)
 		f.Parent = append(f.Parent, int32(cur))
-		f.Res = append(f.Res, segLen*rPerUM)
-		f.Cap = append(f.Cap, segLen*cPerUM)
-		// Half of the segment cap belongs at the near end.
-		half := segLen * cPerUM / 2
-		f.Cap[idx] -= half
-		f.Cap[cur] += half
+		f.Res = append(f.Res, 0)
+		f.Cap = append(f.Cap, 0)
+		f.seg = append(f.seg, segLen)
+		f.section(idx, rPerUM, cPerUM)
 		cur = idx
 	}
 	f.orderOK = false
 	return cur
 }
 
+// section fills π section i from its recorded length with Builder.AddWire's
+// statements: the section's R and C, then half the C moved to the near
+// end.
+func (f *Flat) section(i int, rPerUM, cPerUM float64) {
+	segLen := f.seg[i]
+	f.Res[i] = segLen * rPerUM
+	f.Cap[i] = segLen * cPerUM
+	half := segLen * cPerUM / 2
+	f.Cap[i] -= half
+	f.Cap[f.Parent[i]] += half
+}
+
 // AddLoad lumps extra pin capacitance at a node.
 func (f *Flat) AddLoad(node int, capFF float64) {
 	f.Cap[node] += capFF
+	f.loads = append(f.loads, flatLoad{before: int32(len(f.Parent)), node: int32(node), capFF: capFF})
+}
+
+// Replay refills Res and Cap as if every recorded AddWire call had been
+// made with rPerUM and cPerUM instead: the root cap, then each π section
+// and each pin load in the order of the original calls, so the result is
+// bitwise what a fresh build at the new R/C produces. The topology, and
+// with it the cached Topo order, stays.
+func (f *Flat) Replay(rPerUM, cPerUM float64) {
+	f.Cap[0] = f.rootCap
+	li := 0
+	for i := 1; i < len(f.Parent); i++ {
+		for ; li < len(f.loads) && int(f.loads[li].before) <= i; li++ {
+			f.Cap[f.loads[li].node] += f.loads[li].capFF
+		}
+		f.section(i, rPerUM, cPerUM)
+	}
+	for ; li < len(f.loads); li++ {
+		f.Cap[f.loads[li].node] += f.loads[li].capFF
+	}
 }
 
 // TotalCap returns the sum of all node capacitances in index order.

@@ -7,11 +7,13 @@ import (
 )
 
 // buildOp is one decoded fuzz operation: attach a wire under an existing
-// node, optionally with a pin load at its far end.
+// node, optionally with a pin load at its far end or, when loadSel is
+// nonzero, at an earlier node (the root included).
 type buildOp struct {
 	parentSel uint16
 	length    float64
 	load      float64
+	loadSel   uint16
 }
 
 // decodeOps turns raw fuzz bytes into a bounded operation list. Lengths
@@ -28,32 +30,50 @@ func decodeOps(data []byte) []buildOp {
 			parentSel: sel,
 			length:    float64(lraw) / 97.0,   // 0..~675 µm
 			load:      float64(praw%512) / 64, // 0..8 fF
+			loadSel:   praw >> 9,
 		})
 	}
 	return ops
 }
 
+// opsBuilder is the call surface Builder and Flat share.
+type opsBuilder interface {
+	AddWire(parent int, lengthUM, rPerUM, cPerUM float64) int
+	AddLoad(node int, capFF float64)
+}
+
+// applyOps issues the operation list's AddWire/AddLoad calls, tracking
+// wire ends in the caller-owned ends slice (returned for reuse).
+func applyOps(b opsBuilder, ops []buildOp, rPer, cPer float64, ends []int) []int {
+	ends = append(ends[:0], 0)
+	for _, op := range ops {
+		e := b.AddWire(ends[int(op.parentSel)%len(ends)], op.length, rPer, cPer)
+		ends = append(ends, e)
+		if op.load > 0 {
+			at := e
+			if op.loadSel > 0 {
+				at = ends[int(op.loadSel)%len(ends)]
+			}
+			b.AddLoad(at, op.load)
+		}
+	}
+	return ends
+}
+
+// buildRef constructs the operation list through the legacy Builder.
+func buildRef(ops []buildOp, rootCap, rPer, cPer float64) *RC {
+	b := NewBuilder(rootCap)
+	applyOps(b, ops, rPer, cPer, nil)
+	return b.Done()
+}
+
 // buildBoth constructs the same topology through the legacy Builder and
 // a Flat, returning both.
-func buildBoth(ops []buildOp, rPer, cPer float64) (*RC, *Flat) {
-	b := NewBuilder(0)
+func buildBoth(ops []buildOp, rootCap, rPer, cPer float64) (*RC, *Flat) {
 	f := &Flat{}
-	f.Reset(0)
-	ends := []int{0}
-	for _, op := range ops {
-		parent := ends[int(op.parentSel)%len(ends)]
-		le := b.AddWire(parent, op.length, rPer, cPer)
-		fe := f.AddWire(parent, op.length, rPer, cPer)
-		if le != fe {
-			panic("legacy and flat builders returned different indices")
-		}
-		if op.load > 0 {
-			b.AddLoad(le, op.load)
-			f.AddLoad(fe, op.load)
-		}
-		ends = append(ends, le)
-	}
-	return b.Done(), f
+	f.Reset(rootCap)
+	applyOps(f, ops, rPer, cPer, nil)
+	return buildRef(ops, rootCap, rPer, cPer), f
 }
 
 func bitsEq(a, b float64) bool {
@@ -94,114 +114,99 @@ func compareRC(t *testing.T, rc *RC, f *Flat) {
 	}
 }
 
+// chainOps is a small mixed topology: branches, a zero-length wire, pin
+// loads at wire ends, on an interior node after a child was attached, and
+// on the root.
+var chainOps = []buildOp{
+	{parentSel: 0, length: 120, load: 1.2},
+	{parentSel: 1, length: 35.5, load: 0},
+	{parentSel: 2, length: 0, load: 3},
+	{parentSel: 0, length: 480.25, load: 0.85, loadSel: 2},
+	{parentSel: 3, length: 17, load: 0.5, loadSel: 5},
+	{parentSel: 1, length: 0, load: 0},
+}
+
 func TestFlatMatchesLegacyOnChains(t *testing.T) {
-	ops := []buildOp{
-		{parentSel: 0, length: 120, load: 1.2},
-		{parentSel: 1, length: 35.5, load: 0},
-		{parentSel: 2, length: 0, load: 3},
-		{parentSel: 0, length: 480.25, load: 0.85},
-		{parentSel: 3, length: 17, load: 0},
-	}
-	rc, f := buildBoth(ops, 0.0021, 0.19)
+	rc, f := buildBoth(chainOps, 0, 0.0021, 0.19)
 	compareRC(t, rc, f)
 }
 
+// TestFlatReplayMatchesFreshBuild lays a tree out at one corner's wire
+// R/C with a nonzero root cap and replays it at others: each replay must
+// equal a fresh Builder build at that R/C bit for bit, and replaying the
+// first R/C again must restore the original tree.
+func TestFlatReplayMatchesFreshBuild(t *testing.T) {
+	const rootCap = 2.75
+	rcs := [][2]float64{{0.0021, 0.19}, {0.0021 * 1.05, 0.19 * 1.15}, {0.0017, 0.23}, {0.0021, 0.19}}
+	_, f := buildBoth(chainOps, rootCap, rcs[0][0], rcs[0][1])
+	for _, rc := range rcs {
+		f.Replay(rc[0], rc[1])
+		compareRC(t, buildRef(chainOps, rootCap, rc[0], rc[1]), f)
+	}
+}
+
 // TestFlatResetReuse proves a pooled Flat reaches zero allocations and
-// stays bit-identical after arbitrary interleaved reuse: build A, build
-// B (different shape), rebuild A ⇒ identical bytes to the first A pass.
+// stays bit-identical after arbitrary interleaved reuse: build A and
+// replay it, build B (different shape), rebuild A ⇒ identical bytes to
+// the first A pass.
 func TestFlatResetReuse(t *testing.T) {
-	opsA := []buildOp{{0, 90, 2}, {1, 45, 0}, {0, 200, 1.1}, {2, 10, 0.5}}
-	opsB := []buildOp{{0, 300, 0}, {1, 300, 4}, {2, 5, 0}, {3, 77, 0}, {1, 13, 2}}
+	opsA := []buildOp{{0, 90, 2, 0}, {1, 45, 0, 0}, {0, 200, 1.1, 1}, {2, 10, 0.5, 0}}
+	opsB := []buildOp{{0, 300, 0, 0}, {1, 300, 4, 0}, {2, 5, 0, 0}, {3, 77, 0, 0}, {1, 13, 2, 3}}
 
 	f := &Flat{}
-	run := func(ops []buildOp) (tc float64, m1, m2 []float64) {
-		f.Reset(0)
-		ends := []int{0}
-		for _, op := range ops {
-			e := f.AddWire(ends[int(op.parentSel)%len(ends)], op.length, 0.0021, 0.19)
-			if op.load > 0 {
-				f.AddLoad(e, op.load)
-			}
-			ends = append(ends, e)
-		}
+	var ends []int
+	var tc float64
+	var m1, m2 []float64
+	run := func(ops []buildOp) {
+		f.Reset(0.5)
+		ends = applyOps(f, ops, 0.0021, 0.19, ends)
+		f.Replay(0.0021*1.05, 0.19*1.15)
 		tc = f.TotalCap()
 		am1, am2 := f.Moments()
-		return tc, append([]float64(nil), am1...), append([]float64(nil), am2...)
+		m1 = append(m1[:0], am1...)
+		m2 = append(m2[:0], am2...)
 	}
 
-	tcA, m1A, m2A := run(opsA)
+	run(opsA)
+	tcA, m1A, m2A := tc, append([]float64(nil), m1...), append([]float64(nil), m2...)
 	run(opsB)
-	tcA2, m1A2, m2A2 := run(opsA)
-	if !bitsEq(tcA, tcA2) {
-		t.Fatalf("TotalCap changed across reuse: %v vs %v", tcA, tcA2)
+	run(opsA)
+	if !bitsEq(tcA, tc) {
+		t.Fatalf("TotalCap changed across reuse: %v vs %v", tcA, tc)
 	}
 	for i := range m1A {
-		if !bitsEq(m1A[i], m1A2[i]) || !bitsEq(m2A[i], m2A2[i]) {
+		if !bitsEq(m1A[i], m1[i]) || !bitsEq(m2A[i], m2[i]) {
 			t.Fatalf("moments[%d] leaked state across reuse", i)
 		}
 	}
 
-	allocs := testing.AllocsPerRun(50, func() { run(opsA) })
-	// run itself copies the moment slices and grows `ends`; only those
-	// bounded bookkeeping allocations may remain — the Flat contributes
-	// none once warm.
-	if allocs > 6 {
-		t.Fatalf("warm Flat reuse allocates %.1f/op; scratch is not being retained", allocs)
+	if allocs := testing.AllocsPerRun(50, func() { run(opsA) }); allocs != 0 {
+		t.Fatalf("warm Flat build+replay allocates %.1f/op; scratch is not being retained", allocs)
 	}
 }
 
 // FuzzBuildFlatTree drives both builders over arbitrary topologies and
 // per-µm RC values, asserting bitwise-equal structure, total cap, and
-// moments — the equivalence the flat STA kernel's correctness rests on.
+// moments — the equivalence the flat STA kernel's correctness rests on —
+// and then replays the Flat at a second corner's R/C, which must equal a
+// fresh Builder build there. Odd-length inputs carry a root cap.
 func FuzzBuildFlatTree(fz *testing.F) {
 	fz.Add([]byte{1, 0, 200, 1, 16, 0, 0, 0, 90, 3, 0, 2})
 	fz.Add([]byte{0, 0, 0, 0, 0, 0})
 	fz.Add([]byte{2, 0, 255, 255, 255, 255, 1, 0, 10, 0, 0, 0, 3, 0, 4, 4, 4, 4})
+	fz.Add([]byte{0, 0, 0, 0, 64, 4, 1, 0, 0, 0, 9, 6, 0, 0, 50, 0, 200, 2, 40})
 	fz.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeOps(data)
 		if len(ops) == 0 {
 			return
 		}
-		rc, f := buildBoth(ops, 0.0021, 0.19)
+		rootCap := 0.0
+		if len(data)%2 == 1 {
+			rootCap = float64(data[len(data)-1]) / 32
+		}
+		rc, f := buildBoth(ops, rootCap, 0.0021, 0.19)
 		compareRC(t, rc, f)
-		// Exercise the refill path: overwrite Res/Cap in place (as the
-		// per-corner replay does) and confirm the cached topo still
-		// matches a freshly built tree at the new values.
-		rc2, _ := buildBoth(ops, 0.0021*1.05, 0.19*1.15)
-		replayInto(f, ops, 0.0021*1.05, 0.19*1.15)
-		lm1, lm2 := rc2.Moments()
-		fm1, fm2 := f.Moments()
-		for i := range lm1 {
-			if !bitsEq(lm1[i], fm1[i]) || !bitsEq(lm2[i], fm2[i]) {
-				t.Fatalf("refilled moments[%d]: legacy (%v,%v) flat (%v,%v)", i, lm1[i], lm2[i], fm1[i], fm2[i])
-			}
-		}
+		f.Replay(0.0021*1.05, 0.19*1.15)
+		compareRC(t, buildRef(ops, rootCap, 0.0021*1.05, 0.19*1.15), f)
 	})
-}
-
-// replayInto refills an already-built Flat's Res/Cap columns for a new
-// per-µm RC without touching Parent, mirroring the STA kernel's
-// per-corner replay: identical op order to AddWire/AddLoad.
-func replayInto(f *Flat, ops []buildOp, rPer, cPer float64) {
-	f.Cap[0] = 0
-	idx := 1
-	ends := []int{0}
-	for _, op := range ops {
-		parent := ends[int(op.parentSel)%len(ends)]
-		segLen := op.length / float64(WireSegments)
-		cur := parent
-		for s := 0; s < WireSegments; s++ {
-			w := segLen * cPer
-			half := w / 2
-			f.Res[idx] = segLen * rPer
-			f.Cap[idx] = w - half
-			f.Cap[cur] += half
-			cur = idx
-			idx++
-		}
-		if op.load > 0 {
-			f.Cap[cur] += op.load
-		}
-		ends = append(ends, cur)
-	}
 }

@@ -210,26 +210,22 @@ type buildItem struct {
 // buildScratch is the pooled working set of a cache-miss net build.
 type buildScratch struct {
 	stack []buildItem
-	seg   []float64 // per RC index: π-section length (µm)
-	load  []float64 // per RC index: pin load at the node (0 for wire-only)
 	rc    rctree.Flat
 }
 
 var buildScratchPool = sync.Pool{New: func() interface{} { return new(buildScratch) }}
 
 // buildFlatNetEval constructs the all-corner view of the net driven by
-// d. The walk builds corner 0 directly and records the corner-independent
-// program (segment lengths, pin loads); corners 1..K-1 replay it with
-// their own wire RC, skipping the walk, the congestion lookups, and all
-// allocation.
+// d. The walk builds corner 0 directly, and the Flat records the
+// corner-independent program (segment lengths, pin loads); corners
+// 1..K-1 replay it with their own wire RC, skipping the walk, the
+// congestion lookups, and all allocation.
 func (tm *Timer) buildFlatNetEval(tr *ctree.Tree, d ctree.NodeID, bs *buildScratch) *flatNetEval {
 	K := tm.Tech.NumCorners()
 	dn := tr.Node(d)
 	f := &bs.rc
 	f.Reset(0)
 	bs.stack = bs.stack[:0]
-	bs.seg = append(bs.seg[:0], 0)
-	bs.load = append(bs.load[:0], 0)
 	var ids []ctree.NodeID
 	for _, c := range dn.Children {
 		bs.stack = append(bs.stack, buildItem{c, d, 0})
@@ -249,9 +245,6 @@ func (tm *Timer) buildFlatNetEval(tr *ctree.Tree, d ctree.NodeID, bs *buildScrat
 		}
 		length += n.Detour
 		ni := f.AddWire(int(it.parentRC), length, rPer0, cPer0)
-		segLen := length / float64(rctree.WireSegments)
-		bs.seg = append(bs.seg, segLen, segLen)
-		bs.load = append(bs.load, 0, 0)
 		ids = append(ids, it.id)
 		switch n.Kind {
 		case ctree.KindBuffer:
@@ -260,10 +253,8 @@ func (tm *Timer) buildFlatNetEval(tr *ctree.Tree, d ctree.NodeID, bs *buildScrat
 				panic(fmt.Sprintf("sta: unknown cell %q at node %d", n.CellName, n.ID))
 			}
 			f.AddLoad(ni, cell.InCap)
-			bs.load[ni] = cell.InCap
 		case ctree.KindSink:
 			f.AddLoad(ni, tm.Tech.SinkCap)
-			bs.load[ni] = tm.Tech.SinkCap
 		case ctree.KindTap:
 			for _, c := range n.Children {
 				bs.stack = append(bs.stack, buildItem{c, it.id, int32(ni)})
@@ -279,21 +270,7 @@ func (tm *Timer) buildFlatNetEval(tr *ctree.Tree, d ctree.NodeID, bs *buildScrat
 	}
 	for k := 0; k < K; k++ {
 		if k > 0 {
-			// Replay the recorded cap/res program for this corner in the
-			// exact op order AddWire/AddLoad used: assign w−half, push the
-			// half to the parent, add the pin load. Every slot is assigned
-			// before anything accumulates into it, so no state leaks from
-			// the previous corner.
-			rPer, cPer := tm.Tech.WireR(k), tm.Tech.WireC(k)
-			f.Cap[0] = 0
-			for i := 1; i < f.Len(); i++ {
-				w := bs.seg[i] * cPer
-				half := w / 2
-				f.Res[i] = bs.seg[i] * rPer
-				f.Cap[i] = w - half
-				f.Cap[f.Parent[i]] += half
-				f.Cap[i] += bs.load[i]
-			}
+			f.Replay(tm.Tech.WireR(k), tm.Tech.WireC(k))
 		}
 		ev.totalCap[k] = f.TotalCap()
 		m1, m2 := f.Moments()
