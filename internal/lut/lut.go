@@ -21,6 +21,7 @@ package lut
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"skewvar/internal/fit"
 	"skewvar/internal/rctree"
@@ -102,16 +103,22 @@ type stageWire struct {
 	m1, m2   float64
 }
 
+// flatPool recycles the RC layouts of stage wires: one is built per LUT
+// lookup on the ECO estimate path, so a warm lookup allocates nothing.
+var flatPool = sync.Pool{New: func() interface{} { return new(rctree.Flat) }}
+
 // buildStageWire reduces the stage wire once — the expensive part of a
 // stage evaluation, and the part that never changes across fixed-point
 // iterations.
 func buildStageWire(t *tech.Tech, q float64, k int, endLoad float64) stageWire {
-	b := rctree.NewBuilder(0)
-	end := b.AddWire(0, q, t.WireR(k), t.WireC(k))
-	b.AddLoad(end, endLoad)
-	rc := b.Done()
-	m1, m2 := rc.Moments()
-	return stageWire{totalCap: rc.TotalCap(), m1: m1[end], m2: m2[end]}
+	f := flatPool.Get().(*rctree.Flat)
+	f.Reset(0)
+	end := f.AddWire(0, q, t.WireR(k), t.WireC(k))
+	f.AddLoad(end, endLoad)
+	m1, m2 := f.Moments()
+	w := stageWire{totalCap: f.TotalCap(), m1: m1[end], m2: m2[end]}
+	flatPool.Put(f)
+	return w
 }
 
 // stage evaluates one stage through the reduced wire: pair gate delay at
@@ -168,12 +175,8 @@ func (c *Char) WireDelay(k int, length, endLoad float64) (delay, stepSlew float6
 	if length <= 0 {
 		return 0, 0
 	}
-	b := rctree.NewBuilder(0)
-	end := b.AddWire(0, length, c.T.WireR(k), c.T.WireC(k))
-	b.AddLoad(end, endLoad)
-	rc := b.Done()
-	m1, m2 := rc.Moments()
-	return rctree.D2M(m1[end], m2[end]), rctree.StepSlew(m1[end], m2[end])
+	w := buildStageWire(c.T, length, k, endLoad)
+	return rctree.D2M(w.m1, w.m2), rctree.StepSlew(w.m1, w.m2)
 }
 
 // MinDelayPerUM returns the smallest achievable stage delay per µm at corner

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"skewvar/internal/rctree"
 	"skewvar/internal/tech"
 )
 
@@ -195,5 +196,42 @@ func TestEnvelopeNonNominalPair(t *testing.T) {
 	lo, hi := env.Bounds((env.XMin + env.XMax) / 2)
 	if !(lo > 1 && hi > lo) {
 		t.Errorf("c1/c2 envelope = [%v, %v], want > 1", lo, hi)
+	}
+}
+
+// TestStageWireMatchesBuilder holds the pooled stage-wire reduction bitwise
+// equal to a fresh rctree.Builder tree over a grid of lengths, corners and
+// end loads.
+func TestStageWireMatchesBuilder(t *testing.T) {
+	th := tech.Default28nm()
+	for _, q := range []float64{0, 1, 10, 37.5, 200, 800} {
+		for k := 0; k < th.NumCorners(); k++ {
+			for _, load := range []float64{0, 1.3, 12} {
+				b := rctree.NewBuilder(0)
+				end := b.AddWire(0, q, th.WireR(k), th.WireC(k))
+				b.AddLoad(end, load)
+				rc := b.Done()
+				m1, m2 := rc.Moments()
+				want := stageWire{totalCap: rc.TotalCap(), m1: m1[end], m2: m2[end]}
+				if got := buildStageWire(th, q, k, load); got != want {
+					t.Fatalf("q=%v k=%d load=%v: pooled %+v, builder %+v", q, k, load, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestStageLookupsAllocationFree pins the ECO estimate path's LUT lookups
+// at zero allocations once the layout pool is warm.
+func TestStageLookupsAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates on alloc-free paths")
+	}
+	c := char(t)
+	if n := testing.AllocsPerRun(100, func() { c.DetailStage(2, 50, 1, 40, 3) }); n != 0 {
+		t.Errorf("warm DetailStage allocates %v per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.WireDelay(1, 80, 3) }); n != 0 {
+		t.Errorf("warm WireDelay allocates %v per call, want 0", n)
 	}
 }
