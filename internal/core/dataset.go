@@ -36,18 +36,26 @@ func (d *Dataset) Len() int {
 	return len(d.Y[0])
 }
 
-// affectedStages lists the (driver, pin) stages whose delay a move changes,
-// evaluated on the post-move tree: the moved buffer's driver net (load and
-// wiring change), the moved buffer's own net, a resized child's net
-// (Type II), and both old and new driver nets for surgery (Type III).
-func affectedStages(tr *ctree.Tree, m eco.Move) [][2]ctree.NodeID {
-	var out [][2]ctree.NodeID
+// netStages is one net a move affects: its driver d and d's fanout pins,
+// one per stage "d → pin", in FanoutPins order.
+type netStages struct {
+	d    ctree.NodeID
+	pins []ctree.NodeID
+}
+
+// affectedStages lists the stages whose delay a move changes, evaluated on
+// the post-move tree, net by net so that each net is estimated once: the
+// moved buffer's driver net (load and wiring change), the moved buffer's
+// own net, a resized child's net (Type II), and both old and new driver
+// nets for surgery (Type III). Nets without fanout pins are left out.
+func affectedStages(tr *ctree.Tree, m eco.Move) []netStages {
+	var out []netStages
 	addNet := func(d ctree.NodeID) {
 		if d == ctree.NoNode || tr.Node(d) == nil {
 			return
 		}
-		for _, p := range tr.FanoutPins(d) {
-			out = append(out, [2]ctree.NodeID{d, p})
+		if pins := tr.FanoutPins(d); len(pins) > 0 {
+			out = append(out, netStages{d: d, pins: pins})
 		}
 	}
 	switch m.Type {
@@ -108,17 +116,20 @@ func BuildDataset(ctx context.Context, t *tech.Tech, cases, movesPer int, seed i
 			// training sample (the targets agree within slew-convergence
 			// tolerance; see the dataset regression test).
 			postA := tm.AnalyzeIncremental(post, preA, moveDirty(mv))
-			for _, st := range affectedStages(post, mv) {
-				d, pin := st[0], st[1]
-				for kk, feats := range est.features(post, d, pin) {
-					base := feats[FeatGoldenPre]
-					target := GoldenStageDelta(preA, postA, d, pin, kk)
-					if math.IsNaN(target) || math.IsNaN(base) || base <= 0 {
-						continue
+			for _, net := range affectedStages(post, mv) {
+				feats := est.features(post, net.d, net.pins, nil)
+				for i, pin := range net.pins {
+					for kk := 0; kk < k; kk++ {
+						row := featureRow(feats, i, kk, k)
+						base := row[FeatGoldenPre]
+						target := GoldenStageDelta(preA, postA, net.d, pin, kk)
+						if math.IsNaN(target) || math.IsNaN(base) || base <= 0 {
+							continue
+						}
+						ds.X[kk] = append(ds.X[kk], row)
+						ds.Y[kk] = append(ds.Y[kk], target)
+						ds.Base[kk] = append(ds.Base[kk], base)
 					}
-					ds.X[kk] = append(ds.X[kk], feats)
-					ds.Y[kk] = append(ds.Y[kk], target)
-					ds.Base[kk] = append(ds.Base[kk], base)
 				}
 			}
 		}

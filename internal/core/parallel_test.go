@@ -264,17 +264,19 @@ func fullAnalysisDataset(th *tech.Tech, cases, movesPer int, seed int64) *Datase
 				continue
 			}
 			postA := tm.Analyze(post)
-			for _, st := range affectedStages(post, mv) {
-				d, pin := st[0], st[1]
-				for kk, feats := range est.features(post, d, pin) {
-					base := GoldenStageDelay(preA, d, pin, kk)
-					target := GoldenStageDelta(preA, postA, d, pin, kk)
-					if math.IsNaN(target) || math.IsNaN(base) || base <= 0 {
-						continue
+			for _, net := range affectedStages(post, mv) {
+				feats := est.features(post, net.d, net.pins, nil)
+				for i, pin := range net.pins {
+					for kk := 0; kk < k; kk++ {
+						base := GoldenStageDelay(preA, net.d, pin, kk)
+						target := GoldenStageDelta(preA, postA, net.d, pin, kk)
+						if math.IsNaN(target) || math.IsNaN(base) || base <= 0 {
+							continue
+						}
+						ds.X[kk] = append(ds.X[kk], featureRow(feats, i, kk, k))
+						ds.Y[kk] = append(ds.Y[kk], target)
+						ds.Base[kk] = append(ds.Base[kk], base)
 					}
-					ds.X[kk] = append(ds.X[kk], feats)
-					ds.Y[kk] = append(ds.Y[kk], target)
-					ds.Base[kk] = append(ds.Base[kk], base)
 				}
 			}
 		}
