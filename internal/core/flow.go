@@ -104,6 +104,12 @@ type FlowResult struct {
 	Faults   map[string]int
 }
 
+// ErrAbandoned, as the cause a flow's context is canceled with
+// (context.WithCancelCause), stops RunFlows the way a killed process
+// stops: no checkpoint is saved from that instant on, including the one a
+// plain cancellation saves at its boundary for a later resume.
+var ErrAbandoned = errors.New("core: flow abandoned")
+
 // RunFlows executes the paper's three optimization flows (§5.2) against the
 // original tree: global alone, local alone, and global followed by local.
 // Normalization factors αk are measured once on the original tree and held
@@ -111,7 +117,8 @@ type FlowResult struct {
 //
 // Robustness contract: a canceled context stops the flow at the next
 // LP-solve or local-iteration boundary and returns the best-so-far result
-// alongside a wrapped resilience.ErrCanceled. Stage failures (solver
+// alongside a wrapped resilience.ErrCanceled, checkpointed for a resume
+// unless the cancellation's cause is ErrAbandoned. Stage failures (solver
 // errors, recovered panics) never abort the run — the failing stage falls
 // back to its input tree, the fault is counted, and Degraded is set; the
 // returned tree is never worse than the original under the reported
@@ -217,7 +224,7 @@ func RunFlows(ctx context.Context, tm *sta.Timer, ch *lut.Char, d *ctree.Design,
 
 	var completed []string
 	save := func(stage string, iter int, partialTree *ctree.Tree) {
-		if cfg.Checkpoint.Path == "" {
+		if cfg.Checkpoint.Path == "" || errors.Is(context.Cause(ctx), ErrAbandoned) {
 			return
 		}
 		cp := &Checkpoint{Stage: stage, Iter: iter, Done: completed, Trees: map[string]*ctree.Tree{}}

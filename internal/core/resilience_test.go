@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -299,5 +300,102 @@ func TestRunFlowsStageSubset(t *testing.T) {
 	cfg.Only = []string{"bogus"}
 	if _, err := RunFlows(context.Background(), tm, ch, d, model, cfg); err == nil {
 		t.Error("unknown stage name accepted")
+	}
+}
+
+// cancelAfterCalls is a context whose Err reports cancellation from its
+// limit-th call on. With Workers=1 every cancellation check LocalOpt makes
+// is one call, so a limit lands the cancellation at an exact point.
+type cancelAfterCalls struct {
+	context.Context
+	calls, limit int
+}
+
+func (c *cancelAfterCalls) Err() error {
+	c.calls++
+	if c.calls >= c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestLocalOptCancelMidBatchKeepsIteration cancels LocalOpt between two
+// golden trials of its first batch. The cut-short batch must neither
+// accept a move nor report its iteration complete, so a resume from the
+// last reported iteration replays it and lands on the uninterrupted result.
+func TestLocalOptCancelMidBatchKeepsIteration(t *testing.T) {
+	d, tm := smallDesign(t, 100)
+	model := cheapModel(t, tm.Tech)
+	pairs := d.TopPairs(0)
+	alphas := sta.Alphas(tm.Analyze(d.Tree), pairs)
+	cfg := LocalConfig{Model: model, MaxIters: 2, MaxMoves: 400, Seed: 5, Workers: 1}
+	ref, err := LocalOpt(context.Background(), tm, d, alphas, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Records) == 0 || ref.Records[0].Iter != 0 {
+		t.Fatalf("uninterrupted run accepted nothing in iteration 0 (%+v); no batch to cut", ref.Records)
+	}
+	// Iteration 0 checks the context on entry, once per predicted move,
+	// after predicting, and before each trial: cancel before its third.
+	probe := cfg
+	probe.MaxIters = 1
+	p, err := LocalOpt(context.Background(), tm, d, alphas, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reported := 0
+	cut := cfg
+	cut.OnIter = func(iter int, _ *ctree.Tree) { reported = iter }
+	res, err := LocalOpt(&cancelAfterCalls{Context: context.Background(), limit: p.MovesPred + 5}, tm, d, alphas, cut)
+	if !errors.Is(err, resilience.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if reported != 0 || len(res.Records) != 0 {
+		t.Fatalf("iteration cut mid-batch was reported complete (iteration %d, %d moves accepted)", reported, len(res.Records))
+	}
+	rd := d.Clone()
+	rd.Tree = res.Tree
+	resumed := cfg
+	resumed.StartIter = reported
+	got, err := LocalOpt(context.Background(), tm, rd, alphas, resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.SumVar) != math.Float64bits(ref.SumVar) {
+		t.Errorf("resumed ΣV %v, uninterrupted %v", got.SumVar, ref.SumVar)
+	}
+}
+
+// TestRunFlowsAbandonedSavesNoCheckpoint cancels a checkpointing flow at an
+// iteration boundary. A plain cancellation saves a checkpoint there for a
+// resume; one whose cause is ErrAbandoned — a simulated crash — leaves the
+// checkpoint as a killed process would, here absent since iteration
+// checkpoints are off.
+func TestRunFlowsAbandonedSavesNoCheckpoint(t *testing.T) {
+	d, tm := smallDesign(t, 100)
+	_, ch := testTech(t)
+	model := cheapModel(t, tm.Tech)
+	for _, cause := range []error{nil, ErrAbandoned} {
+		ckpt := filepath.Join(t.TempDir(), "flow.ckpt")
+		ctx, cancel := context.WithCancelCause(context.Background())
+		cfg := FlowConfig{
+			TopPairs:   100,
+			Local:      LocalConfig{MaxIters: 6, MaxMoves: 400, Seed: 11},
+			Only:       []string{"local"},
+			Checkpoint: CheckpointConfig{Path: ckpt, EveryIters: 1000},
+		}
+		cfg.Local.OnIter = func(iter int, _ *ctree.Tree) {
+			if iter >= 1 {
+				cancel(cause)
+			}
+		}
+		if _, err := RunFlows(ctx, tm, ch, d, model, cfg); !errors.Is(err, resilience.ErrCanceled) {
+			t.Fatalf("cause %v: err = %v, want ErrCanceled", cause, err)
+		}
+		_, statErr := os.Stat(ckpt)
+		if saved := statErr == nil; saved != (cause == nil) {
+			t.Errorf("cause %v: checkpoint saved = %v, want %v", cause, saved, cause == nil)
+		}
 	}
 }

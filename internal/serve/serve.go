@@ -270,7 +270,7 @@ type Server struct {
 	// hardCtx dies when drained jobs are forcibly canceled; pickCtx (a
 	// child) dies as soon as a drain begins, stopping job pickup.
 	hardCtx    context.Context
-	hardCancel context.CancelFunc
+	hardCancel context.CancelCauseFunc // cause core.ErrAbandoned on a simulated crash
 	pickCtx    context.Context
 	pickCancel context.CancelFunc
 
@@ -314,7 +314,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:  map[string]*job{},
 		views: newViewCache(),
 	}
-	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
+	s.hardCtx, s.hardCancel = context.WithCancelCause(context.Background())
 	s.pickCtx, s.pickCancel = context.WithCancel(s.hardCtx)
 
 	st, err := loadSpool(cfg.FS, cfg.SpoolDir, true)
@@ -409,7 +409,7 @@ func (s *Server) Drain() bool {
 	settled := s.waitWorkers(s.cfg.DrainTimeout)
 	if !settled {
 		s.logf("drain: budget exhausted; canceling in-flight jobs for checkpointed suspension")
-		s.hardCancel()
+		s.hardCancel(nil)
 		settled = s.waitWorkers(drainGrace)
 	}
 
@@ -420,7 +420,7 @@ func (s *Server) Drain() bool {
 			s.logf("drain: http shutdown: %v", err)
 		}
 	}
-	s.hardCancel()
+	s.hardCancel(nil)
 	lines := s.jl.lines()
 	if err := s.jl.Close(); err != nil {
 		s.logf("drain: closing journal: %v", err)

@@ -42,6 +42,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"skewvar/internal/core"
 	"skewvar/internal/edaio/atomicio"
 	"skewvar/internal/faults"
 	"skewvar/internal/resilience"
@@ -600,7 +601,7 @@ func (s *Server) compactNow() {
 		s.logf("compact: injected crash at swap boundary")
 		s.crashed.Store(true)
 		s.jl.kill()
-		s.hardCancel()
+		s.hardCancel(core.ErrAbandoned)
 		return
 	}
 	if err != nil {
