@@ -13,6 +13,7 @@ import (
 // (AnalyticStageModel) used as baselines in the paper's Figure 6.
 type StageModel interface {
 	// PredictDelta returns the predicted stage-delay change (ps) at corner k.
+	// feats may be pooled scratch: it is valid only during the call.
 	PredictDelta(k int, feats []float64) float64
 	// Name identifies the model in reports.
 	Name() string
