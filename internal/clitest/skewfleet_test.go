@@ -43,6 +43,21 @@ func adminPost(t *testing.T, url, path string) int {
 	return resp.StatusCode
 }
 
+// waitStolen polls until a job's owning replica is no longer from.
+func waitStolen(t *testing.T, url, id, from string) {
+	t.Helper()
+	deadline := time.Now().Add(120 * time.Second)
+	for {
+		if owner, _ := jobStatus(t, url, id)["replica"].(string); owner != from {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still owned by crashed replica %s (no steal happened)", id, from)
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+}
+
 // restartReplica retries /admin/restart until the replica comes back
 // (409 while it is still being fenced).
 func restartReplica(t *testing.T, url, name string) {
@@ -168,6 +183,12 @@ func TestSkewfleetKillSteal(t *testing.T) {
 					if st["state"] != "done" {
 						t.Fatalf("recovered job ended %v (class %v): %v; stderr:\n%s",
 							st["state"], st["class"], st["error"], p.stderr)
+					}
+					if replicas > 1 {
+						// A job that finished before the crash landed reports
+						// done from the victim's journal until the steal adopts
+						// it, so wait for the steal, not just for done.
+						waitStolen(t, p.url, id, owner)
 					}
 					rcode, b := jobResult(t, p.url, id)
 					if rcode != http.StatusOK {
