@@ -144,11 +144,11 @@ type TrainConfig struct {
 	Cases        int    // artificial testcases (default 40)
 	MovesPerCase int    // sampled moves per case (default 25)
 	Kind         string // "hsm" (default), "ann", "svr"
-	MaxSamples   int    // per-corner training cap (default 4000)
 	Seed         int64
-	ANN          ml.ANNConfig
-	SVR          ml.SVRConfig
 }
+
+// maxTrainSamples caps the per-corner training set.
+const maxTrainSamples = 4000
 
 func (c *TrainConfig) setDefaults() {
 	if c.Cases == 0 {
@@ -159,9 +159,6 @@ func (c *TrainConfig) setDefaults() {
 	}
 	if c.Kind == "" {
 		c.Kind = "hsm"
-	}
-	if c.MaxSamples == 0 {
-		c.MaxSamples = 4000
 	}
 }
 
@@ -189,7 +186,7 @@ func TrainOnDataset(ctx context.Context, t *tech.Tech, ds *Dataset, cfg TrainCon
 		if err := resilience.Canceled(ctx); err != nil {
 			return nil, fmt.Errorf("core: training corner %d: %w", kk, err)
 		}
-		X, Yd := capSamples(ds.X[kk], ds.Y[kk], cfg.MaxSamples, cfg.Seed)
+		X, Yd := capSamples(ds.X[kk], ds.Y[kk], maxTrainSamples, cfg.Seed)
 		if len(X) < 20 {
 			return nil, fmt.Errorf("core: only %d samples at corner %d: %w", len(X), kk, resilience.ErrInvalidDesign)
 		}
@@ -207,15 +204,11 @@ func TrainOnDataset(ctx context.Context, t *tech.Tech, ds *Dataset, cfg TrainCon
 			var err error
 			switch cfg.Kind {
 			case "ann":
-				c := cfg.ANN
-				c.Seed = cfg.Seed + int64(kk)
-				m, err = ml.TrainANN(X, Y, c)
+				m, err = ml.TrainANN(X, Y, ml.ANNConfig{Seed: cfg.Seed + int64(kk)})
 			case "svr":
-				c := cfg.SVR
-				c.Seed = cfg.Seed + int64(kk)
-				m, err = ml.TrainSVR(X, Y, c)
+				m, err = ml.TrainSVR(X, Y, ml.SVRConfig{Seed: cfg.Seed + int64(kk)})
 			case "hsm":
-				m, err = ml.TrainHSM(X, Y, ml.HSMConfig{Seed: cfg.Seed + int64(kk), ANN: cfg.ANN, SVR: cfg.SVR, Ridge: ridgeLambda(len(X))})
+				m, err = ml.TrainHSM(X, Y, ml.HSMConfig{Seed: cfg.Seed + int64(kk), Ridge: ridgeLambda(len(X))})
 			case "ridge":
 				m, err = ml.TrainRidge(X, Y, ridgeLambda(len(X)))
 			default:

@@ -17,21 +17,25 @@ import (
 	"skewvar/internal/sta"
 )
 
+// Fixed parameters of the global stage's LP (docs/ALGORITHMS.md). The
+// float constants are typed: Go folds untyped constant expressions
+// exactly, so an untyped 1.2 would make arcGrowth-1 exactly 0.2 instead of
+// float64(1.2)-1 and move every constraint-(10) bound in its last bit.
+const (
+	arcGrowth   float64 = 1.2  // β: arc-delay growth bound of constraint (10)
+	dmaxMargin  float64 = 1.05 // max-latency margin of constraint (9)
+	maxSinkRows         = 30   // latest sinks sampled for constraint (9)
+	ratioRounds         = 3    // W-window (11) row-generation rounds, free-Δ mode
+	minDeltaPS  float64 = 6    // smallest per-arc change realized by a full rebuild
+)
+
 // GlobalConfig tunes the LP-based global optimization. Zero values select
 // defaults.
 type GlobalConfig struct {
 	TopPairs      int       // pairs optimized (default 240)
 	MaxPairsPerLP int       // block size (default 250 — usually one block; arcs shared with out-of-block pairs are frozen, so prefer a single block when the LP fits)
-	MaxArcsPerLP  int       // arc cap per block (default 400)
+	MaxArcsPerLP  int       // arc cap per block (default 1200)
 	USweep        []float64 // ΣV upper-bound fractions swept (default {0.9, 0.8, 0.6})
-	Beta          float64   // arc-delay growth bound of constraint (10) (default 1.2)
-	DmaxMargin    float64   // max-latency margin of constraint (9) (default 1.05)
-	MaxSinkRows   int       // sinks sampled for constraint (9) (default 30)
-	Eq7AllCorners bool      // apply the local-skew guard (7) at every corner, not just nominal
-	Eq8           bool      // include the (ck,c0) variation guard (8) rows
-	RatioRounds   int       // row-generation rounds for the W-window (11), free-Δ mode (default 3)
-	MinDeltaPS    float64   // smallest per-arc change realized by a full rebuild (default 6)
-	LPIters       int       // simplex iteration cap per solve (0 = solver default)
 
 	// Faults is an optional deterministic fault injector (nil = no
 	// injection); Rec receives fault counts from the degradation paths
@@ -70,21 +74,6 @@ func (c *GlobalConfig) setDefaults() {
 	}
 	if len(c.USweep) == 0 {
 		c.USweep = []float64{0.9, 0.8, 0.6}
-	}
-	if c.Beta == 0 {
-		c.Beta = 1.2
-	}
-	if c.DmaxMargin == 0 {
-		c.DmaxMargin = 1.05
-	}
-	if c.MaxSinkRows == 0 {
-		c.MaxSinkRows = 30
-	}
-	if c.RatioRounds == 0 {
-		c.RatioRounds = 3
-	}
-	if c.MinDeltaPS == 0 {
-		c.MinDeltaPS = 6
 	}
 }
 
@@ -433,7 +422,7 @@ func gateProfile(reb *eco.Rebuilder, tree *ctree.Tree, arc *ctree.Arc) []float64
 // lp-solve fault hook, recovers solver panics into typed errors, and counts
 // failures — so a wedged or failing simplex degrades one block instead of
 // killing the flow.
-func solveLP(prob *lp.Problem, opts lp.Options, inj *faults.Injector, rec *resilience.Recorder) (*lp.Solution, error) {
+func solveLP(prob *lp.Problem, inj *faults.Injector, rec *resilience.Recorder) (*lp.Solution, error) {
 	if inj.Fire(faults.LPSolve) {
 		rec.Record("lp-solve")
 		return nil, fmt.Errorf("core: injected LP failure: %w", resilience.ErrSolver)
@@ -441,7 +430,7 @@ func solveLP(prob *lp.Problem, opts lp.Options, inj *faults.Injector, rec *resil
 	var sol *lp.Solution
 	err := resilience.Safely("lp solve", func() error {
 		var e error
-		sol, e = prob.Solve(opts)
+		sol, e = prob.Solve(lp.Options{})
 		return e
 	})
 	if err != nil {
@@ -589,7 +578,7 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, all
 			if cfg.FreeDelta {
 				for k := 0; k < K; k++ {
 					dd := arcD[ai][k]
-					up := (cfg.Beta - 1) * dd
+					up := (arcGrowth - 1) * dd
 					dmin := reb.Char.MinDelayPerUM(k) * directLen[ai]
 					down := dd - dmin
 					if up < 0 || frozen {
@@ -613,11 +602,11 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, all
 					dd := arcD[ai][k]
 					dmin := reb.Char.MinDelayPerUM(k) * directLen[ai]
 					if p := v.prof[k]; p > 0 {
-						gUp = math.Min(gUp, 0.5*(cfg.Beta-1)*dd/p)
+						gUp = math.Min(gUp, 0.5*(arcGrowth-1)*dd/p)
 						gDown = math.Min(gDown, 0.5*math.Max(0, dd-dmin)/p)
 					}
 					if sl := v.slopeW[k]; sl > 0 {
-						wUp = math.Min(wUp, 0.5*(cfg.Beta-1)*dd/sl)
+						wUp = math.Min(wUp, 0.5*(arcGrowth-1)*dd/sl)
 						wDown = math.Min(wDown, math.Min(budgets[ai], 0.5*math.Max(0, dd-dmin)/sl))
 					}
 				}
@@ -679,43 +668,19 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, all
 			}
 			prob.AddConstraint(lp.LE, frac*curBlockV, idx, coef)
 		}
-		// Constraint (7): no local-skew degradation.
-		maxK7 := 1
-		if cfg.Eq7AllCorners {
-			maxK7 = K
-		}
+		// Constraint (7): no local-skew degradation at corner 0. The
+		// block and sweep golden gates enforce (7) at the other corners,
+		// and subsume (8).
 		for _, p := range blk {
-			for k := 0; k < maxK7; k++ {
-				s0 := a.Skew(k, p.A, p.B)
-				bound := math.Abs(s0) + 1 // 1ps slack avoids freezing at s0≈0
-				var idx []int
-				var coef []float64
-				pathDelta(p, k, 1, &idx, &coef)
-				prob.AddConstraint(lp.LE, bound-s0, idx, coef)
-				idx, coef = nil, nil
-				pathDelta(p, k, -1, &idx, &coef)
-				prob.AddConstraint(lp.LE, bound+s0, idx, coef)
-			}
-		}
-		// Constraint (8): keep (ck, c0) variation from degrading (optional).
-		if cfg.Eq8 {
-			for _, p := range blk {
-				s00 := a.Skew(0, p.A, p.B)
-				for k := 1; k < K; k++ {
-					sk0 := a.Skew(k, p.A, p.B)
-					base := alphas[k]*sk0 - s00
-					bound := math.Abs(base) + 1
-					var idx []int
-					var coef []float64
-					pathDelta(p, k, alphas[k], &idx, &coef)
-					pathDelta(p, 0, -1, &idx, &coef)
-					prob.AddConstraint(lp.LE, bound-base, idx, coef)
-					idx, coef = nil, nil
-					pathDelta(p, k, -alphas[k], &idx, &coef)
-					pathDelta(p, 0, 1, &idx, &coef)
-					prob.AddConstraint(lp.LE, bound+base, idx, coef)
-				}
-			}
+			s0 := a.Skew(0, p.A, p.B)
+			bound := math.Abs(s0) + 1 // 1ps slack avoids freezing at s0≈0
+			var idx []int
+			var coef []float64
+			pathDelta(p, 0, 1, &idx, &coef)
+			prob.AddConstraint(lp.LE, bound-s0, idx, coef)
+			idx, coef = nil, nil
+			pathDelta(p, 0, -1, &idx, &coef)
+			prob.AddConstraint(lp.LE, bound+s0, idx, coef)
 		}
 		// Constraint (9): max-latency bound on a sample of the latest sinks.
 		{
@@ -733,8 +698,8 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, all
 				}
 				return sinks[i].s < sinks[j].s
 			})
-			if len(sinks) > cfg.MaxSinkRows {
-				sinks = sinks[:cfg.MaxSinkRows]
+			if len(sinks) > maxSinkRows {
+				sinks = sinks[:maxSinkRows]
 			}
 			for _, e := range sinks {
 				for k := 0; k < K; k++ {
@@ -743,7 +708,7 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, all
 					for _, ai := range pathOf[e.s] {
 						vars[ai].appendDelta(k, 1, &idx, &coef)
 					}
-					prob.AddConstraint(lp.LE, cfg.DmaxMargin*a.MaxLat[k]-a.Arrive[k][e.s], idx, coef)
+					prob.AddConstraint(lp.LE, dmaxMargin*a.MaxLat[k]-a.Arrive[k][e.s], idx, coef)
 				}
 			}
 		}
@@ -754,10 +719,10 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, all
 		stat := LPStat{}
 		maxRounds := 0
 		if cfg.FreeDelta {
-			maxRounds = cfg.RatioRounds
+			maxRounds = ratioRounds
 		}
 		for round := 0; ; round++ {
-			sol, err = solveLP(prob, lp.Options{MaxIters: cfg.LPIters}, cfg.Faults, cfg.Rec)
+			sol, err = solveLP(prob, cfg.Faults, cfg.Rec)
 			if err != nil || sol.Status != lp.Optimal {
 				if sol != nil {
 					stat.Status = sol.Status
@@ -859,7 +824,7 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, all
 	}
 	allowed := map[int]bool{}
 	for i, r := range reqs {
-		if i < topN || r.req >= cfg.MinDeltaPS {
+		if i < topN || r.req >= minDeltaPS {
 			allowed[r.ai] = true
 		}
 	}
@@ -931,7 +896,7 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, all
 			bestErr = t.Err
 			trim = t
 		}
-		if maxAbs >= cfg.MinDeltaPS {
+		if maxAbs >= minDeltaPS {
 			if s, err := reb.Select(directLen[ai], endLoads[ai], target); err == nil && s.Err < bestErr {
 				bestErr = s.Err
 				rebuildSol = s

@@ -160,24 +160,6 @@ func TestGlobalOptFreeDeltaAblation(t *testing.T) {
 	}
 }
 
-func TestGlobalOptEq8AndAllCorners(t *testing.T) {
-	d, tm := smallDesign(t, 150)
-	_, ch := testTech(t)
-	a0 := tm.Analyze(d.Tree)
-	pairs := d.TopPairs(0)
-	alphas := sta.Alphas(a0, pairs)
-	res, err := GlobalOpt(context.Background(), tm, ch, d, alphas, GlobalConfig{
-		TopPairs: 50, MaxArcsPerLP: 80, USweep: []float64{0.8},
-		Eq8: true, Eq7AllCorners: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SumVar > res.SumVar0+1e-9 {
-		t.Errorf("full-constraint LP worsened ΣV")
-	}
-}
-
 // TestGlobalNoNegativeDetour replays a CLS2v1 design, written and read
 // back as a document, whose global sweep rebuilt an arc with a detour
 // rounded a hair below zero: the sweep tree failed Validate, GlobalOpt

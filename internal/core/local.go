@@ -22,20 +22,24 @@ import (
 	"skewvar/internal/tech"
 )
 
+// Fixed parameters of the Algorithm-2 local stage.
+const (
+	batchMoves          = 5   // R: moves implemented in parallel per batch, as in the paper
+	maxBatches          = 4   // batches tried per iteration before giving up
+	coverPairs          = 150 // highest-variation pairs whose path buffers are perturbed
+	minPredGain float64 = 0.5 // minimum predicted ΣV gain to try a move, ps
+)
+
 // LocalConfig tunes the Algorithm-2 iterative optimization. Zero values
-// select defaults (R = 5 as in the paper).
+// select defaults.
 type LocalConfig struct {
-	Model       StageModel
-	R           int     // moves implemented in parallel per batch (default 5)
-	MaxIters    int     // iteration cap (default 25)
-	MaxBatches  int     // batches tried per iteration before giving up (default 4)
-	TopPairs    int     // pairs in the objective (0 = all design pairs)
-	CoverPairs  int     // highest-variation pairs whose path buffers are perturbed (default 150)
-	MinPredGain float64 // minimum predicted ΣV gain to try a move, ps (default 0.5)
-	MaxMoves    int     // enumeration cap per iteration (default 4000)
-	Random      bool    // random-move baseline (Figure 8's comparison)
-	FullSTA     bool    // force full re-analysis for every golden trial (default: incremental timing)
-	Seed        int64
+	Model    StageModel
+	MaxIters int  // iteration cap (default 25)
+	TopPairs int  // pairs in the objective (0 = all design pairs)
+	MaxMoves int  // enumeration cap per iteration (default 4000)
+	Random   bool // random-move baseline (Figure 8's comparison)
+	FullSTA  bool // force full re-analysis for every golden trial (default: incremental timing)
+	Seed     int64
 
 	// Workers bounds the concurrency of candidate-move trials and predictor
 	// evaluation, and is installed as the timer's per-corner STA parallelism
@@ -67,20 +71,8 @@ type LocalConfig struct {
 }
 
 func (c *LocalConfig) setDefaults() {
-	if c.R == 0 {
-		c.R = 5
-	}
 	if c.MaxIters == 0 {
 		c.MaxIters = 25
-	}
-	if c.MaxBatches == 0 {
-		c.MaxBatches = 4
-	}
-	if c.CoverPairs == 0 {
-		c.CoverPairs = 150
-	}
-	if c.MinPredGain == 0 {
-		c.MinPredGain = 0.5
 	}
 	if c.MaxMoves == 0 {
 		c.MaxMoves = 4000
@@ -191,25 +183,25 @@ func LocalOpt(ctx context.Context, tm *sta.Timer, d *ctree.Design, alphas []floa
 			sort.SliceStable(scored, func(i, j int) bool { return scored[i].gain > scored[j].gain })
 			// Termination per Algorithm 2: stop when the predictor sees no
 			// further reduction.
-			if scored[0].gain < cfg.MinPredGain {
+			if scored[0].gain < minPredGain {
 				isp.End()
 				break
 			}
 		}
 		accepted := false
-		for batch := 0; batch < cfg.MaxBatches && !accepted; batch++ {
-			lo := batch * cfg.R
+		for batch := 0; batch < maxBatches && !accepted; batch++ {
+			lo := batch * batchMoves
 			if lo >= len(scored) {
 				break
 			}
-			hi := lo + cfg.R
+			hi := lo + batchMoves
 			if hi > len(scored) {
 				hi = len(scored)
 			}
 			cands := scored[lo:hi]
 			if !cfg.Random {
 				// Don't waste golden runs on predicted-useless moves.
-				if cands[0].gain < cfg.MinPredGain {
+				if cands[0].gain < minPredGain {
 					break
 				}
 			}
@@ -361,8 +353,8 @@ func enumerateCandidates(tm *sta.Timer, cur *ctree.Tree, d *ctree.Design, a *sta
 		pvs[i] = pv{i, sta.PairVariation(a, alphas, p)}
 	}
 	sort.Slice(pvs, func(i, j int) bool { return pvs[i].v > pvs[j].v })
-	if len(pvs) > cfg.CoverPairs {
-		pvs = pvs[:cfg.CoverPairs]
+	if len(pvs) > coverPairs {
+		pvs = pvs[:coverPairs]
 	}
 	bufSet := map[ctree.NodeID]bool{}
 	for _, e := range pvs {

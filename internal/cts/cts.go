@@ -30,34 +30,28 @@ import (
 	"skewvar/internal/sta"
 )
 
+// Fixed parameters of the synthesis recipe.
+const (
+	sourceCell         = "CKINVX16" // cell of the root driver
+	leafCell           = "CKINVX4"  // cell for leaf-cluster drivers
+	repeatDist float64 = 130        // max unbuffered edge length, µm
+)
+
 // Options tunes synthesis. Zero values select documented defaults.
 type Options struct {
-	SourceCell    string  // cell of the root driver (default CKINVX16)
 	BufferCell    string  // cell for topology/repeater buffers (default CKINVX8)
-	LeafCell      string  // cell for leaf-cluster drivers (default CKINVX4)
 	MaxLeafFanout int     // sinks per leaf cluster (default 20)
-	RepeatDist    float64 // max unbuffered edge length, µm (default 130)
 	TargetSkewPS  float64 // balancing skew target (default 0, per paper §5.1)
 	MCMM          bool    // balance across all corners instead of nominal
 	BalanceIters  int     // balancing passes (default 7)
-	NoSizing      bool    // skip the greedy buffer-sizing pass
 }
 
 func (o *Options) setDefaults() {
-	if o.SourceCell == "" {
-		o.SourceCell = "CKINVX16"
-	}
 	if o.BufferCell == "" {
 		o.BufferCell = "CKINVX8"
 	}
-	if o.LeafCell == "" {
-		o.LeafCell = "CKINVX4"
-	}
 	if o.MaxLeafFanout == 0 {
 		o.MaxLeafFanout = 20
-	}
-	if o.RepeatDist == 0 {
-		o.RepeatDist = 130
 	}
 	if o.BalanceIters == 0 {
 		o.BalanceIters = 7
@@ -72,12 +66,12 @@ func Synthesize(tm *sta.Timer, die geom.Rect, src geom.Point, sinks []geom.Point
 		return nil, fmt.Errorf("cts: no sinks")
 	}
 	opt.setDefaults()
-	for _, cn := range []string{opt.SourceCell, opt.BufferCell, opt.LeafCell} {
+	for _, cn := range []string{sourceCell, opt.BufferCell, leafCell} {
 		if tm.Tech.CellByName(cn) == nil {
 			return nil, fmt.Errorf("cts: unknown cell %q", cn)
 		}
 	}
-	tr := ctree.NewTree(src, opt.SourceCell)
+	tr := ctree.NewTree(src, sourceCell)
 
 	// 1. Leaf clustering.
 	idx := make([]int, len(sinks))
@@ -109,12 +103,10 @@ func Synthesize(tm *sta.Timer, die geom.Rect, src geom.Point, sinks []geom.Point
 	// 4. Skew balancing by snaking, a greedy per-buffer sizing pass (as a
 	// commercial CTS would size drivers), then a balancing touch-up.
 	balance(tm, tr, opt)
-	if !opt.NoSizing {
-		sizingPass(tm, tr, opt)
-		touchUp := opt
-		touchUp.BalanceIters = (opt.BalanceIters + 1) / 2
-		balance(tm, tr, touchUp)
-	}
+	sizingPass(tm, tr, opt)
+	touchUp := opt
+	touchUp.BalanceIters = (opt.BalanceIters + 1) / 2
+	balance(tm, tr, touchUp)
 
 	// 5. Legalization.
 	lg := legalize.New(die, tm.Tech.SiteW, tm.Tech.RowH)
@@ -173,7 +165,7 @@ func clusterSinks(tm *sta.Timer, sinks []geom.Point, idx []int, maxFanout int) [
 func buildTop(tr *ctree.Tree, parent ctree.NodeID, clusters [][]int, centers []geom.Point, subset []int, sinks []geom.Point, opt Options) {
 	if len(subset) == 1 {
 		ci := subset[0]
-		leaf := tr.AddNode(ctree.KindBuffer, centers[ci], opt.LeafCell, parent)
+		leaf := tr.AddNode(ctree.KindBuffer, centers[ci], leafCell, parent)
 		for _, si := range clusters[ci] {
 			s := tr.AddNode(ctree.KindSink, sinks[si], "", leaf.ID)
 			s.Name = fmt.Sprintf("ff%d", si)
@@ -259,7 +251,7 @@ func steinerize(tr *ctree.Tree, d ctree.NodeID) {
 	}
 }
 
-// insertRepeaters breaks driving edges longer than RepeatDist with evenly
+// insertRepeaters breaks driving edges longer than repeatDist with evenly
 // spaced inverter pairs.
 func insertRepeaters(tr *ctree.Tree, opt Options) {
 	// Snapshot IDs first: we mutate the tree while walking.
@@ -277,10 +269,10 @@ func insertRepeaters(tr *ctree.Tree, opt Options) {
 		n := tr.Node(child)
 		p := tr.Node(n.Parent)
 		dist := p.Loc.Manhattan(n.Loc)
-		if dist <= opt.RepeatDist {
+		if dist <= repeatDist {
 			continue
 		}
-		k := int(math.Ceil(dist/opt.RepeatDist)) - 1
+		k := int(math.Ceil(dist/repeatDist)) - 1
 		// Rebuild the edge: parent → r1 → … → rk → child.
 		cur := p.ID
 		// Detach child from parent.

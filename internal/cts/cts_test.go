@@ -115,7 +115,7 @@ func TestRepeaterInsertionBoundsEdgeLength(t *testing.T) {
 			continue
 		}
 		p := tr.Node(n.Parent)
-		if d := p.Loc.Manhattan(n.Loc); d > 140+1e-9 { // RepeatDist + legalizer slack
+		if d := p.Loc.Manhattan(n.Loc); d > 140+1e-9 { // repeatDist + legalizer slack
 			t.Errorf("edge to buffer %d is %v µm, repeaters missing", id, d)
 		}
 	}

@@ -166,12 +166,16 @@ type Solution struct {
 
 // Options tunes the solver. Zero values select defaults.
 type Options struct {
-	MaxIters int     // default 40·(m+n)+2000
-	FeasTol  float64 // default 1e-7
-	OptTol   float64 // default 1e-7
+	MaxIters int // default 40·(m+n)+2000
 }
 
-const refactorEvery = 400
+const (
+	refactorEvery = 400
+	// feasTol is the primal feasibility tolerance of the initial slack
+	// basis; optTol is the reduced-cost tolerance of pricing.
+	feasTol float64 = 1e-7
+	optTol  float64 = 1e-7
+)
 
 // sparse column of the expanded constraint matrix.
 type col struct {
@@ -197,7 +201,6 @@ type solver struct {
 	rhsCache []float64 // original constraint RHS b
 	d        []float64 // reduced costs of all variables (0 for basic)
 
-	feasTol, optTol float64
 	iters, maxIters int
 	sinceRefactor   int
 	refactors       int
@@ -221,20 +224,12 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 	}
 	m := len(p.rowSense)
 	nS := len(p.lo)
-	if opt.FeasTol == 0 {
-		opt.FeasTol = 1e-7
-	}
-	if opt.OptTol == 0 {
-		opt.OptTol = 1e-7
-	}
 	if opt.MaxIters == 0 {
 		opt.MaxIters = 40*(m+nS) + 2000
 	}
 	s := &solver{
 		m:        m,
 		nStruct:  nS,
-		feasTol:  opt.FeasTol,
-		optTol:   opt.OptTol,
 		maxIters: opt.MaxIters,
 	}
 	// Build columns: structural vars from rows.
@@ -293,7 +288,7 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 	needPhase1 := false
 	for r := 0; r < m; r++ {
 		sj := nS + r // slack index
-		if resid[r] >= s.lo[sj]-s.feasTol && resid[r] <= s.hi[sj]+s.feasTol {
+		if resid[r] >= s.lo[sj]-feasTol && resid[r] <= s.hi[sj]+feasTol {
 			s.basis[r] = sj
 			s.xB[r] = resid[r]
 			continue
@@ -612,7 +607,7 @@ func (s *solver) iterate() Status {
 // price selects the entering variable. dir=+1 to increase (at lower, d<0),
 // -1 to decrease (at upper, d>0). Returns (-1, 0) at optimality.
 func (s *solver) price(bland bool) (enter, dir int) {
-	bestScore := s.optTol
+	bestScore := optTol
 	enter, dir = -1, 0
 	for j := 0; j < s.n; j++ {
 		if s.rowOf[j] >= 0 {
@@ -631,9 +626,9 @@ func (s *solver) price(bland bool) (enter, dir int) {
 		}
 		var score float64
 		var d2 int
-		if d < -s.optTol && canUp {
+		if d < -optTol && canUp {
 			score, d2 = -d, +1
-		} else if d > s.optTol && canDown {
+		} else if d > optTol && canDown {
 			score, d2 = d, -1
 		} else {
 			continue

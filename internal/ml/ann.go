@@ -6,13 +6,17 @@ import (
 	"math/rand"
 )
 
+// Fixed Adam settings of the neural-network trainer.
+const (
+	annLR    float64 = 0.01 // learning rate
+	annBatch         = 32   // minibatch size
+	annL2    float64 = 1e-4 // weight decay
+)
+
 // ANNConfig tunes the neural-network trainer. Zero values select defaults.
 type ANNConfig struct {
-	Hidden []int   // hidden layer widths (default [24, 12])
-	Epochs int     // training epochs (default 400)
-	LR     float64 // Adam learning rate (default 0.01)
-	Batch  int     // minibatch size (default 32)
-	L2     float64 // weight decay (default 1e-4)
+	Hidden []int // hidden layer widths (default [24, 12])
+	Epochs int   // training epochs (default 400)
 	Seed   int64
 }
 
@@ -22,15 +26,6 @@ func (c *ANNConfig) setDefaults() {
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 400
-	}
-	if c.LR == 0 {
-		c.LR = 0.01
-	}
-	if c.Batch == 0 {
-		c.Batch = 32
-	}
-	if c.L2 == 0 {
-		c.L2 = 1e-4
 	}
 }
 
@@ -101,8 +96,8 @@ func TrainANN(X [][]float64, y []float64, cfg ANNConfig) (*ANN, error) {
 			j := rng.Intn(i + 1)
 			idx[i], idx[j] = idx[j], idx[i]
 		}
-		for start := 0; start < n; start += cfg.Batch {
-			end := start + cfg.Batch
+		for start := 0; start < n; start += annBatch {
+			end := start + annBatch
 			if end > n {
 				end = n
 			}
@@ -119,16 +114,16 @@ func TrainANN(X [][]float64, y []float64, cfg ANNConfig) (*ANN, error) {
 			corr2 := 1 - math.Pow(beta2, float64(step))
 			for l := range a.w {
 				for i := range a.w[l] {
-					g := gradW[l][i]/bs + cfg.L2*a.w[l][i]
+					g := gradW[l][i]/bs + annL2*a.w[l][i]
 					mw[l][i] = beta1*mw[l][i] + (1-beta1)*g
 					vw[l][i] = beta2*vw[l][i] + (1-beta2)*g*g
-					a.w[l][i] -= cfg.LR * (mw[l][i] / corr1) / (math.Sqrt(vw[l][i]/corr2) + eps)
+					a.w[l][i] -= annLR * (mw[l][i] / corr1) / (math.Sqrt(vw[l][i]/corr2) + eps)
 				}
 				for i := range a.b[l] {
 					g := gradB[l][i] / bs
 					mb[l][i] = beta1*mb[l][i] + (1-beta1)*g
 					vb[l][i] = beta2*vb[l][i] + (1-beta2)*g*g
-					a.b[l][i] -= cfg.LR * (mb[l][i] / corr1) / (math.Sqrt(vb[l][i]/corr2) + eps)
+					a.b[l][i] -= annLR * (mb[l][i] / corr1) / (math.Sqrt(vb[l][i]/corr2) + eps)
 				}
 			}
 		}

@@ -2,12 +2,13 @@ package ml
 
 import "fmt"
 
+// hsmFolds is the number of CV folds used to weight the components.
+const hsmFolds = 4
+
 // HSMConfig tunes Hybrid Surrogate Modeling. Zero values select defaults.
 type HSMConfig struct {
-	Folds int // CV folds used to weight components (default 4)
 	Seed  int64
 	ANN   ANNConfig
-	SVR   SVRConfig
 	Ridge float64 // ridge lambda (default 1e-3)
 }
 
@@ -27,9 +28,6 @@ func TrainHSM(X [][]float64, y []float64, cfg HSMConfig) (*HSM, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("ml: bad HSM training set (%d×%d)", len(X), len(y))
 	}
-	if cfg.Folds == 0 {
-		cfg.Folds = 4
-	}
 	if cfg.Ridge == 0 {
 		cfg.Ridge = 1e-3
 	}
@@ -40,9 +38,7 @@ func TrainHSM(X [][]float64, y []float64, cfg HSMConfig) (*HSM, error) {
 			return TrainANN(X, y, c)
 		},
 		func(X [][]float64, y []float64) (Model, error) {
-			c := cfg.SVR
-			c.Seed = cfg.Seed
-			return TrainSVR(X, y, c)
+			return TrainSVR(X, y, SVRConfig{Seed: cfg.Seed})
 		},
 		func(X [][]float64, y []float64) (Model, error) {
 			return TrainRidge(X, y, cfg.Ridge)
@@ -50,7 +46,7 @@ func TrainHSM(X [][]float64, y []float64, cfg HSMConfig) (*HSM, error) {
 	}
 	h := &HSM{}
 	for i, tr := range trainers {
-		rmse, err := KFoldRMSE(tr, X, y, cfg.Folds, cfg.Seed+int64(i))
+		rmse, err := KFoldRMSE(tr, X, y, hsmFolds, cfg.Seed+int64(i))
 		if err != nil {
 			return nil, fmt.Errorf("ml: HSM CV of component %d: %w", i, err)
 		}

@@ -8,12 +8,14 @@ import (
 	"skewvar/internal/fit"
 )
 
+// svrC is the regressor's fixed regularization; the RBF width is the 1/d
+// heuristic on scaled features.
+const svrC float64 = 10
+
 // SVRConfig tunes the RBF-kernel support-vector regressor. Zero values
 // select defaults.
 type SVRConfig struct {
-	C      float64 // regularization (default 10)
-	Gamma  float64 // RBF width; 0 → 1/d heuristic on scaled features
-	MaxPts int     // support-set subsample cap (default 500)
+	MaxPts int // support-set subsample cap (default 500)
 	Seed   int64
 }
 
@@ -41,9 +43,6 @@ func TrainSVR(X [][]float64, y []float64, cfg SVRConfig) (*SVR, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("ml: bad SVR training set (%d×%d)", len(X), len(y))
 	}
-	if cfg.C == 0 {
-		cfg.C = 10
-	}
 	if cfg.MaxPts == 0 {
 		cfg.MaxPts = 500
 	}
@@ -63,11 +62,7 @@ func TrainSVR(X [][]float64, y []float64, cfg SVRConfig) (*SVR, error) {
 		}
 		xs, ts = nx, nt
 	}
-	d := len(xs[0])
-	s.gamma = cfg.Gamma
-	if s.gamma == 0 {
-		s.gamma = 1 / float64(d)
-	}
+	s.gamma = 1 / float64(len(xs[0]))
 	n := len(xs)
 	// LS-SVM dual system of size n+1.
 	m := make([][]float64, n+1)
@@ -80,7 +75,7 @@ func TrainSVR(X [][]float64, y []float64, cfg SVRConfig) (*SVR, error) {
 		for j := 1; j <= n; j++ {
 			m[i][j] = s.kernel(xs[i-1], xs[j-1])
 		}
-		m[i][i] += 1 / cfg.C
+		m[i][i] += 1 / svrC
 		rhs[i] = ts[i-1]
 	}
 	sol, err := fit.SolveLinear(m, rhs)

@@ -63,27 +63,16 @@ type FixCost struct {
 	FixBuffers      int     // equivalent hold/setup buffers to insert
 }
 
+// Fixed parameters of the synthetic datapath model.
+const (
+	holdTimePS  float64 = 15 // FF hold requirement
+	setupTimePS float64 = 35 // FF setup requirement
+	bufDelayPS  float64 = 25 // delay of one fixing buffer
+)
+
 // FixCostParams configures the synthetic datapath model.
 type FixCostParams struct {
-	PeriodPS    float64 // clock period (default 1000)
-	HoldTimePS  float64 // FF hold requirement (default 15)
-	SetupTimePS float64 // FF setup requirement (default 35)
-	BufDelayPS  float64 // delay of one fixing buffer (default 25)
-}
-
-func (p *FixCostParams) setDefaults() {
-	if p.PeriodPS == 0 {
-		p.PeriodPS = 1000
-	}
-	if p.HoldTimePS == 0 {
-		p.HoldTimePS = 15
-	}
-	if p.SetupTimePS == 0 {
-		p.SetupTimePS = 35
-	}
-	if p.BufDelayPS == 0 {
-		p.BufDelayPS = 25
-	}
+	PeriodPS float64 // clock period (default 1000)
 }
 
 // EstimateFixCost evaluates the synthetic datapaths against per-corner sink
@@ -93,7 +82,9 @@ func (p *FixCostParams) setDefaults() {
 // factors (e.g. the measured αk⁻¹).
 func EstimateFixCost(tr *ctree.Tree, pairs []ctree.SinkPair, corners int,
 	latency func(k int, sink ctree.NodeID) float64, cornerScale []float64, p FixCostParams) FixCost {
-	p.setDefaults()
+	if p.PeriodPS == 0 {
+		p.PeriodPS = 1000
+	}
 	var out FixCost
 	for _, pr := range pairs {
 		a, b := tr.Node(pr.A), tr.Node(pr.B)
@@ -110,8 +101,8 @@ func EstimateFixCost(tr *ctree.Tree, pairs []ctree.SinkPair, corners int,
 				scale = cornerScale[k]
 			}
 			skew := latency(k, pr.B) - latency(k, pr.A) // capture − launch
-			holdSlack := dpMin*scale - skew - p.HoldTimePS
-			setupSlack := p.PeriodPS - dpMax*scale + skew - p.SetupTimePS
+			holdSlack := dpMin*scale - skew - holdTimePS
+			setupSlack := p.PeriodPS - dpMax*scale + skew - setupTimePS
 			if -holdSlack > holdWorst {
 				holdWorst = -holdSlack
 			}
@@ -122,12 +113,12 @@ func EstimateFixCost(tr *ctree.Tree, pairs []ctree.SinkPair, corners int,
 		if holdWorst > 0 {
 			out.HoldViolations++
 			out.HoldPS += holdWorst
-			out.FixBuffers += int(holdWorst/p.BufDelayPS) + 1
+			out.FixBuffers += int(holdWorst/bufDelayPS) + 1
 		}
 		if setupWorst > 0 {
 			out.SetupViolations++
 			out.SetupPS += setupWorst
-			out.FixBuffers += int(setupWorst/p.BufDelayPS) + 1
+			out.FixBuffers += int(setupWorst/bufDelayPS) + 1
 		}
 	}
 	return out
