@@ -759,68 +759,50 @@ func BenchmarkGroupCommitParallel(b *testing.B) {
 
 // BenchmarkJournalReplayParallel measures spool recovery — the scan,
 // checksum-verify, decode, and fold of a full journal into the admitted
-// set — over a 1024-job (3072-record) spool, in both on-disk formats:
-// framed lines pay the CRC32C verification, legacy lines only the format
-// sniff. Parallel goroutines each replay the whole spool (replay is
-// read-only), matching a coordinator auditing many replica spools at
-// once; ns/op is one full replay and MB/s the verified journal
-// throughput.
+// set — over a 1024-job (3072-record) framed spool. Parallel goroutines
+// each replay the whole spool (replay is read-only), matching a
+// coordinator auditing many replica spools at once; ns/op is one full
+// replay and MB/s the verified journal throughput.
 func BenchmarkJournalReplayParallel(b *testing.B) {
 	const jobs = 1024
-	build := func(framed bool) ([]byte, int64) {
-		var buf []byte
-		seq := 0
-		add := func(format string, args ...interface{}) {
-			seq++
-			line := []byte(fmt.Sprintf(`{"seq":%d,`+format+`}`, append([]interface{}{seq}, args...)...))
-			if framed {
-				f, err := atomicio.EncodeFrame(line)
-				if err != nil {
-					b.Fatal(err)
-				}
-				line = f
-			}
-			buf = append(buf, line...)
-			buf = append(buf, '\n')
+	var buf []byte
+	seq := 0
+	add := func(format string, args ...interface{}) {
+		seq++
+		line, err := atomicio.EncodeFrame([]byte(fmt.Sprintf(`{"seq":%d,`+format+`}`, append([]interface{}{seq}, args...)...)))
+		if err != nil {
+			b.Fatal(err)
 		}
-		for i := 0; i < jobs; i++ {
-			id := fmt.Sprintf("j%06d", i)
-			add(`"kind":"submit","job":%q,"spec":{"flow":"local","pairs":40}`, id)
-			add(`"kind":"start","job":%q`, id)
-			add(`"kind":"finish","job":%q,"state":"done"`, id)
-		}
-		return buf, int64(len(buf))
+		buf = append(buf, line...)
+		buf = append(buf, '\n')
 	}
-	for _, cfg := range []struct {
-		name   string
-		framed bool
-	}{
-		{"framed", true},
-		{"legacy", false},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			dir := b.TempDir()
-			buf, size := build(cfg.framed)
-			if err := os.WriteFile(filepath.Join(dir, "jobs.journal"), buf, 0o644); err != nil {
-				b.Fatal(err)
-			}
-			jj, err := serve.ReadJournalJobs(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(jj) != jobs {
-				b.Fatalf("replay folded %d jobs, want %d", len(jj), jobs)
-			}
-			b.SetBytes(size)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := serve.ReadJournalJobs(dir); err != nil {
-						b.Error(err)
-						return
-					}
+	for i := 0; i < jobs; i++ {
+		id := fmt.Sprintf("j%06d", i)
+		add(`"kind":"submit","job":%q,"spec":{"flow":"local","pairs":40}`, id)
+		add(`"kind":"start","job":%q`, id)
+		add(`"kind":"finish","job":%q,"state":"done"`, id)
+	}
+	b.Run("framed", func(b *testing.B) {
+		dir := b.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "jobs.journal"), buf, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		jj, err := serve.ReadJournalJobs(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(jj) != jobs {
+			b.Fatalf("replay folded %d jobs, want %d", len(jj), jobs)
+		}
+		b.SetBytes(int64(len(buf)))
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, err := serve.ReadJournalJobs(dir); err != nil {
+					b.Error(err)
+					return
 				}
-			})
+			}
 		})
-	}
+	})
 }

@@ -10,23 +10,21 @@ import (
 	"strconv"
 )
 
-// The journal's record envelope, version 1. Each journal line is either a
-// frame —
+// The journal's record envelope, version 1. Each journal line is a frame
 //
 //	!j1 <length> <crc32c as 8 hex digits> <payload>\n
 //
-// — or, on journals written before frames existed, a bare payload line.
-// The magic cannot begin a JSON record, so a per-line sniff tells the two
-// apart and old journals keep replaying without a migration step. The
-// length is the payload byte count in decimal; the checksum is CRC32C
-// (Castagnoli) over the payload. A mismatch in either means the line was
-// corrupted after it was acknowledged — bit rot, a misdirected write —
-// and decoding reports ErrFrameCorrupt instead of handing back bad bytes.
+// The length is the payload byte count in decimal; the checksum is CRC32C
+// (Castagnoli) over the payload. A line without the magic, or a mismatch
+// in either field, means the line was corrupted after it was acknowledged
+// — bit rot, a misdirected write — and decoding reports ErrFrameCorrupt
+// instead of handing back bad bytes.
 const frameMagic = "!j1 "
 
-// ErrFrameCorrupt reports a framed journal line whose length or CRC32C
-// does not match its payload. Scrubbers quarantine such records; replay
-// treats them per the degradation policy rather than trusting the bytes.
+// ErrFrameCorrupt reports a journal line that lacks the frame magic or
+// whose length or CRC32C does not match its payload. Scrubbers quarantine
+// such records; replay treats them per the degradation policy rather than
+// trusting the bytes.
 var ErrFrameCorrupt = errors.New("journal frame corrupt (length or checksum mismatch)")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -57,24 +55,16 @@ func appendCRCHex(buf []byte, sum uint32) []byte {
 	return buf
 }
 
-// IsFramed reports whether line carries the frame magic — the format
-// sniff that lets framed and legacy lines coexist in one journal.
-func IsFramed(line []byte) bool {
-	return bytes.HasPrefix(line, []byte(frameMagic))
-}
-
 // DecodeFrame extracts the payload of a framed line (no trailing
-// newline). Any structural damage — missing fields, a length that does
-// not match the remaining bytes, a CRC mismatch — yields an error
-// wrapping ErrFrameCorrupt; the returned payload is nil in that case, so
-// corrupted bytes are never handed to a decoder. Calling DecodeFrame on
-// an unframed line is a corruption too: callers sniff with IsFramed
-// first.
+// newline). Any structural damage — a missing magic or field, a length
+// that does not match the remaining bytes, a CRC mismatch — yields an
+// error wrapping ErrFrameCorrupt; the returned payload is nil in that
+// case, so corrupted bytes are never handed to a decoder.
 func DecodeFrame(line []byte) ([]byte, error) {
-	if !IsFramed(line) {
+	rest, ok := bytes.CutPrefix(line, []byte(frameMagic))
+	if !ok {
 		return nil, fmt.Errorf("edaio: no frame magic: %w", ErrFrameCorrupt)
 	}
-	rest := line[len(frameMagic):]
 	sp := bytes.IndexByte(rest, ' ')
 	if sp <= 0 {
 		return nil, fmt.Errorf("edaio: frame missing length field: %w", ErrFrameCorrupt)
@@ -122,26 +112,22 @@ func DecodeFrame(line []byte) ([]byte, error) {
 type Frame struct {
 	// Raw is the line exactly as stored, without its trailing newline.
 	Raw []byte
-	// Payload is the decoded record bytes: the frame payload for a valid
-	// framed line, or Raw itself for a legacy unframed line. Nil when Err
-	// is set.
+	// Payload is the decoded frame payload. Nil when Err is set.
 	Payload []byte
-	// Framed reports whether the line carried the frame magic.
-	Framed bool
 	// Torn reports that this was the final line and it had no trailing
 	// newline — the unacknowledged tail a crash mid-append leaves, which
 	// reopening heals.
 	Torn bool
-	// Err is non-nil for a framed line that failed verification (wraps
+	// Err is non-nil for a line that failed verification (wraps
 	// ErrFrameCorrupt). Scanning continues past it; the caller decides
 	// whether to quarantine or abort.
 	Err error
 }
 
-// FrameScanner reads a journal line by line, sniffing each line's format
-// and verifying framed lines. Unlike bufio.Scanner it has no token size
-// limit: a record is bounded only by memory, so an oversized submit spec
-// cannot be silently dropped on replay.
+// FrameScanner reads a journal line by line, verifying each line's frame.
+// Unlike bufio.Scanner it has no token size limit: a record is bounded
+// only by memory, so an oversized submit spec cannot be silently dropped
+// on replay.
 type FrameScanner struct {
 	r    *bufio.Reader
 	off  int64 // file offset of the next unread line
@@ -180,11 +166,6 @@ func (s *FrameScanner) Next() (Frame, error) {
 	s.off += int64(len(line))
 	line = bytes.TrimSuffix(line, []byte("\n"))
 	f := Frame{Raw: line, Torn: torn}
-	if IsFramed(line) {
-		f.Framed = true
-		f.Payload, f.Err = DecodeFrame(line)
-	} else {
-		f.Payload = line
-	}
+	f.Payload, f.Err = DecodeFrame(line)
 	return f, nil
 }

@@ -21,9 +21,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("EncodeFrame(%q...): %v", clip(p), err)
 		}
-		if !IsFramed(frame) {
-			t.Fatalf("IsFramed(EncodeFrame(%q...)) = false", clip(p))
-		}
 		got, err := DecodeFrame(frame)
 		if err != nil {
 			t.Fatalf("DecodeFrame(%q...): %v", clip(p), err)
@@ -52,16 +49,13 @@ func TestDecodeFrameDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip every single byte of the frame in turn: each mutation must be
-	// either detected (ErrFrameCorrupt) or demoted to a legacy line (magic
-	// damaged) — never silently decoded to different bytes.
+	// Flip every single byte of the frame in turn: each mutation,
+	// including one that destroys the magic, must be detected
+	// (ErrFrameCorrupt) — never silently decoded to different bytes.
 	for i := range frame {
 		for _, flip := range []byte{0x01, 0x40} {
 			mut := append([]byte(nil), frame...)
 			mut[i] ^= flip
-			if !IsFramed(mut) {
-				continue // magic destroyed: the sniff treats it as legacy
-			}
 			got, err := DecodeFrame(mut)
 			if err == nil {
 				t.Fatalf("flip byte %d by %#x: decoded %q without error", i, flip, clip(string(got)))
@@ -83,9 +77,6 @@ func TestDecodeFrameTruncated(t *testing.T) {
 	}
 	for n := 0; n < len(frame); n++ {
 		mut := frame[:n]
-		if !IsFramed(mut) {
-			continue
-		}
 		if _, err := DecodeFrame(mut); !errors.Is(err, ErrFrameCorrupt) {
 			t.Fatalf("truncated to %d bytes: got %v, want ErrFrameCorrupt", n, err)
 		}
@@ -100,7 +91,7 @@ func TestFrameScannerMixedFormats(t *testing.T) {
 	corrupt := append([]byte(nil), framed...)
 	corrupt[len(corrupt)-1] ^= 0x20 // damage the payload, keep the magic
 	var journal bytes.Buffer
-	journal.WriteString(`{"seq":1,"legacy":true}` + "\n") // pre-frame line
+	journal.WriteString(`{"seq":1,"legacy":true}` + "\n") // unframed line
 	journal.Write(framed)
 	journal.WriteByte('\n')
 	journal.Write(corrupt)
@@ -113,15 +104,15 @@ func TestFrameScannerMixedFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f1.Framed || f1.Err != nil || string(f1.Payload) != `{"seq":1,"legacy":true}` {
-		t.Fatalf("legacy line: %+v", f1)
+	if !errors.Is(f1.Err, ErrFrameCorrupt) || f1.Payload != nil || string(f1.Raw) != `{"seq":1,"legacy":true}` {
+		t.Fatalf("unframed line: %+v", f1)
 	}
 
 	f2, err := sc.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f2.Framed || f2.Err != nil || string(f2.Payload) != `{"seq":2}` {
+	if f2.Err != nil || string(f2.Payload) != `{"seq":2}` {
 		t.Fatalf("framed line: %+v", f2)
 	}
 
@@ -129,8 +120,8 @@ func TestFrameScannerMixedFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f3.Framed || !errors.Is(f3.Err, ErrFrameCorrupt) {
-		t.Fatalf("corrupt line: Framed=%v Err=%v", f3.Framed, f3.Err)
+	if !errors.Is(f3.Err, ErrFrameCorrupt) {
+		t.Fatalf("corrupt line: Err=%v", f3.Err)
 	}
 
 	f4, err := sc.Next()
@@ -184,8 +175,8 @@ func TestFrameScannerOffset(t *testing.T) {
 }
 
 // FuzzReadFrame asserts the corruption contract: arbitrary bytes fed to
-// the sniff+decode path never panic and never yield a payload that
-// differs from what a well-formed encode produced.
+// the decode path never panic and never yield a payload that differs from
+// what a well-formed encode produced.
 func FuzzReadFrame(f *testing.F) {
 	seed, _ := EncodeFrame([]byte(`{"seq":9,"kind":"submit"}`))
 	f.Add(seed)
@@ -193,14 +184,11 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte("!j1 "))
 	f.Add([]byte("!j1 18446744073709551616 00000000 x"))
 	f.Add([]byte("!j1 -1 00000000 "))
-	f.Add([]byte("plain legacy line"))
+	f.Add([]byte("plain unframed line"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, line []byte) {
 		if bytes.IndexByte(line, '\n') >= 0 {
 			return // journal lines never contain newlines by construction
-		}
-		if !IsFramed(line) {
-			return
 		}
 		payload, err := DecodeFrame(line)
 		if err != nil {

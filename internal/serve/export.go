@@ -318,8 +318,6 @@ type SpoolReport struct {
 	Jobs        int  `json:"jobs"`         // jobs in the folded ledger
 	Pending     int  `json:"pending"`      // non-terminal, non-stolen jobs
 	Records     int  `json:"records"`      // journal tail records (excluding genesis)
-	Framed      int  `json:"framed"`       // checksummed journal lines
-	Legacy      int  `json:"legacy"`       // pre-frame journal lines
 	Quarantined int  `json:"quarantined"`  // corrupt non-tail lines found (verify) or moved (repair)
 	TornHealed  bool `json:"torn_healed"`  // a torn/corrupt tail was found (verify) or dropped (repair)
 	StaleHealed bool `json:"stale_healed"` // an interrupted compaction swap was found or completed
@@ -327,8 +325,7 @@ type SpoolReport struct {
 
 func spoolReport(st *spoolState) SpoolReport {
 	r := SpoolReport{
-		Gen: st.gen, Seq: st.seq, Jobs: len(st.entries),
-		Records: st.scrub.records, Framed: st.scrub.framed, Legacy: st.scrub.legacy,
+		Gen: st.gen, Seq: st.seq, Jobs: len(st.entries), Records: st.scrub.records,
 		Quarantined: st.scrub.quarantined, TornHealed: st.scrub.tornHealed,
 		StaleHealed: st.scrub.staleHealed,
 	}

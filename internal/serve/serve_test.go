@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -422,15 +421,19 @@ func TestJournalReplay(t *testing.T) {
 	spool := t.TempDir()
 	body := jobBody(t, nil)
 
-	lines := []string{
-		fmt.Sprintf(`{"seq":1,"kind":"submit","job":"j000001","spec":%s}`, body),
-		fmt.Sprintf(`{"seq":2,"kind":"submit","job":"j000002","spec":%s}`, body),
-		`{"seq":3,"kind":"start","job":"j000001"}`,
-		`{"seq":4,"kind":"finish","job":"j000001","state":"done"}`,
-		`{"seq":5,"kind":"start","job":"j000002"}`,
+	var journal []byte
+	for _, rec := range []record{
+		{Seq: 1, Kind: recSubmit, Job: "j000001", Spec: body},
+		{Seq: 2, Kind: recSubmit, Job: "j000002", Spec: body},
+		{Seq: 3, Kind: recStart, Job: "j000001"},
+		{Seq: 4, Kind: recFinish, Job: "j000001", State: StateDone},
+		{Seq: 5, Kind: recStart, Job: "j000002"},
+	} {
+		journal = append(journal, frameLine(t, rec)...)
 	}
-	journal := strings.Join(lines, "\n") + "\n" + `{"seq":6,"kind":"fin` // torn tail
-	if err := os.WriteFile(filepath.Join(spool, journalName), []byte(journal), 0o644); err != nil {
+	tail := frameLine(t, record{Seq: 6, Kind: recFinish, Job: "j000002", State: StateDone})
+	journal = append(journal, tail[:len(tail)/2]...) // torn tail
+	if err := os.WriteFile(filepath.Join(spool, journalName), journal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -459,9 +462,8 @@ func TestReplayCorruptCheckpointFallsBack(t *testing.T) {
 		t.Skip("flow execution in -short mode")
 	}
 	spool := t.TempDir()
-	body := jobBody(t, nil)
-	journal := fmt.Sprintf(`{"seq":1,"kind":"submit","job":"j000001","spec":%s}`, body) + "\n"
-	if err := os.WriteFile(filepath.Join(spool, journalName), []byte(journal), 0o644); err != nil {
+	journal := frameLine(t, record{Seq: 1, Kind: recSubmit, Job: "j000001", Spec: jobBody(t, nil)})
+	if err := os.WriteFile(filepath.Join(spool, journalName), journal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(spool, "j000001.ckpt"), []byte(`{"version":1,"trees":{"partial":`), 0o644); err != nil {

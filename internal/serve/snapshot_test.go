@@ -39,8 +39,9 @@ func frameLine(t *testing.T, rec record) []byte {
 	return append(frame, '\n')
 }
 
-// legacyLine marshals one record as a pre-frame (unchecksummed) line.
-func legacyLine(t *testing.T, rec record) []byte {
+// unframedLine marshals one record as a bare JSON line without the
+// checksum envelope, which the scrub must treat as corrupt.
+func unframedLine(t *testing.T, rec record) []byte {
 	t.Helper()
 	b, err := json.Marshal(&rec)
 	if err != nil {
@@ -93,21 +94,14 @@ func tortureRecords() []record {
 	}
 }
 
-// seedSpool writes the torture journal into a fresh spool dir, in the
-// requested framing (framed, legacy, or mixed), and returns the dir and
-// the reference audit of its fold.
-func seedSpool(t *testing.T, framing string) (string, string) {
+// seedSpool writes the torture journal into a fresh spool dir and returns
+// the dir and the reference audit of its fold.
+func seedSpool(t *testing.T) (string, string) {
 	t.Helper()
 	dir := t.TempDir()
-	recs := tortureRecords()
 	var lines [][]byte
-	for i, rec := range recs {
-		switch {
-		case framing == "legacy" || (framing == "mixed" && i%2 == 1):
-			lines = append(lines, legacyLine(t, rec))
-		default:
-			lines = append(lines, frameLine(t, rec))
-		}
+	for _, rec := range tortureRecords() {
+		lines = append(lines, frameLine(t, rec))
 	}
 	writeJournalLines(t, dir, lines...)
 	st, err := loadSpool(atomicio.OS, dir, false)
@@ -121,63 +115,61 @@ func seedSpool(t *testing.T, framing string) (string, string) {
 // gen survive, appends post-compaction records over the snapshot, and
 // compacts again — generations and sequence numbers stay monotonic.
 func TestCompactionRoundTrip(t *testing.T) {
-	for _, framing := range []string{"framed", "legacy", "mixed"} {
-		t.Run(framing, func(t *testing.T) {
-			dir, want := seedSpool(t, framing)
-			if err := compactSpool(atomicio.OS, dir, nil); err != nil {
-				t.Fatalf("compact: %v", err)
-			}
-			st, err := loadSpool(atomicio.OS, dir, false)
-			if err != nil {
-				t.Fatalf("load after compact: %v", err)
-			}
-			if got := auditSet(st.entries); got != want {
-				t.Fatalf("admitted set changed across compaction:\nwant:\n%s\ngot:\n%s", want, got)
-			}
-			if st.gen != 1 || st.seq != 9 {
-				t.Fatalf("after compact: gen=%d seq=%d, want gen=1 seq=9", st.gen, st.seq)
-			}
-			// The journal is now just a genesis record; the snapshot holds
-			// the jobs.
-			if st.scrub.records != 0 {
-				t.Fatalf("journal still carries %d records after compaction", st.scrub.records)
-			}
+	t.Run("framed", func(t *testing.T) {
+		dir, want := seedSpool(t)
+		if err := compactSpool(atomicio.OS, dir, nil); err != nil {
+			t.Fatalf("compact: %v", err)
+		}
+		st, err := loadSpool(atomicio.OS, dir, false)
+		if err != nil {
+			t.Fatalf("load after compact: %v", err)
+		}
+		if got := auditSet(st.entries); got != want {
+			t.Fatalf("admitted set changed across compaction:\nwant:\n%s\ngot:\n%s", want, got)
+		}
+		if st.gen != 1 || st.seq != 9 {
+			t.Fatalf("after compact: gen=%d seq=%d, want gen=1 seq=9", st.gen, st.seq)
+		}
+		// The journal is now just a genesis record; the snapshot holds
+		// the jobs.
+		if st.scrub.records != 0 {
+			t.Fatalf("journal still carries %d records after compaction", st.scrub.records)
+		}
 
-			// Append over the snapshot (seq continues past the high-water
-			// mark) and compact again.
-			f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
+		// Append over the snapshot (seq continues past the high-water
+		// mark) and compact again.
+		f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail := []record{
+			{Seq: 10, Kind: recStart, Job: "j3"},
+			{Seq: 11, Kind: recFinish, Job: "j3", State: StateFailed, Class: "fault"},
+		}
+		for _, rec := range tail {
+			if _, err := f.Write(frameLine(t, rec)); err != nil {
 				t.Fatal(err)
 			}
-			tail := []record{
-				{Seq: 10, Kind: recStart, Job: "j3"},
-				{Seq: 11, Kind: recFinish, Job: "j3", State: StateFailed, Class: "fault"},
-			}
-			for _, rec := range tail {
-				if _, err := f.Write(frameLine(t, rec)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			f.Close()
-			if err := compactSpool(atomicio.OS, dir, nil); err != nil {
-				t.Fatalf("second compact: %v", err)
-			}
-			st2, err := loadSpool(atomicio.OS, dir, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st2.gen != 2 || st2.seq != 11 {
-				t.Fatalf("after second compact: gen=%d seq=%d, want gen=2 seq=11", st2.gen, st2.seq)
-			}
-			byID := map[string]*ledgerEntry{}
-			for _, e := range st2.entries {
-				byID[e.id] = e
-			}
-			if e := byID["j3"]; e == nil || e.state != StateFailed || e.attempts != 1 {
-				t.Fatalf("j3 after tail fold = %+v, want failed with 1 attempt", e)
-			}
-		})
-	}
+		}
+		f.Close()
+		if err := compactSpool(atomicio.OS, dir, nil); err != nil {
+			t.Fatalf("second compact: %v", err)
+		}
+		st2, err := loadSpool(atomicio.OS, dir, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st2.gen != 2 || st2.seq != 11 {
+			t.Fatalf("after second compact: gen=%d seq=%d, want gen=2 seq=11", st2.gen, st2.seq)
+		}
+		byID := map[string]*ledgerEntry{}
+		for _, e := range st2.entries {
+			byID[e.id] = e
+		}
+		if e := byID["j3"]; e == nil || e.state != StateFailed || e.attempts != 1 {
+			t.Fatalf("j3 after tail fold = %+v, want failed with 1 attempt", e)
+		}
+	})
 }
 
 // TestCompactionCrashAtEveryBoundary kills the swap at each of its four
@@ -187,10 +179,10 @@ func TestCompactionRoundTrip(t *testing.T) {
 // no instant during the swap at which a crash loses an acknowledged
 // record.
 func TestCompactionCrashAtEveryBoundary(t *testing.T) {
-	for _, framing := range []string{"framed", "legacy", "mixed"} {
+	t.Run("framed", func(t *testing.T) {
 		for bi, boundary := range compactBoundaries {
-			t.Run(fmt.Sprintf("%s/%s", framing, boundary), func(t *testing.T) {
-				dir, want := seedSpool(t, framing)
+			t.Run(boundary, func(t *testing.T) {
+				dir, want := seedSpool(t)
 				calls := 0
 				crash := func(string) bool {
 					calls++
@@ -238,7 +230,7 @@ func TestCompactionCrashAtEveryBoundary(t *testing.T) {
 				}
 			})
 		}
-	}
+	})
 }
 
 // TestCompactionDiskFaultMatrix drives the swap and the restart through
@@ -251,7 +243,7 @@ func TestCompactionDiskFaultMatrix(t *testing.T) {
 	writeFaults := []string{atomicio.FaultDiskFull, atomicio.FaultFsyncError, atomicio.FaultRenameTorn}
 	for _, fault := range writeFaults {
 		t.Run("compact/"+fault, func(t *testing.T) {
-			dir, want := seedSpool(t, "framed")
+			dir, want := seedSpool(t)
 			inj, err := faults.Parse(fault+":at=1", 1)
 			if err != nil {
 				t.Fatal(err)
@@ -288,7 +280,7 @@ func TestCompactionDiskFaultMatrix(t *testing.T) {
 	}
 
 	t.Run("restart/read-corrupt", func(t *testing.T) {
-		dir, want := seedSpool(t, "framed")
+		dir, want := seedSpool(t)
 		inj, err := faults.Parse(atomicio.FaultReadCorrupt+":at=1", 1)
 		if err != nil {
 			t.Fatal(err)
@@ -315,60 +307,82 @@ func TestCompactionDiskFaultMatrix(t *testing.T) {
 	})
 }
 
-// TestScrubQuarantinesRot corrupts a mid-journal framed line (rot, not a
-// tear: durable lines follow it) and checks the scrub moves it to the
-// quarantine file, rewrites the journal without it byte-identically, and
-// converges — a second load finds nothing to fix.
-func TestScrubQuarantinesRot(t *testing.T) {
-	dir := t.TempDir()
+// damagedJournal returns the torture journal, framed, with line i
+// damaged: "checksum" flips a payload byte, "unframed" writes the record
+// as a bare JSON line.
+func damagedJournal(t *testing.T, i int, damage string) [][]byte {
+	t.Helper()
 	recs := tortureRecords()
 	var lines [][]byte
 	for _, rec := range recs {
 		lines = append(lines, frameLine(t, rec))
 	}
-	// Flip a payload byte in line 4 (recStart j2): checksum mismatch.
-	lines[3][len(lines[3])/2] ^= 0x40
-	writeJournalLines(t, dir, lines...)
+	switch damage {
+	case "checksum":
+		lines[i][len(lines[i])/2] ^= 0x40
+	case "unframed":
+		lines[i] = unframedLine(t, recs[i])
+	default:
+		t.Fatalf("unknown damage %q", damage)
+	}
+	return lines
+}
 
-	st, err := loadSpool(atomicio.OS, dir, true)
-	if err != nil {
-		t.Fatalf("scrub load: %v", err)
-	}
-	if st.scrub.quarantined != 1 {
-		t.Fatalf("quarantined = %d, want 1 (%+v)", st.scrub.quarantined, st.scrub)
-	}
-	// j2 lost its start record (1 fewer attempt) but everything else —
-	// including records after the rot — survived.
-	byID := map[string]*ledgerEntry{}
-	for _, e := range st.entries {
-		byID[e.id] = e
-	}
-	if e := byID["j2"]; e == nil || e.attempts != 0 || !e.stolen {
-		t.Fatalf("j2 after quarantine = %+v, want 0 attempts, stolen", e)
-	}
-	if e := byID["j3"]; e == nil {
-		t.Fatal("j3 (submitted after the rotted line) lost")
-	}
+// TestScrubQuarantinesRot corrupts a mid-journal line (rot, not a tear:
+// durable lines follow it) — by a checksum mismatch, or by the frame
+// missing altogether — and checks the scrub moves it to the quarantine
+// file, rewrites the journal without it byte-identically, and converges —
+// a second load finds nothing to fix.
+func TestScrubQuarantinesRot(t *testing.T) {
+	for _, damage := range []string{"checksum", "unframed"} {
+		t.Run(damage, func(t *testing.T) {
+			dir := t.TempDir()
+			// Damage line 4 (recStart j2).
+			lines := damagedJournal(t, 3, damage)
+			writeJournalLines(t, dir, lines...)
 
-	// The corrupt line is preserved for forensics.
-	qb, err := os.ReadFile(filepath.Join(dir, quarantineName))
-	if err != nil {
-		t.Fatalf("quarantine file: %v", err)
-	}
-	if !strings.Contains(string(qb), strings.TrimSuffix(string(lines[3]), "\n")) {
-		t.Fatal("quarantine file does not hold the corrupt line verbatim")
-	}
+			st, err := loadSpool(atomicio.OS, dir, true)
+			if err != nil {
+				t.Fatalf("scrub load: %v", err)
+			}
+			if st.scrub.quarantined != 1 {
+				t.Fatalf("quarantined = %d, want 1 (%+v)", st.scrub.quarantined, st.scrub)
+			}
+			// j2 lost its start record (1 fewer attempt) but everything
+			// else — including records after the rot — survived.
+			byID := map[string]*ledgerEntry{}
+			for _, e := range st.entries {
+				byID[e.id] = e
+			}
+			if e := byID["j2"]; e == nil || e.attempts != 0 || !e.stolen {
+				t.Fatalf("j2 after quarantine = %+v, want 0 attempts, stolen", e)
+			}
+			if e := byID["j3"]; e == nil {
+				t.Fatal("j3 (submitted after the rotted line) lost")
+			}
 
-	// Scrub converged: the rewritten journal is clean and fold-stable.
-	st2, err := loadSpool(atomicio.OS, dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.scrub.quarantined != 0 || st2.scrub.tornHealed {
-		t.Fatalf("second load still reports damage: %+v", st2.scrub)
-	}
-	if auditSet(st2.entries) != auditSet(st.entries) {
-		t.Fatal("fold changed between scrub and post-scrub load")
+			// The corrupt line is preserved for forensics.
+			qb, err := os.ReadFile(filepath.Join(dir, quarantineName))
+			if err != nil {
+				t.Fatalf("quarantine file: %v", err)
+			}
+			if !strings.Contains(string(qb), strings.TrimSuffix(string(lines[3]), "\n")) {
+				t.Fatal("quarantine file does not hold the corrupt line verbatim")
+			}
+
+			// Scrub converged: the rewritten journal is clean and
+			// fold-stable.
+			st2, err := loadSpool(atomicio.OS, dir, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st2.scrub.quarantined != 0 || st2.scrub.tornHealed {
+				t.Fatalf("second load still reports damage: %+v", st2.scrub)
+			}
+			if auditSet(st2.entries) != auditSet(st.entries) {
+				t.Fatal("fold changed between scrub and post-scrub load")
+			}
+		})
 	}
 }
 
@@ -376,30 +390,27 @@ func TestScrubQuarantinesRot(t *testing.T) {
 // from a torn write at the moment of a crash — and checks it is dropped
 // (healed), not quarantined.
 func TestScrubHealsCorruptTail(t *testing.T) {
-	dir := t.TempDir()
-	recs := tortureRecords()
-	var lines [][]byte
-	for _, rec := range recs {
-		lines = append(lines, frameLine(t, rec))
-	}
-	last := lines[len(lines)-1]
-	last[len(last)/2] ^= 0x40
-	writeJournalLines(t, dir, lines...)
+	for _, damage := range []string{"checksum", "unframed"} {
+		t.Run(damage, func(t *testing.T) {
+			dir := t.TempDir()
+			writeJournalLines(t, dir, damagedJournal(t, len(tortureRecords())-1, damage)...)
 
-	st, err := loadSpool(atomicio.OS, dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.scrub.tornHealed || st.scrub.quarantined != 0 {
-		t.Fatalf("corrupt tail handled as %+v, want tornHealed and nothing quarantined", st.scrub)
-	}
-	for _, e := range st.entries {
-		if e.id == "j3" {
-			t.Fatal("the dropped tail record still folded in")
-		}
-	}
-	if st.seq != 8 {
-		t.Fatalf("seq = %d, want 8 after dropping the seq-9 tail", st.seq)
+			st, err := loadSpool(atomicio.OS, dir, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.scrub.tornHealed || st.scrub.quarantined != 0 {
+				t.Fatalf("corrupt tail handled as %+v, want tornHealed and nothing quarantined", st.scrub)
+			}
+			for _, e := range st.entries {
+				if e.id == "j3" {
+					t.Fatal("the dropped tail record still folded in")
+				}
+			}
+			if st.seq != 8 {
+				t.Fatalf("seq = %d, want 8 after dropping the seq-9 tail", st.seq)
+			}
+		})
 	}
 }
 
@@ -407,7 +418,7 @@ func TestScrubHealsCorruptTail(t *testing.T) {
 // records exist nowhere else — and checks the load refuses with a typed
 // resilience.ErrStorage instead of fabricating a smaller admitted set.
 func TestCorruptSnapshotFailsTyped(t *testing.T) {
-	dir, _ := seedSpool(t, "framed")
+	dir, _ := seedSpool(t)
 	if err := compactSpool(atomicio.OS, dir, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -431,54 +442,48 @@ func TestCorruptSnapshotFailsTyped(t *testing.T) {
 
 // TestOversizedRecordReplay is the regression test for the scanner
 // token-limit bug: a journal line far past bufio.Scanner's 64KiB default
-// must replay, framed or legacy, and survive a restart. The old
-// Scanner-based replay silently dropped the job.
+// must replay and survive a restart. The old Scanner-based replay
+// silently dropped the job.
 func TestOversizedRecordReplay(t *testing.T) {
 	pad := strings.Repeat("x", 256<<10) // 4x the default Scanner token limit
 	spec := json.RawMessage(fmt.Sprintf(`{"flow":"local","pairs":40,"pad":%q}`, pad))
-	for _, framing := range []string{"framed", "legacy"} {
-		t.Run(framing, func(t *testing.T) {
-			dir := t.TempDir()
-			recs := []record{
-				{Seq: 1, Kind: recSubmit, Job: "jbig", Spec: spec},
-				{Seq: 2, Kind: recStart, Job: "jbig"},
-				{Seq: 3, Kind: recFinish, Job: "jbig", State: StateDone},
-			}
-			var lines [][]byte
-			for _, rec := range recs {
-				if framing == "legacy" {
-					lines = append(lines, legacyLine(t, rec))
-				} else {
-					lines = append(lines, frameLine(t, rec))
-				}
-			}
-			writeJournalLines(t, dir, lines...)
+	t.Run("framed", func(t *testing.T) {
+		dir := t.TempDir()
+		recs := []record{
+			{Seq: 1, Kind: recSubmit, Job: "jbig", Spec: spec},
+			{Seq: 2, Kind: recStart, Job: "jbig"},
+			{Seq: 3, Kind: recFinish, Job: "jbig", State: StateDone},
+		}
+		var lines [][]byte
+		for _, rec := range recs {
+			lines = append(lines, frameLine(t, rec))
+		}
+		writeJournalLines(t, dir, lines...)
 
-			st, err := loadSpool(atomicio.OS, dir, false)
-			if err != nil {
-				t.Fatalf("load: %v", err)
-			}
-			if len(st.entries) != 1 || st.entries[0].id != "jbig" || st.entries[0].state != StateDone {
-				t.Fatalf("oversized record did not replay: %d entries", len(st.entries))
-			}
-			if len(st.entries[0].spec) != len(spec) {
-				t.Fatalf("spec truncated: %d bytes, want %d", len(st.entries[0].spec), len(spec))
-			}
+		st, err := loadSpool(atomicio.OS, dir, false)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		if len(st.entries) != 1 || st.entries[0].id != "jbig" || st.entries[0].state != StateDone {
+			t.Fatalf("oversized record did not replay: %d entries", len(st.entries))
+		}
+		if len(st.entries[0].spec) != len(spec) {
+			t.Fatalf("spec truncated: %d bytes, want %d", len(st.entries[0].spec), len(spec))
+		}
 
-			// And through a compaction: the oversized spec round-trips the
-			// snapshot too.
-			if err := compactSpool(atomicio.OS, dir, nil); err != nil {
-				t.Fatalf("compact: %v", err)
-			}
-			jj, err := ReadJournalJobs(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(jj) != 1 || jj[0].ID != "jbig" || !jj[0].Terminal || len(jj[0].Spec) != len(spec) {
-				t.Fatalf("oversized spec lost across compaction: %+v", jj)
-			}
-		})
-	}
+		// And through a compaction: the oversized spec round-trips the
+		// snapshot too.
+		if err := compactSpool(atomicio.OS, dir, nil); err != nil {
+			t.Fatalf("compact: %v", err)
+		}
+		jj, err := ReadJournalJobs(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(jj) != 1 || jj[0].ID != "jbig" || !jj[0].Terminal || len(jj[0].Spec) != len(spec) {
+			t.Fatalf("oversized spec lost across compaction: %+v", jj)
+		}
+	})
 }
 
 // TestStealFromCompactedVictim fences nothing and runs the pure spool
@@ -486,7 +491,7 @@ func TestOversizedRecordReplay(t *testing.T) {
 // check the steal is durable across a further compaction — the exact
 // sequence the fleet runs against a dead replica that had compacted.
 func TestStealFromCompactedVictim(t *testing.T) {
-	dir, _ := seedSpool(t, "framed")
+	dir, _ := seedSpool(t)
 	if err := compactSpool(atomicio.OS, dir, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +536,7 @@ func TestStealFromCompactedVictim(t *testing.T) {
 // repair-first load heals the spool before appending the steal — the
 // coordinator never writes into a half-swapped journal.
 func TestStealFromCrashedSwapVictim(t *testing.T) {
-	dir, _ := seedSpool(t, "framed")
+	dir, _ := seedSpool(t)
 	calls := 0
 	crash := func(string) bool { calls++; return calls == 2 } // snapshot-renamed
 	if err := compactSpool(atomicio.OS, dir, crash); !errors.Is(err, errCompactCrashed) {
