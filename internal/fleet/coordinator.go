@@ -21,7 +21,7 @@ import (
 type Cluster struct {
 	cfg  Config
 	ring *ring
-	tr   Transport
+	tr   localTransport
 
 	mu       sync.Mutex
 	replicas map[string]*replica
@@ -69,7 +69,7 @@ func New(cfg Config) (*Cluster, error) {
 		replicas: make(map[string]*replica),
 		assign:   make(map[string]string),
 	}
-	c.tr = &localTransport{c: c}
+	c.tr = localTransport{c: c}
 	for i := 0; i < cfg.Replicas; i++ {
 		name := fmt.Sprintf("r%d", i)
 		c.names = append(c.names, name)

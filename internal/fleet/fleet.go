@@ -7,11 +7,10 @@
 //
 // The whole cluster runs in one process ("cluster in one binary",
 // cmd/skewfleet): replicas are serve.Server instances on private spool
-// directories, and the coordinator talks to them through a Transport
-// interface whose in-process implementation injects faults
-// deterministically (faults.RPCDrop, faults.HeartbeatDelay,
-// faults.ReplicaCrash), so replica kills, dropped RPCs, delayed
-// heartbeats, and partitions all replay by seed.
+// directories, and the coordinator calls them directly through a
+// transport that injects faults deterministically (faults.RPCDrop,
+// faults.HeartbeatDelay, faults.ReplicaCrash), so replica kills, dropped
+// RPCs, delayed heartbeats, and partitions all replay by seed.
 //
 // The failure/repair contract (docs/ROBUSTNESS.md):
 //

@@ -22,29 +22,13 @@ var ErrUnreachable = errors.New("fleet: replica unreachable")
 // once, by the fence-then-steal pipeline.
 var ErrAmbiguous = errors.New("fleet: dispatch outcome unknown")
 
-// Transport is the coordinator's view of a replica. The in-process
-// implementation below is the only one today, but the interface is the
-// seam where a real network client would slot in — and where the chaos
-// harness injects its faults, so coordinator logic is exercised against
-// the same failure surface a networked fleet would have.
-type Transport interface {
-	// Ping probes liveness and readiness. An error counts as a missed
-	// heartbeat.
-	Ping(ctx context.Context, replica string) error
-	// Submit dispatches a job spec to a replica under a fleet-assigned
-	// id. serve.ErrBusy means the replica's queue bound rejected it
-	// (backpressure, not failure); ErrUnreachable means it was never
-	// delivered; ErrAmbiguous means it may or may not have landed.
-	Submit(ctx context.Context, replica, id string, spec []byte) (serve.JobStatus, error)
-	// Status fetches one job's status from a replica.
-	Status(ctx context.Context, replica, id string) (serve.JobStatus, bool, error)
-}
-
-// localTransport calls replicas' serve.Server methods directly,
-// consulting the fault injector at the boundaries a real network would
-// have. Each hook is consumed by exactly one call stream, so a plan
-// like "rpc-drop:first=3" keeps its meaning regardless of how often
-// clients poll or the monitor ticks:
+// localTransport is the coordinator's view of a replica: it calls the
+// replicas' serve.Server methods directly, consulting the fault injector
+// at the boundaries a network would have, so coordinator logic is
+// exercised against the failure surface of a networked fleet. Each hook
+// is consumed by exactly one call stream, so a plan like
+// "rpc-drop:first=3" keeps its meaning regardless of how often clients
+// poll or the monitor ticks:
 //
 //   - heartbeat-delay fires on Ping only and fails that probe — to a
 //     deadline-based prober a delayed heartbeat and a lost one are
@@ -64,6 +48,8 @@ type localTransport struct {
 	c *Cluster
 }
 
+// Ping probes liveness and readiness. An error counts as a missed
+// heartbeat.
 func (t *localTransport) Ping(ctx context.Context, name string) error {
 	if t.c.cfg.Faults.Fire(faults.HeartbeatDelay) {
 		t.c.counter("fleet.faults.heartbeat_delay").Add(1)
@@ -79,6 +65,10 @@ func (t *localTransport) Ping(ctx context.Context, name string) error {
 	return nil
 }
 
+// Submit dispatches a job spec to a replica under a fleet-assigned id.
+// serve.ErrBusy means the replica's queue bound rejected it
+// (backpressure, not failure); ErrUnreachable means it was never
+// delivered; ErrAmbiguous means it may or may not have landed.
 func (t *localTransport) Submit(ctx context.Context, name, id string, spec []byte) (serve.JobStatus, error) {
 	if t.c.cfg.Faults.Fire(faults.RPCDrop) {
 		t.c.counter("fleet.faults.rpc_drop").Add(1)
@@ -100,6 +90,7 @@ func (t *localTransport) Submit(ctx context.Context, name, id string, spec []byt
 	return st, nil
 }
 
+// Status fetches one job's status from a replica.
 func (t *localTransport) Status(ctx context.Context, name, id string) (serve.JobStatus, bool, error) {
 	srv := t.c.liveServer(name)
 	if srv == nil {
