@@ -10,9 +10,9 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 vet lint lint-new lint-fix-report cover build test race serve-e2e fleet-e2e load-e2e journal-e2e bench bench-gate bench-check fuzz help
+.PHONY: tier1 vet lint lint-new lint-fix-report cover build test race serve-e2e fleet-e2e load-e2e journal-e2e bench-check fuzz help
 
-tier1: lint cover build test race serve-e2e fleet-e2e load-e2e journal-e2e bench-gate bench-check
+tier1: lint cover build test race serve-e2e fleet-e2e load-e2e journal-e2e bench-check
 
 vet:
 	$(GO) vet ./...
@@ -104,36 +104,6 @@ journal-e2e:
 	$(GO) test -run 'TestCompaction|TestScrub|TestCorruptSnapshot|TestOversizedRecordReplay|TestSpoolCLI|TestStealFrom|TestLiveCompact' -count=1 -v ./internal/serve/
 	$(GO) test -run 'TestStealFromCompactedReplica' -count=1 -v ./internal/fleet/
 
-# Parallel STA / concurrent-trial / group-commit / journal-replay
-# benchmarks, recorded as benchstat-style records in BENCH_pr10.json
-# (cmd/benchjson converts the bench text, derives per-group speedups
-# against the j=1 serial baseline, and collects the OBSMETRIC gauges —
-# cache hit rate, move accept rate, group-commit fsyncs per line — the
-# benchmarks log from their untimed regions). `make bench-gate` diffs it
-# against the committed BENCH_pr7.json and BENCH_pr9.json.
-bench:
-	$(GO) test -run '^$$' -bench 'Parallel' -benchmem -count=1 . | $(GO) run ./cmd/benchjson > BENCH_pr10.json
-
-# Deterministic regression gate over the committed benchmark snapshots.
-# First compare: the flat-kernel PR's headline claims stay enforced against
-# the PR 7 baseline — cold serial STA at least 1.5x faster and 4x fewer
-# allocations, warm serial STA allocation-free (<=64 allocs/op absorbs
-# one-time pool warm-up inside the first measured iterations). Second
-# compare: the checksummed-journal claim against the PR 9 baseline — the
-# CRC32C frame the append path now pays costs at most 1.15x on the
-# fsync-per-line batch=1 path (the loosened default thresholds absorb
-# fsync-bound run-to-run noise on the batched variants; the explicit
-# require carries the claim). Runs offline on the JSON files, so it is
-# part of tier1.
-bench-gate:
-	$(GO) run ./cmd/benchjson -compare \
-		-require 'BenchmarkSTAAnalyzeParallel/cold/j=1:ns<=0.667x,allocs<=0.25x' \
-		-require 'BenchmarkSTAAnalyzeParallel/warm/j=1:allocs<=64' \
-		BENCH_pr7.json BENCH_pr10.json
-	$(GO) run ./cmd/benchjson -compare -max-ns-regress 1.5 -max-alloc-regress 4.0 \
-		-require 'BenchmarkGroupCommitParallel/batch=1:ns<=1.15x' \
-		BENCH_pr9.json BENCH_pr10.json
-
 # The pipeline benchmark (bench/) is its own Go module, so the root
 # `go build ./...` never compiles it, yet it calls the flow entry points
 # (NewMoveScorer, Gain, BuildDataset, RunFlows). Vet and test it against
@@ -159,7 +129,5 @@ help:
 	@echo "fleet-e2e        skewfleet failover end-to-end (replica kill -> journal steal, partitions)"
 	@echo "load-e2e         skewload load/durability end-to-end (group commit vs per-line fsync)"
 	@echo "journal-e2e      storage-fault end-to-end (compaction crash boundaries, disk-fault matrix, scrub)"
-	@echo "bench            parallel STA + group-commit + journal-replay benchmarks -> BENCH_pr10.json"
-	@echo "bench-gate       compare BENCH_pr7/pr9 vs BENCH_pr10 (regressions + kernel + checksum-cost targets)"
 	@echo "bench-check      vet + test + skewlint the bench/ pipeline-benchmark module"
 	@echo "fuzz             30s fuzz of the design reader"

@@ -350,13 +350,11 @@ func BenchmarkSTAAnalyzeParallel(b *testing.B) {
 					tm.Analyze(d.Tree).Release()
 				}
 				b.StopTimer()
-				// OBSMETRIC lines ride the bench log into BENCH_*.json via
-				// cmd/benchjson. Cache counters are cumulative on the timer,
-				// so report the delta this sub-benchmark produced.
+				// Cache counters are cumulative on the timer, so report the
+				// hit rate of the lookups this sub-benchmark made.
 				post := tm.CacheStats()
 				if traffic := (post.Hits - pre.Hits) + (post.Misses - pre.Misses); traffic > 0 {
-					b.Logf("OBSMETRIC sta_cache_hit_rate/%s/j=%d=%.4f",
-						mode, j, float64(post.Hits-pre.Hits)/float64(traffic))
+					b.ReportMetric(float64(post.Hits-pre.Hits)/float64(traffic), "hits/lookup")
 				}
 			})
 		}
@@ -405,8 +403,7 @@ func BenchmarkLocalMovesParallel(b *testing.B) {
 			}
 			snap := rec.Snapshot()
 			if tried := snap.Counters["local.moves.tried"]; tried > 0 {
-				b.Logf("OBSMETRIC local_move_accept_rate=%.4f",
-					float64(snap.Counters["local.moves.accepted"])/float64(tried))
+				b.ReportMetric(float64(snap.Counters["local.moves.accepted"])/float64(tried), "accepts/trial")
 			}
 		})
 	}
@@ -702,12 +699,11 @@ func BenchmarkAblationLocalBudget(b *testing.B) {
 // write+fsync amortization: 8*GOMAXPROCS concurrent appenders against one
 // GroupAppender across the batch sweep (fsync blocks in a syscall, so the
 // contention that forms batches needs goroutines, not CPUs). batch=1 is
-// the fsync-per-line baseline skewd shipped with; the OBSMETRIC line
+// the fsync-per-line baseline skewd shipped with; the fsyncs/line metric
 // records how many fsyncs each appended line actually cost. Each
 // iteration checksum-frames its line before appending, exactly as the
-// skewd journal does, so the pr9→pr10 diff of this benchmark bounds what
-// the CRC32C envelope costs on the append path (the bench-gate holds it
-// to <= 1.15x against the unframed pr9 numbers).
+// skewd journal does; atomicio's TestFrameCostOnSyncedAppend bounds what
+// the CRC32C envelope adds to a synced append.
 func BenchmarkGroupCommitParallel(b *testing.B) {
 	payload := []byte(`{"seq":1,"kind":"submit","job":"j000001","spec":{"flow":"local","pairs":40}}`)
 	framed, err := atomicio.EncodeFrame(payload)
@@ -747,8 +743,7 @@ func BenchmarkGroupCommitParallel(b *testing.B) {
 			})
 			b.StopTimer()
 			if lines := g.Lines(); lines > 0 {
-				b.Logf("OBSMETRIC groupcommit_fsyncs_per_line/%s=%.4f",
-					cfg.name, float64(g.Syncs())/float64(lines))
+				b.ReportMetric(float64(g.Syncs())/float64(lines), "fsyncs/line")
 			}
 			if err := g.Close(); err != nil {
 				b.Fatal(err)

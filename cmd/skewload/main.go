@@ -18,7 +18,8 @@
 // After the run every acknowledged job id is fetched back; an acked id
 // the daemon no longer knows is a lost job and exits 1 — the load run
 // doubles as a durability check. Results go to stdout both human-readable
-// and as "OBSMETRIC name=value" lines for cmd/benchjson:
+// and as "OBSMETRIC name=value" lines, which the load-e2e harness
+// (internal/clitest) parses:
 //
 //	OBSMETRIC skewload.jobs_per_sec=412.7
 //	OBSMETRIC skewload.fsyncs_per_job=0.18

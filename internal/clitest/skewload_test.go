@@ -9,8 +9,7 @@ import (
 )
 
 // parseObsmetrics collects every "OBSMETRIC name=value ..." token from a
-// tool's output into one map (values split at the last '=', matching
-// cmd/benchjson).
+// tool's output into one map; a token's value follows its last '='.
 func parseObsmetrics(t *testing.T, out string) map[string]float64 {
 	t.Helper()
 	m := map[string]float64{}

@@ -62,9 +62,8 @@ func TestAnalyzeWarmZeroAllocFourCorners(t *testing.T) {
 // allocation target.
 const coldAllocBudget = 5126
 
-// TestAnalyzeColdAllocBudget enforces coldAllocBudget here and not only in
-// the benchmark gate: building every net view for all corners at once must
-// stay within it.
+// TestAnalyzeColdAllocBudget enforces coldAllocBudget: building every net
+// view for all corners at once must stay within it.
 func TestAnalyzeColdAllocBudget(t *testing.T) {
 	d, tm := buildCase(t, testgen.CLS1v1(140))
 	ft := timerLike(tm, 1)
