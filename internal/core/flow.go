@@ -283,10 +283,12 @@ func RunFlows(ctx context.Context, tm *sta.Timer, ch *lut.Char, d *ctree.Design,
 		lcfg.Obs = cfg.Obs
 	}
 
-	// runLocal runs one local stage with mid-stage checkpointing and resume,
-	// reporting the last completed iteration for the cancellation save.
-	runLocal := func(stage string, base *ctree.Design) (lres *LocalResult, lastIter int, err error) {
+	// runLocal runs one local stage on base with mid-stage checkpointing
+	// and resume. It returns the stage's tree, if any, and the last
+	// completed iteration for the cancellation save.
+	runLocal := func(stage string, base *ctree.Design, lres **LocalResult) (*ctree.Tree, int, error) {
 		lc := lcfg
+		lastIter := 0
 		userOnIter := lcfg.OnIter
 		lc.OnIter = func(iter int, tree *ctree.Tree) {
 			lastIter = iter
@@ -303,146 +305,106 @@ func RunFlows(ctx context.Context, tm *sta.Timer, ch *lut.Char, d *ctree.Design,
 			lc.StartIter = resumeIter
 			lastIter = resumeIter
 		}
-		err = resilience.Safely(stage+" stage", func() error {
-			var e error
-			lres, e = LocalOpt(ctx, tm, base, alphas, lc)
-			return e
-		})
-		return lres, lastIter, err
+		var err error
+		if *lres, err = LocalOpt(ctx, tm, base, alphas, lc); *lres == nil {
+			return nil, lastIter, err
+		}
+		return (*lres).Tree, lastIter, err
+	}
+
+	// runStage restores a stage from the resume checkpoint, or runs it
+	// and falls back to its input tree in when it fails; then it snapshots
+	// the stage's tree into m and checkpoints the stage as completed. run
+	// returns the tree the stage produced (nil if none) and its last
+	// completed local iteration; keep records the stage's result. A
+	// canceled stage keeps what it produced and returns the cancellation,
+	// on which the flow stops.
+	runStage := func(stage string, in *ctree.Tree, m *Metrics, run func() (*ctree.Tree, int, error), keep func()) (*ctree.Tree, error) {
+		ssp := fsp.StartChild("flow.stage", obs.S("stage", stage))
+		defer ssp.End()
+		out, restored := doneTrees[stage]
+		// A restored global stage reports itself before its snapshot, a
+		// restored local stage after it.
+		if restored && stage == "global" {
+			ssp.Event("flow.stage.restored", obs.S("stage", stage))
+		}
+		if !restored {
+			var tree *ctree.Tree
+			var lastIter int
+			err := resilience.Safely(stage+" stage", func() error {
+				var e error
+				tree, lastIter, e = run()
+				return e
+			})
+			switch {
+			case errors.Is(err, resilience.ErrCanceled):
+				if tree != nil {
+					keep()
+					res.Trees[stage] = tree
+					*m = snap(tree)
+					// The global stage checkpoints only at its end.
+					if stage != "global" {
+						save(stage, lastIter, tree)
+					}
+				}
+				return nil, err
+			case err != nil:
+				rec.Record("stage-fallback")
+				ssp.Event("flow.stage.fallback", obs.S("stage", stage))
+				logf("warning: %s stage failed (%v); keeping its input tree", stage, err)
+				out = in
+			default:
+				keep()
+				out = tree
+			}
+		}
+		res.Trees[stage] = out
+		*m = snap(out)
+		if restored && stage != "global" {
+			ssp.Event("flow.stage.restored", obs.S("stage", stage))
+		}
+		completed = append(completed, stage)
+		save("", 0, nil)
+		return out, nil
 	}
 
 	// Global stage — also the input of global-local.
 	globalTree := d.Tree
 	if want["global"] || want["global-local"] {
-		var ssp *obs.Span
-		if fsp != nil {
-			ssp = fsp.StartChild("flow.stage", obs.S("stage", "global"))
-		}
-		if t, ok := doneTrees["global"]; ok {
-			globalTree = t
-			if ssp != nil {
-				ssp.Event("flow.stage.restored", obs.S("stage", "global"))
+		var gres *GlobalResult
+		run := func() (*ctree.Tree, int, error) {
+			var err error
+			if gres, err = GlobalOpt(ctx, tm, ch, d, alphas, gcfg); gres == nil {
+				return nil, 0, err
 			}
-		} else {
-			var gres *GlobalResult
-			err := resilience.Safely("global stage", func() error {
-				var e error
-				gres, e = GlobalOpt(ctx, tm, ch, d, alphas, gcfg)
-				return e
-			})
-			switch {
-			case errors.Is(err, resilience.ErrCanceled):
-				if gres != nil && gres.Tree != nil {
-					res.GRes = gres
-					res.Trees["global"] = gres.Tree
-					res.Global = snap(gres.Tree)
-				}
-				ssp.End()
-				return finish(err)
-			case err != nil:
-				rec.Record("stage-fallback")
-				if ssp != nil {
-					ssp.Event("flow.stage.fallback", obs.S("stage", "global"))
-				}
-				logf("warning: global stage failed (%v); keeping the unmodified tree", err)
-			default:
-				res.GRes = gres
-				globalTree = gres.Tree
-			}
+			return gres.Tree, 0, err
 		}
-		res.Trees["global"] = globalTree
-		res.Global = snap(globalTree)
-		completed = append(completed, "global")
-		save("", 0, nil)
-		ssp.End()
+		var err error
+		if globalTree, err = runStage("global", d.Tree, &res.Global, run, func() { res.GRes = gres }); err != nil {
+			return finish(err)
+		}
 	}
 
 	// Local alone.
 	if want["local"] {
-		var ssp *obs.Span
-		if fsp != nil {
-			ssp = fsp.StartChild("flow.stage", obs.S("stage", "local"))
+		var lres *LocalResult
+		run := func() (*ctree.Tree, int, error) { return runLocal("local", d, &lres) }
+		if _, err := runStage("local", d.Tree, &res.Local, run, func() { res.LRes = lres }); err != nil {
+			return finish(err)
 		}
-		if t, ok := doneTrees["local"]; ok {
-			res.Trees["local"] = t
-			res.Local = snap(t)
-			if ssp != nil {
-				ssp.Event("flow.stage.restored", obs.S("stage", "local"))
-			}
-		} else {
-			lres, lastIter, err := runLocal("local", d)
-			switch {
-			case errors.Is(err, resilience.ErrCanceled):
-				if lres != nil && lres.Tree != nil {
-					res.LRes = lres
-					res.Trees["local"] = lres.Tree
-					res.Local = snap(lres.Tree)
-					save("local", lastIter, lres.Tree)
-				}
-				ssp.End()
-				return finish(err)
-			case err != nil:
-				rec.Record("stage-fallback")
-				if ssp != nil {
-					ssp.Event("flow.stage.fallback", obs.S("stage", "local"))
-				}
-				logf("warning: local stage failed (%v); keeping the unmodified tree", err)
-				res.Trees["local"] = d.Tree
-				res.Local = snap(d.Tree)
-			default:
-				res.LRes = lres
-				res.Trees["local"] = lres.Tree
-				res.Local = snap(lres.Tree)
-			}
-		}
-		completed = append(completed, "local")
-		save("", 0, nil)
-		ssp.End()
 	}
 
 	// Global then local.
 	if want["global-local"] {
-		var ssp *obs.Span
-		if fsp != nil {
-			ssp = fsp.StartChild("flow.stage", obs.S("stage", "global-local"))
-		}
-		if t, ok := doneTrees["global-local"]; ok {
-			res.Trees["global-local"] = t
-			res.GLocal = snap(t)
-			if ssp != nil {
-				ssp.Event("flow.stage.restored", obs.S("stage", "global-local"))
-			}
-		} else {
+		var glres *LocalResult
+		run := func() (*ctree.Tree, int, error) {
 			dg := d.Clone()
 			dg.Tree = globalTree.Clone()
-			glres, lastIter, err := runLocal("global-local", dg)
-			switch {
-			case errors.Is(err, resilience.ErrCanceled):
-				if glres != nil && glres.Tree != nil {
-					res.GLRes = glres
-					res.Trees["global-local"] = glres.Tree
-					res.GLocal = snap(glres.Tree)
-					save("global-local", lastIter, glres.Tree)
-				}
-				ssp.End()
-				return finish(err)
-			case err != nil:
-				rec.Record("stage-fallback")
-				if ssp != nil {
-					ssp.Event("flow.stage.fallback", obs.S("stage", "global-local"))
-				}
-				logf("warning: global-local stage failed (%v); keeping the global tree", err)
-				res.Trees["global-local"] = globalTree
-				res.GLocal = snap(globalTree)
-			default:
-				res.GLRes = glres
-				res.Trees["global-local"] = glres.Tree
-				res.GLocal = snap(glres.Tree)
-			}
+			return runLocal("global-local", dg, &glres)
 		}
-		completed = append(completed, "global-local")
-		save("", 0, nil)
-		ssp.End()
+		if _, err := runStage("global-local", globalTree, &res.GLocal, run, func() { res.GLRes = glres }); err != nil {
+			return finish(err)
+		}
 	}
 	return finish(nil)
 }
