@@ -37,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"skewvar/internal/core"
 	"skewvar/internal/exp"
 	"skewvar/internal/faults"
 	"skewvar/internal/obs"
@@ -80,7 +79,13 @@ func main() {
 	}
 
 	tech, ch := exp.Technology()
-	model := loadModel(*modelPath)
+	if *modelPath == "" {
+		fmt.Fprintln(os.Stderr, "skewd: no -model given; training a quick ridge predictor")
+	}
+	model, err := exp.StageModel(context.Background(), *modelPath)
+	if err != nil {
+		fatalf("%v", err)
+	}
 
 	rec := obs.New()
 	s, err := serve.New(serve.Config{
@@ -139,30 +144,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "skewd: drain did not settle; unfinished jobs remain journaled for the next start")
 		os.Exit(exitUnsettled)
 	}
-}
-
-func loadModel(path string) *core.MLStageModel {
-	if path == "" {
-		fmt.Fprintln(os.Stderr, "skewd: no -model given; training a quick ridge predictor")
-		t, _ := exp.Technology()
-		m, err := core.TrainStageModel(context.Background(), t, core.TrainConfig{
-			Kind: "ridge", Cases: 12, MovesPerCase: 12, Seed: 1,
-		})
-		if err != nil {
-			fatalf("quick training: %v", err)
-		}
-		return m
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		fatalf("opening %s: %v", path, err)
-	}
-	defer f.Close()
-	m, err := core.LoadStageModel(f)
-	if err != nil {
-		fatalf("loading model: %v", err)
-	}
-	return m
 }
 
 func fatalf(format string, args ...interface{}) {

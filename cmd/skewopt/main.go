@@ -116,7 +116,13 @@ func main() {
 
 	d, tm := loadDesign(*designPath, *caseName, *ffs)
 	_, ch := exp.Technology()
-	model := loadModel(ctx, *modelPath)
+	if *modelPath == "" {
+		fmt.Fprintln(os.Stderr, "skewopt: no -model given; training a quick ridge predictor")
+	}
+	model, err := exp.StageModel(ctx, *modelPath)
+	if err != nil {
+		fatalf("%v", err)
+	}
 
 	var cp *core.Checkpoint
 	if *resume {
@@ -287,30 +293,6 @@ func loadDesign(path, caseName string, ffs int) (*ctree.Design, *sta.Timer) {
 		fatalf("building %s: %v", v.Name, err)
 	}
 	return d, tm
-}
-
-func loadModel(ctx context.Context, path string) *core.MLStageModel {
-	if path == "" {
-		fmt.Fprintln(os.Stderr, "skewopt: no -model given; training a quick ridge predictor")
-		t, _ := exp.Technology()
-		m, err := core.TrainStageModel(ctx, t, core.TrainConfig{
-			Kind: "ridge", Cases: 12, MovesPerCase: 12, Seed: 1,
-		})
-		if err != nil {
-			fatalf("quick training: %v", err)
-		}
-		return m
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		fatalf("opening %s: %v", path, err)
-	}
-	defer f.Close()
-	m, err := core.LoadStageModel(f)
-	if err != nil {
-		fatalf("loading model: %v", err)
-	}
-	return m
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -15,6 +15,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"os"
 	"sync"
 
 	"skewvar/internal/core"
@@ -89,6 +90,32 @@ func Technology() (*tech.Tech, *lut.Char) {
 		charInst = lut.Characterize(techInst)
 	})
 	return techInst, charInst
+}
+
+// StageModel returns the stage model the commands' -model flag names: the
+// bundle at path, or, for an empty path, a quick ridge predictor trained
+// on the spot (12 cases × 12 moves, seed 1).
+func StageModel(ctx context.Context, path string) (*core.MLStageModel, error) {
+	if path == "" {
+		t, _ := Technology()
+		m, err := core.TrainStageModel(ctx, t, core.TrainConfig{
+			Kind: "ridge", Cases: 12, MovesPerCase: 12, Seed: 1,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("quick training: %w", err)
+		}
+		return m, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("opening %s: %w", path, err)
+	}
+	defer f.Close()
+	m, err := core.LoadStageModel(f)
+	if err != nil {
+		return nil, fmt.Errorf("loading model: %w", err)
+	}
+	return m, nil
 }
 
 // Env is one built benchmark testcase.

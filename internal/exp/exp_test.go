@@ -1,6 +1,11 @@
 package exp
 
 import (
+	"context"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -220,5 +225,27 @@ func TestBalancingStudy(t *testing.T) {
 	}
 	if strings.Count(out, "start point") != 3 {
 		t.Fatalf("selection markers missing:\n%s", out)
+	}
+}
+
+// TestStageModelErrors pins the error texts the commands print for each
+// way the -model fallback can fail.
+func TestStageModelErrors(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := StageModel(ctx, ""); err == nil || !strings.HasPrefix(err.Error(), "quick training: ") {
+		t.Errorf("canceled quick training: err = %v", err)
+	}
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	if _, err := StageModel(context.Background(), missing); err == nil ||
+		!strings.HasPrefix(err.Error(), "opening "+missing+": ") || !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing bundle: err = %v", err)
+	}
+	garbage := filepath.Join(t.TempDir(), "garbage.json")
+	if err := os.WriteFile(garbage, []byte("not a model"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := StageModel(context.Background(), garbage); err == nil || !strings.HasPrefix(err.Error(), "loading model: ") {
+		t.Errorf("garbage bundle: err = %v", err)
 	}
 }
