@@ -38,7 +38,6 @@ type LocalConfig struct {
 	TopPairs int  // pairs in the objective (0 = all design pairs)
 	MaxMoves int  // enumeration cap per iteration (default 4000)
 	Random   bool // random-move baseline (Figure 8's comparison)
-	FullSTA  bool // force full re-analysis for every golden trial (default: incremental timing)
 	Seed     int64
 
 	// Workers bounds the concurrency of candidate-move trials and predictor
@@ -241,12 +240,7 @@ func LocalOpt(ctx context.Context, tm *sta.Timer, d *ctree.Design, alphas []floa
 					if t2.Validate() != nil {
 						return nil
 					}
-					var a2 *sta.Analysis
-					if cfg.FullSTA {
-						a2 = tm.Analyze(t2)
-					} else {
-						a2 = tm.AnalyzeIncremental(t2, a, moveDirty(cands[i].move))
-					}
+					a2 := tm.AnalyzeIncremental(t2, a, moveDirty(cands[i].move))
 					v2 := sta.SumVariation(a2, alphas, pairs)
 					if nanDelay[i] {
 						v2 = math.NaN() // injected timer corruption
