@@ -716,13 +716,9 @@ func (s *solver) refactor() bool {
 	for i := 0; i < m; i++ {
 		copy(s.binv[i], a[i][m:])
 	}
-	// Recompute basic values: x_B = B⁻¹(b − N·x_N). We reconstruct b−N·x_N
-	// from the stored columns.
+	// Recompute the basic values as x_B = B⁻¹(b − N·x_N) from the cached
+	// right-hand side b.
 	rhs := make([]float64, m)
-	// b is implicit: rows were normalized to A·x + s (+a) = b, and slack
-	// columns are identity, so recover b from the original construction:
-	// here we instead recompute residual = Σ_basic A_B x_B must equal it;
-	// simpler: keep running xB by solving B x_B = b − N x_N with b cached.
 	copy(rhs, s.rhsCache)
 	for j := 0; j < s.n; j++ {
 		if s.rowOf[j] >= 0 || s.xN[j] == 0 {
