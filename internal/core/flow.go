@@ -313,12 +313,12 @@ func RunFlows(ctx context.Context, tm *sta.Timer, ch *lut.Char, d *ctree.Design,
 	}
 
 	// runStage restores a stage from the resume checkpoint, or runs it
-	// and falls back to its input tree in when it fails; then it snapshots
-	// the stage's tree into m and checkpoints the stage as completed. run
-	// returns the tree the stage produced (nil if none) and its last
-	// completed local iteration; keep records the stage's result. A
-	// canceled stage keeps what it produced and returns the cancellation,
-	// on which the flow stops.
+	// and, if it fails, falls back to in, the stage's input tree; then it
+	// snapshots the stage's tree into m and checkpoints the stage as
+	// completed. run returns the tree the stage produced (nil if none) and
+	// its last completed local iteration; keep records the stage's result.
+	// A canceled stage keeps what it produced and returns the
+	// cancellation, on which the flow stops.
 	runStage := func(stage string, in *ctree.Tree, m *Metrics, run func() (*ctree.Tree, int, error), keep func()) (*ctree.Tree, error) {
 		ssp := fsp.StartChild("flow.stage", obs.S("stage", stage))
 		defer ssp.End()
