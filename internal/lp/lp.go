@@ -1,12 +1,20 @@
 // Package lp is a self-contained linear-programming solver: a two-phase
-// bounded-variable revised simplex with a dense, explicitly maintained basis
+// bounded-variable revised simplex with an explicitly maintained basis
 // inverse, sparse constraint columns, Dantzig pricing with a Bland
 // anti-cycling fallback, and periodic refactorization.
 //
 // The paper solves its global skew-variation LP (Eqs. (4)–(11)) with a
-// commercial solver; this package fills that role. Problem sizes in this
-// reproduction stay in the low thousands of rows, where a dense basis
-// inverse (O(m²) per iteration) is comfortably fast in pure Go.
+// commercial solver; this package fills that role. B⁻¹ is stored dense and
+// column-major in one flat slice, but a pivot touches only nonzeros: the
+// inverse update walks the nonzero entries of the pivot row and of the
+// entering column, the reduced-cost update walks the constraint rows where
+// the pivot row is nonzero, and the Gauss–Jordan refactorization
+// eliminates over the pivot row's nonzero columns. The pivot row of B⁻¹ is
+// about 10% nonzero on the global stage's LPs (docs/SOLVER.md), so a pivot
+// costs far less than the O(m²) of a dense sweep; refactorization and the
+// storage stay O(m²). Each value that is computed comes from the same
+// floating-point operations, in the same order, as in a dense sweep, so
+// Solve's results are bit for bit those of the dense solver (see iterate).
 package lp
 
 import (
@@ -114,9 +122,11 @@ func (p *Problem) NumVars() int { return len(p.lo) }
 func (p *Problem) NumRows() int { return len(p.rowSense) }
 
 // AddConstraint adds Σ coef[i]·x[idx[i]] (sense) rhs and returns the row
-// index. Duplicate variable indices within one row are summed. Invalid rows
-// (length mismatch, unknown variable, NaN coefficient or RHS) record a sticky
-// error reported by Err/Solve and are dropped; the returned index is -1.
+// index. Duplicate variable indices within one row are summed, in input
+// order, and a variable whose coefficients sum to exactly zero is left out
+// of the row. Invalid rows (length mismatch, unknown variable, NaN
+// coefficient or RHS) record a sticky error reported by Err/Solve and are
+// dropped; the returned index is -1.
 func (p *Problem) AddConstraint(sense Sense, rhs float64, idx []int, coef []float64) int {
 	if len(idx) != len(coef) {
 		p.fail("lp: row %d: index/coefficient length mismatch (%d vs %d)", len(p.rowSense), len(idx), len(coef))
@@ -126,7 +136,6 @@ func (p *Problem) AddConstraint(sense Sense, rhs float64, idx []int, coef []floa
 		p.fail("lp: row %d has NaN right-hand side", len(p.rowSense))
 		return -1
 	}
-	merged := map[int]float64{}
 	for i, v := range idx {
 		if v < 0 || v >= len(p.lo) {
 			p.fail("lp: row %d references unknown variable %d", len(p.rowSense), v)
@@ -136,17 +145,27 @@ func (p *Problem) AddConstraint(sense Sense, rhs float64, idx []int, coef []floa
 			p.fail("lp: row %d has NaN coefficient for variable %d", len(p.rowSense), v)
 			return -1
 		}
-		merged[v] += coef[i]
 	}
+	// Order the positions by variable, stably, so each variable's
+	// coefficients are summed in input order. An exact-zero sum is dropped:
+	// the solver would only ever add products with it.
+	pos := make([]int, len(idx))
+	for i := range pos {
+		pos[i] = i
+	}
+	sort.SliceStable(pos, func(a, b int) bool { return idx[pos[a]] < idx[pos[b]] })
 	var mi []int
 	var mc []float64
-	for v := range merged {
-		mi = append(mi, v)
-	}
-	// Deterministic column order regardless of map iteration.
-	sort.Ints(mi)
-	for _, v := range mi {
-		mc = append(mc, merged[v])
+	for k := 0; k < len(pos); {
+		v := idx[pos[k]]
+		var sum float64
+		for ; k < len(pos) && idx[pos[k]] == v; k++ {
+			sum += coef[pos[k]]
+		}
+		if sum != 0 {
+			mi = append(mi, v)
+			mc = append(mc, sum)
+		}
 	}
 	p.rowSense = append(p.rowSense, sense)
 	p.rowRHS = append(p.rowRHS, rhs)
@@ -191,15 +210,32 @@ type solver struct {
 	cost2   []float64 // phase-2 objective
 	lo, hi  []float64
 
+	// The structural entries of each row (the Problem's, read-only) and
+	// the row's artificial variable, or -1. Each row also has the unit
+	// slack nStruct+r.
+	rowIdx  [][]int
+	rowCoef [][]float64
+	artOf   []int
+
 	basis   []int  // row → variable
 	rowOf   []int  // variable → row, or -1
 	atUpper []bool // nonbasic rest position
 	xN      []float64
 	xB      []float64
-	binv    [][]float64
+	binv    []float64 // B⁻¹, column-major: binv[i*m+r] = (B⁻¹)ᵣᵢ
 
 	rhsCache []float64 // original constraint RHS b
 	d        []float64 // reduced costs of all variables (0 for basic)
+
+	// Per-pivot scratch: the entering column w = B⁻¹·A_q and the old pivot
+	// row of B⁻¹, with their nonzero positions; ρ accumulators per variable.
+	w, pivRow  []float64
+	nzW, nzRow []int
+	rho        []float64
+	rhoSeen    []bool
+	rhoVars    []int
+	// The [B | I] rows of refactor, allocated at the first one.
+	gj [][]float64
 
 	iters, maxIters int
 	sinceRefactor   int
@@ -231,6 +267,8 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 		m:        m,
 		nStruct:  nS,
 		maxIters: opt.MaxIters,
+		rowIdx:   p.rowIdx,
+		rowCoef:  p.rowCoef,
 	}
 	// Build columns: structural vars from rows.
 	s.cols = make([]col, nS, nS+2*m)
@@ -285,9 +323,11 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 	}
 	s.basis = make([]int, m)
 	s.xB = make([]float64, m)
+	s.artOf = make([]int, m)
 	needPhase1 := false
 	for r := 0; r < m; r++ {
 		sj := nS + r // slack index
+		s.artOf[r] = -1
 		if resid[r] >= s.lo[sj]-feasTol && resid[r] <= s.hi[sj]+feasTol {
 			s.basis[r] = sj
 			s.xB[r] = resid[r]
@@ -313,6 +353,7 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 		s.rowOf = append(s.rowOf, -1)
 		s.xN = append(s.xN, 0)
 		s.atUpper = append(s.atUpper, false)
+		s.artOf[r] = ai
 		s.basis[r] = ai
 		s.xB[r] = av
 	}
@@ -320,7 +361,16 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 	for r, v := range s.basis {
 		s.rowOf[v] = r
 	}
-	s.binv = identity(m)
+	s.binv = make([]float64, m*m)
+	for i := 0; i < m; i++ {
+		s.binv[i*m+i] = 1
+	}
+	s.w = make([]float64, m)
+	s.pivRow = make([]float64, m)
+	s.nzW = make([]int, 0, m)
+	s.nzRow = make([]int, 0, m)
+	s.rho = make([]float64, s.n)
+	s.rhoSeen = make([]bool, s.n)
 
 	sol := &Solution{}
 	if needPhase1 {
@@ -403,15 +453,6 @@ func restValue(lo, hi float64) float64 {
 	}
 }
 
-func identity(m int) [][]float64 {
-	b := make([][]float64, m)
-	for i := range b {
-		b[i] = make([]float64, m)
-		b[i][i] = 1
-	}
-	return b
-}
-
 // objective returns the current active-cost objective value.
 func (s *solver) objective() float64 {
 	var o float64
@@ -433,16 +474,23 @@ func (s *solver) recomputeReducedCosts() {
 	if len(s.d) < s.n {
 		s.d = make([]float64, s.n)
 	}
-	y := make([]float64, s.m)
+	m := s.m
+	// y_i = Σ_r c_B,r·(B⁻¹)ᵣᵢ over ascending r with c_B,r ≠ 0, one column of
+	// B⁻¹ at a time: the terms, and the order, of a sweep over B⁻¹'s rows.
+	rows := make([]int, 0, m)
 	for r, v := range s.basis {
-		cv := s.cost[v]
-		if cv == 0 {
-			continue
+		if s.cost[v] != 0 {
+			rows = append(rows, r)
 		}
-		row := s.binv[r]
-		for i := 0; i < s.m; i++ {
-			y[i] += cv * row[i]
+	}
+	y := make([]float64, m)
+	for i := range y {
+		bc := s.binv[i*m : i*m+m]
+		var v float64
+		for _, r := range rows {
+			v += s.cost[s.basis[r]] * bc[r]
 		}
+		y[i] = v
 	}
 	for j := 0; j < s.n; j++ {
 		if s.rowOf[j] >= 0 {
@@ -460,13 +508,22 @@ func (s *solver) recomputeReducedCosts() {
 
 // iterate runs simplex pivots until optimality/unboundedness/limit.
 // Reduced costs are maintained incrementally across pivots (one sparse
-// matrix-row product per pivot) rather than recomputed from duals, which
-// keeps the per-iteration cost at O(m²) for the basis-inverse update.
+// matrix-row product per pivot) rather than recomputed from duals.
+//
+// The basis-inverse update, the reduced-cost update and the refactorization
+// skip every operation whose operand is an exact zero; each value they do
+// compute comes from the same operations, in the same order, as a dense
+// sweep's. With finite values a skipped x −= f·0 or Σ += a·0 can change at
+// most the sign of a zero, and no result reads one: the solver divides only
+// by |w_r| > pivTol, by w_leave and by Gauss–Jordan pivots ≥ 1e-12, tests
+// values against zero only with ==, != or a tolerance, and every sum that
+// feeds x_B, w, y or ρ starts at +0, which round-to-nearest never turns
+// into −0. reference_test.go holds Solve to the dense solver bit for bit.
 func (s *solver) iterate() Status {
 	stall := 0
 	lastObj := math.Inf(1)
-	w := make([]float64, s.m)
-	oldRow := make([]float64, s.m)
+	m := s.m
+	w := s.w
 	s.recomputeReducedCosts()
 	blandActive := false
 	for {
@@ -484,15 +541,13 @@ func (s *solver) iterate() Status {
 		if enter < 0 {
 			return Optimal
 		}
-		// w = B⁻¹ · A_enter.
-		for i := 0; i < s.m; i++ {
-			w[i] = 0
-		}
+		// w = B⁻¹ · A_enter, one contiguous column of B⁻¹ per entry.
+		clear(w)
 		c := &s.cols[enter]
 		for t, r := range c.idx {
 			av := c.val[t]
-			for i := 0; i < s.m; i++ {
-				w[i] += s.binv[i][r] * av
+			for i, b := range s.binv[r*m : r*m+m] {
+				w[i] += b * av
 			}
 		}
 		// Ratio test: entering moves by Δ·dir from its rest value; basic r
@@ -510,7 +565,7 @@ func (s *solver) iterate() Status {
 		leave := -1
 		leaveAtUpper := false
 		const pivTol = 1e-9
-		for r := 0; r < s.m; r++ {
+		for r := 0; r < m; r++ {
 			rate := -float64(dir) * w[r]
 			if rate > pivTol { // basic increases toward hi
 				v := s.basis[r]
@@ -538,7 +593,7 @@ func (s *solver) iterate() Status {
 		}
 		delta := float64(dir) * limit
 		// Apply movement to basics.
-		for r := 0; r < s.m; r++ {
+		for r := 0; r < m; r++ {
 			s.xB[r] -= delta * w[r]
 		}
 		if leave == -1 {
@@ -565,21 +620,9 @@ func (s *solver) iterate() Status {
 			// γ = d_q/w_r and ρ_j = (old B⁻¹ row r)·A_j. The departing
 			// variable lands at d = −γ automatically (ρ_lv = 1).
 			gamma := s.d[enter] / w[leave]
-			copy(oldRow, s.binv[leave])
+			s.gatherPivotRow(leave)
 			if gamma != 0 {
-				for j := 0; j < s.n; j++ {
-					if s.rowOf[j] >= 0 {
-						continue
-					}
-					c := &s.cols[j]
-					var rho float64
-					for t, r := range c.idx {
-						rho += oldRow[r] * c.val[t]
-					}
-					if rho != 0 {
-						s.d[j] -= gamma * rho
-					}
-				}
+				s.updateReducedCosts(gamma)
 			} else {
 				s.d[lv] = 0
 			}
@@ -617,13 +660,10 @@ func (s *solver) price(bland bool) (enter, dir int) {
 			continue
 		}
 		d := s.d[j]
-		canUp := !s.atUpper[j] || math.IsInf(s.hi[j], 1)
-		canDown := s.atUpper[j] || math.IsInf(s.lo[j], -1)
 		// At a finite lower bound the variable may only increase; at a
 		// finite upper bound only decrease; free nonbasics may do either.
-		if s.rowOf[j] == -1 && !s.atUpper[j] && math.IsInf(s.lo[j], -1) && s.xN[j] == 0 {
-			canUp, canDown = true, true
-		}
+		canUp := !s.atUpper[j] || math.IsInf(s.hi[j], 1)
+		canDown := s.atUpper[j] || math.IsInf(s.lo[j], -1)
 		var score float64
 		var d2 int
 		if d < -optTol && canUp {
@@ -643,26 +683,80 @@ func (s *solver) price(bland bool) (enter, dir int) {
 	return enter, dir
 }
 
-// updateBinv applies the elementary pivot transform for the basis change in
-// row `leave`, where w = B⁻¹·A_enter.
-func (s *solver) updateBinv(leave int, w []float64) {
-	piv := w[leave]
-	inv := 1 / piv
-	rowL := s.binv[leave]
-	for i := 0; i < s.m; i++ {
-		rowL[i] *= inv
+// gatherPivotRow copies row leave of B⁻¹, before the basis change, into
+// s.pivRow and lists its nonzero columns, ascending, in s.nzRow.
+func (s *solver) gatherPivotRow(leave int) {
+	m := s.m
+	nz := s.nzRow[:0]
+	for i := 0; i < m; i++ {
+		v := s.binv[i*m+leave]
+		s.pivRow[i] = v
+		if v != 0 {
+			nz = append(nz, i)
+		}
 	}
-	for r := 0; r < s.m; r++ {
-		if r == leave {
+	s.nzRow = nz
+}
+
+// updateReducedCosts applies d_j −= γ·ρ_j to every nonbasic j with ρ_j ≠ 0,
+// where ρ_j = (old B⁻¹ row leave)·A_j. It accumulates ρ row by row over the
+// rows of A where that pivot row is nonzero: a row's structural entries,
+// its unit slack and its artificial, if any. A column lists its rows in
+// ascending order and the walk visits rows in ascending order, so each ρ_j
+// sums the nonzero terms of the column-wise dot product in its order.
+func (s *solver) updateReducedCosts(gamma float64) {
+	vars := s.rhoVars[:0]
+	add := func(j int, v float64) {
+		if !s.rhoSeen[j] {
+			s.rhoSeen[j] = true
+			vars = append(vars, j)
+		}
+		s.rho[j] += v
+	}
+	for _, r := range s.nzRow {
+		pr := s.pivRow[r]
+		coef := s.rowCoef[r]
+		for t, j := range s.rowIdx[r] {
+			add(j, pr*coef[t])
+		}
+		add(s.nStruct+r, pr*1) // the unit slack
+		if a := s.artOf[r]; a >= 0 {
+			add(a, pr*1) // the artificial, also +1
+		}
+	}
+	for _, j := range vars {
+		rho := s.rho[j]
+		s.rho[j], s.rhoSeen[j] = 0, false
+		if s.rowOf[j] < 0 && rho != 0 {
+			s.d[j] -= gamma * rho
+		}
+	}
+	s.rhoVars = vars
+}
+
+// updateBinv applies the elementary pivot transform for the basis change in
+// row leave, where w = B⁻¹·A_enter and s.pivRow holds the old row leave.
+// Only the columns where that row is nonzero change, and in each only the
+// rows where w is nonzero: (B⁻¹)ᵣᵢ −= w_r·l with l = (B⁻¹)_leave,i·(1/w_leave).
+func (s *solver) updateBinv(leave int, w []float64) {
+	m := s.m
+	inv := 1 / w[leave]
+	nzW := s.nzW[:0]
+	for r, f := range w {
+		if f != 0 && r != leave {
+			nzW = append(nzW, r)
+		}
+	}
+	s.nzW = nzW
+	for _, i := range s.nzRow {
+		bc := s.binv[i*m : i*m+m]
+		l := s.pivRow[i] * inv
+		bc[leave] = l
+		if l == 0 {
 			continue
 		}
-		f := w[r]
-		if f == 0 {
-			continue
-		}
-		row := s.binv[r]
-		for i := 0; i < s.m; i++ {
-			row[i] -= f * rowL[i]
+		for _, r := range nzW {
+			bc[r] -= w[r] * l
 		}
 	}
 }
@@ -672,10 +766,17 @@ func (s *solver) updateBinv(leave int, w []float64) {
 func (s *solver) refactor() bool {
 	s.refactors++
 	m := s.m
-	// Assemble B.
-	a := make([][]float64, m)
+	// Assemble [B | I] in the scratch rows, allocated once per solve.
+	if s.gj == nil {
+		buf := make([]float64, 2*m*m)
+		s.gj = make([][]float64, m)
+		for i := range s.gj {
+			s.gj[i] = buf[2*m*i : 2*m*(i+1) : 2*m*(i+1)]
+		}
+	}
+	a := s.gj
 	for i := range a {
-		a[i] = make([]float64, 2*m)
+		clear(a[i])
 		a[i][m+i] = 1
 	}
 	for r, v := range s.basis {
@@ -684,7 +785,9 @@ func (s *solver) refactor() bool {
 			a[ri][r] = c.val[t]
 		}
 	}
-	// Gauss-Jordan with partial pivoting.
+	// Gauss-Jordan with partial pivoting, eliminating over the nonzero
+	// columns of the scaled pivot row only.
+	nz := make([]int, 0, 2*m)
 	for colI := 0; colI < m; colI++ {
 		piv := colI
 		for r := colI + 1; r < m; r++ {
@@ -696,28 +799,32 @@ func (s *solver) refactor() bool {
 			return false
 		}
 		a[colI], a[piv] = a[piv], a[colI]
-		inv := 1 / a[colI][colI]
+		prow := a[colI]
+		inv := 1 / prow[colI]
+		nz = nz[:0]
 		for cc := colI; cc < 2*m; cc++ {
-			a[colI][cc] *= inv
+			if prow[cc] != 0 {
+				prow[cc] *= inv
+				nz = append(nz, cc)
+			}
 		}
 		for r := 0; r < m; r++ {
 			if r == colI {
 				continue
 			}
-			f := a[r][colI]
+			row := a[r]
+			f := row[colI]
 			if f == 0 {
 				continue
 			}
-			for cc := colI; cc < 2*m; cc++ {
-				a[r][cc] -= f * a[colI][cc]
+			for _, cc := range nz {
+				row[cc] -= f * prow[cc]
 			}
 		}
 	}
-	for i := 0; i < m; i++ {
-		copy(s.binv[i], a[i][m:])
-	}
 	// Recompute the basic values as x_B = B⁻¹(b − N·x_N) from the cached
-	// right-hand side b.
+	// right-hand side b, reading B⁻¹ from the row-major result before it is
+	// transposed into s.binv.
 	rhs := make([]float64, m)
 	copy(rhs, s.rhsCache)
 	for j := 0; j < s.n; j++ {
@@ -730,10 +837,11 @@ func (s *solver) refactor() bool {
 		}
 	}
 	for r := 0; r < m; r++ {
+		row := a[r][m:]
 		var v float64
-		row := s.binv[r]
-		for i := 0; i < m; i++ {
-			v += row[i] * rhs[i]
+		for i, b := range row {
+			v += b * rhs[i]
+			s.binv[i*m+r] = b
 		}
 		s.xB[r] = v
 	}

@@ -11,7 +11,7 @@ import (
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := p.Solve(Options{})
+	sol, err := solve(t, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestInfeasible(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(0, 1, 1, "x")
 	p.AddConstraint(GE, 5, []int{x}, []float64{1})
-	sol, err := p.Solve(Options{})
+	sol, err := solve(t, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestInfeasibleContradiction(t *testing.T) {
 	y := p.AddVar(-Inf, Inf, 0, "y")
 	p.AddConstraint(EQ, 1, []int{x, y}, []float64{1, 1})
 	p.AddConstraint(EQ, 3, []int{x, y}, []float64{1, 1})
-	sol, _ := p.Solve(Options{})
+	sol, _ := solve(t, p, Options{})
 	if sol.Status != Infeasible {
 		t.Errorf("status = %v", sol.Status)
 	}
@@ -125,7 +125,7 @@ func TestUnbounded(t *testing.T) {
 	x := p.AddVar(0, Inf, -1, "x")
 	y := p.AddVar(0, Inf, 0, "y")
 	p.AddConstraint(LE, 5, []int{y}, []float64{1})
-	sol, _ := p.Solve(Options{})
+	sol, _ := solve(t, p, Options{})
 	_ = x
 	if sol.Status != Unbounded {
 		t.Errorf("status = %v, want unbounded", sol.Status)
@@ -292,40 +292,47 @@ func TestAssignmentLPIsIntegralAndOptimal(t *testing.T) {
 	}
 }
 
+// randomBoundedLP draws an LP with box bounds and random ≤ rows through a
+// known interior point x0, which it returns; the LP is therefore feasible.
+func randomBoundedLP(rng *rand.Rand) (*Problem, []float64) {
+	n := 2 + rng.Intn(8)
+	m := 1 + rng.Intn(10)
+	p := NewProblem()
+	x0 := make([]float64, n)
+	for j := 0; j < n; j++ {
+		lo := rng.Float64()*4 - 2
+		hi := lo + 0.5 + rng.Float64()*4
+		x0[j] = lo + (hi-lo)*rng.Float64()
+		p.AddVar(lo, hi, rng.NormFloat64(), "")
+	}
+	for r := 0; r < m; r++ {
+		var idx []int
+		var coef []float64
+		var lhs float64
+		for j := 0; j < n; j++ {
+			if rng.Float64() < 0.6 {
+				c := rng.NormFloat64()
+				idx = append(idx, j)
+				coef = append(coef, c)
+				lhs += c * x0[j]
+			}
+		}
+		if len(idx) == 0 {
+			continue
+		}
+		p.AddConstraint(LE, lhs+rng.Float64(), idx, coef)
+	}
+	return p, x0
+}
+
 func TestRandomFeasibleBoundedLPs(t *testing.T) {
-	// Random LPs with box bounds and random ≤ rows through a known interior
-	// point (guaranteeing feasibility). The solver must return Optimal with
-	// a feasible X whose objective beats the interior point.
+	// The solver must return Optimal with a feasible X whose objective
+	// beats the interior point.
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(8)
-		m := 1 + rng.Intn(10)
-		p := NewProblem()
-		x0 := make([]float64, n)
-		for j := 0; j < n; j++ {
-			lo := rng.Float64()*4 - 2
-			hi := lo + 0.5 + rng.Float64()*4
-			x0[j] = lo + (hi-lo)*rng.Float64()
-			p.AddVar(lo, hi, rng.NormFloat64(), "")
-		}
-		for r := 0; r < m; r++ {
-			var idx []int
-			var coef []float64
-			var lhs float64
-			for j := 0; j < n; j++ {
-				if rng.Float64() < 0.6 {
-					c := rng.NormFloat64()
-					idx = append(idx, j)
-					coef = append(coef, c)
-					lhs += c * x0[j]
-				}
-			}
-			if len(idx) == 0 {
-				continue
-			}
-			p.AddConstraint(LE, lhs+rng.Float64(), idx, coef)
-		}
-		sol, err := p.Solve(Options{})
+		p, x0 := randomBoundedLP(rng)
+		n := len(x0)
+		sol, err := solve(t, p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +376,7 @@ func TestMediumScalePerformance(t *testing.T) {
 		}
 		p.AddConstraint(LE, lhs+0.1, idx, coef)
 	}
-	sol, err := p.Solve(Options{})
+	sol, err := solve(t, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +424,7 @@ func TestBuildErrorsAreSticky(t *testing.T) {
 			t.Errorf("%s: no build error recorded", tc.name)
 			continue
 		}
-		sol, err := p.Solve(Options{})
+		sol, err := solve(t, p, Options{})
 		if sol != nil || err == nil {
 			t.Errorf("%s: Solve = (%v, %v), want build error", tc.name, sol, err)
 		}
@@ -442,7 +449,7 @@ func TestIterLimitIsTypedSolverError(t *testing.T) {
 	y := p.AddVar(0, Inf, -1, "y")
 	p.AddConstraint(LE, 4, []int{x, y}, []float64{1, 2})
 	p.AddConstraint(LE, 4, []int{x, y}, []float64{2, 1})
-	sol, err := p.Solve(Options{MaxIters: 1})
+	sol, err := solve(t, p, Options{MaxIters: 1})
 	if err == nil {
 		t.Fatal("iteration-limit exhaustion returned nil error")
 	}
@@ -460,5 +467,137 @@ func TestAccessors(t *testing.T) {
 	p.AddConstraint(LE, 1, []int{0}, []float64{1})
 	if p.NumVars() != 1 || p.NumRows() != 1 {
 		t.Errorf("NumVars/NumRows = %d/%d", p.NumVars(), p.NumRows())
+	}
+}
+
+func TestAddConstraintMergesInInputOrderAndDropsZeros(t *testing.T) {
+	p := NewProblem()
+	for j := 0; j < 3; j++ {
+		p.AddVar(0, 1, 0, "")
+	}
+	// Column 1's coefficients sum to 0.1 + 0.2 − 0.3 in input order, which
+	// is not zero in floating point (nor equal to 0.1 + (0.2 − 0.3));
+	// column 0's cancel and column 2's is an explicit zero.
+	a, b, c := 0.1, 0.2, -0.3
+	idx := []int{1, 0, 1, 2, 1, 0}
+	coef := []float64{a, 2, b, 0, c, -2}
+	p.AddConstraint(LE, 1, idx, coef)
+	ref := NewProblem()
+	refAddConstraint(ref, LE, 1, idx, coef)
+
+	want := a + b + c
+	if want == 0 || want == a+(b+c) {
+		t.Fatalf("0.1 + 0.2 − 0.3 = %v does not test the summation order", want)
+	}
+	if len(p.rowIdx[0]) != 1 || p.rowIdx[0][0] != 1 {
+		t.Fatalf("row keeps columns %v, want [1]", p.rowIdx[0])
+	}
+	if got := p.rowCoef[0][0]; math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("merged coefficient %v, want %v", got, want)
+	}
+	// A long row with many duplicates: every column AddConstraint keeps
+	// carries the map merge's bits, and every column it drops sums to
+	// exactly zero there.
+	rng := rand.New(rand.NewSource(5))
+	for k := 0; k < 200; k++ {
+		v := rng.Intn(3)
+		cv := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		idx = append(idx, v, v)
+		coef = append(coef, cv, -cv*float64(rng.Intn(2)))
+	}
+	p.AddConstraint(LE, 1, idx, coef)
+	refAddConstraint(ref, LE, 1, idx, coef)
+	for r := range ref.rowIdx {
+		kept := map[int]float64{}
+		for i, v := range p.rowIdx[r] {
+			kept[v] = p.rowCoef[r][i]
+		}
+		for i, v := range ref.rowIdx[r] {
+			rc := ref.rowCoef[r][i]
+			got, ok := kept[v]
+			switch {
+			case ok && math.Float64bits(got) != math.Float64bits(rc):
+				t.Errorf("row %d column %d: AddConstraint %v, map merge %v", r, v, got, rc)
+			case !ok && rc != 0:
+				t.Errorf("row %d: dropped column %d sums to %v in the map merge", r, v, rc)
+			}
+		}
+	}
+}
+
+// dualOf builds the explicit dual of p = min cᵀx s.t. Ax (≤, ≥, =) b,
+// l ≤ x ≤ u: maximize bᵀy + lᵀp − uᵀq s.t. Aᵀy + p − q = c, with y ≤ 0 on
+// LE rows, y ≥ 0 on GE rows, y free on EQ rows, and one p ≥ 0 (q ≥ 0) per
+// finite lower (upper) bound. As a Problem it minimizes the negated
+// objective.
+func dualOf(p *Problem) *Problem {
+	d := NewProblem()
+	colIdx := make([][]int, p.NumVars())
+	colCoef := make([][]float64, p.NumVars())
+	for r, sense := range p.rowSense {
+		lo, hi := math.Inf(-1), Inf
+		switch sense {
+		case LE:
+			hi = 0
+		case GE:
+			lo = 0
+		}
+		y := d.AddVar(lo, hi, -p.rowRHS[r], "")
+		for i, j := range p.rowIdx[r] {
+			colIdx[j] = append(colIdx[j], y)
+			colCoef[j] = append(colCoef[j], p.rowCoef[r][i])
+		}
+	}
+	for j := range colIdx {
+		if !math.IsInf(p.lo[j], -1) {
+			colIdx[j] = append(colIdx[j], d.AddVar(0, Inf, -p.lo[j], ""))
+			colCoef[j] = append(colCoef[j], 1)
+		}
+		if !math.IsInf(p.hi[j], 1) {
+			colIdx[j] = append(colIdx[j], d.AddVar(0, Inf, p.hi[j], ""))
+			colCoef[j] = append(colCoef[j], -1)
+		}
+		d.AddConstraint(EQ, p.cost[j], colIdx[j], colCoef[j])
+	}
+	return d
+}
+
+// TestStrongDuality checks optimality, not just feasibility: for each
+// optimal LP of the random bounded family and of the mixed family, Solve
+// also solves the explicit dual, and the two objectives meet.
+func TestStrongDuality(t *testing.T) {
+	var lps []*Problem
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		p, _ := randomBoundedLP(rng)
+		lps = append(lps, p)
+	}
+	rng = rand.New(rand.NewSource(43))
+	for trial := 0; trial < 40; trial++ {
+		lps = append(lps, mixedLP(rng, 4+rng.Intn(40), 2+rng.Intn(30)).build(false))
+	}
+	checked := 0
+	for i, p := range lps {
+		sol, err := solve(t, p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != Optimal {
+			continue
+		}
+		dsol, err := solve(t, dualOf(p), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dsol.Status != Optimal {
+			t.Fatalf("LP %d: primal optimal at %v, dual %v", i, sol.Obj, dsol.Status)
+		}
+		if gap := math.Abs(sol.Obj + dsol.Obj); gap > 1e-6*(1+math.Abs(sol.Obj)) {
+			t.Errorf("LP %d: primal %v, dual %v: gap %v", i, sol.Obj, -dsol.Obj, gap)
+		}
+		checked++
+	}
+	if checked < 60 {
+		t.Errorf("only %d of %d LPs were optimal", checked, len(lps))
 	}
 }

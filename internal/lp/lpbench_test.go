@@ -38,6 +38,10 @@ func TestLargeishLPPerf(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("status=%v iters=%d obj=%.3f elapsed=%v", sol.Status, sol.Iterations, sol.Obj, time.Since(t0))
+	ref, refErr := refSolve(p, Options{})
+	if d := solveDiff(sol, err, ref, refErr); d != "" {
+		t.Fatalf("Solve differs from the reference solver: %s", d)
+	}
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
