@@ -144,9 +144,17 @@ func TrainRidge(X [][]float64, y []float64, lambda float64) (*Ridge, error) {
 		t := ys.fwd(y[i])
 		for a := 0; a < p; a++ {
 			aty[a] += f[a] * t
-			for b := 0; b < p; b++ {
-				ata[a][b] += f[a] * f[b]
+			row := ata[a]
+			for b := a; b < p; b++ {
+				row[b] += f[a] * f[b]
 			}
+		}
+	}
+	// ata[b][a] would sum the same products (f[b]·f[a] = f[a]·f[b]) in the
+	// same order as ata[a][b], so the upper triangle is mirrored.
+	for a := 0; a < p; a++ {
+		for b := a + 1; b < p; b++ {
+			ata[b][a] = ata[a][b]
 		}
 	}
 	for a := 1; a < p; a++ { // do not penalize the intercept
