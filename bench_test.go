@@ -465,6 +465,37 @@ func BenchmarkLPSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkGlobalOpt runs the global stage on the job shape of bench/'s
+// global-lp workload: CLS1v1 with 160 flip-flops at testgen's default seed,
+// its top 60 sink pairs in one LP block, and skew targets from sta.Alphas.
+// lp-iters/op is a kept-pass count: it sums LPStat.Iters, which records
+// only the solve each block keeps, not the unrestricted first pass.
+func BenchmarkGlobalOpt(b *testing.B) {
+	base, ch := exp.Technology()
+	d, tm, err := testgen.Build(base, testgen.CLS1v1(160))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tm.Workers = 1
+	pairs := d.TopPairs(60)
+	a := tm.Analyze(d.Tree)
+	alphas := sta.Alphas(a, pairs)
+	a.Release()
+	cfg := core.GlobalConfig{TopPairs: 60, MaxPairsPerLP: 60}
+	iters := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.GlobalOpt(context.Background(), tm, ch, d, alphas, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, st := range res.LPStats {
+			iters += st.Iters
+		}
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "lp-iters/op")
+}
+
 func BenchmarkMoveEnumeration(b *testing.B) {
 	base, _ := exp.Technology()
 	d, _, err := testgen.Build(base, testgen.CLS1v1(280))
