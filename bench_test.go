@@ -459,7 +459,7 @@ func BenchmarkLPSolve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sol, err := probs[i].Solve(lp.Options{}); err != nil || sol.Status != lp.Optimal {
+		if sol, err := probs[i].Solve(); err != nil || sol.Status != lp.Optimal {
 			b.Fatalf("solve failed: %v %v", err, sol)
 		}
 	}
@@ -468,8 +468,8 @@ func BenchmarkLPSolve(b *testing.B) {
 // BenchmarkGlobalOpt runs the global stage on the job shape of bench/'s
 // global-lp workload: CLS1v1 with 160 flip-flops at testgen's default seed,
 // its top 60 sink pairs in one LP block, and skew targets from sta.Alphas.
-// lp-iters/op is a kept-pass count: it sums LPStat.Iters, which records
-// only the solve each block keeps, not the unrestricted first pass.
+// lp-iters/op sums LPStat.Iters, the pivots of every solve the global
+// stage ran.
 func BenchmarkGlobalOpt(b *testing.B) {
 	base, ch := exp.Technology()
 	d, tm, err := testgen.Build(base, testgen.CLS1v1(160))

@@ -23,10 +23,10 @@ import (
 // moves results updates these values and says why.
 const (
 	wantCTSDigest       = 0x63b756a1effd78ac
-	wantFlowDigest      = 0x78fbc7adce4b44d9
-	wantFreeDeltaDigest = 0x0fa97d2ba83b8143
+	wantFlowDigest      = 0x080f176628cf96e4
+	wantFreeDeltaDigest = 0x7e22976142a5562a
 	wantSVRDigest       = 0xae7c9ffc38facf5a
-	wantFixCostDigest   = 0xcba81425a60cb877
+	wantFixCostDigest   = 0x8379497b9aff678a
 )
 
 func hashDesign(t *testing.T, h hash.Hash64, d *ctree.Design) {
@@ -41,7 +41,7 @@ func hashDesign(t *testing.T, h hash.Hash64, d *ctree.Design) {
 func hashLPStats(h hash.Hash64, stats []LPStat) {
 	for _, s := range stats {
 		hashFloats(h, s.UFrac, float64(s.Block), float64(s.Rows), float64(s.Cols),
-			float64(s.Iters), float64(s.Refactors), float64(s.Status),
+			float64(s.Solves), float64(s.Iters), float64(s.Refactors), float64(s.Status),
 			s.AbsDeltaSum, float64(s.ArcsChanged))
 	}
 }

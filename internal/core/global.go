@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"skewvar/internal/ctree"
@@ -77,11 +78,14 @@ func (c *GlobalConfig) setDefaults() {
 	}
 }
 
-// LPStat records one block LP solve.
+// LPStat records one block's LP at one U: Solves, Iters and Refactors sum
+// over every solve the block made (both passes and every free-Δ round);
+// Rows, Cols, Status and AbsDeltaSum describe the pass it kept.
 type LPStat struct {
 	UFrac       float64
 	Block       int
 	Rows, Cols  int
+	Solves      int
 	Iters       int
 	Refactors   int // basis refactorizations (numerical-health signal)
 	Status      lp.Status
@@ -183,7 +187,7 @@ func emitLPStat(obsr *obs.Recorder, sp *obs.Span, stat LPStat) {
 	if obsr == nil {
 		return
 	}
-	obsr.Counter("lp.solves").Inc()
+	obsr.Counter("lp.solves").Add(int64(stat.Solves))
 	obsr.Counter("lp.iterations").Add(int64(stat.Iters))
 	if sp != nil {
 		reverted := "no"
@@ -195,6 +199,7 @@ func emitLPStat(obsr *obs.Recorder, sp *obs.Span, stat LPStat) {
 			obs.F("u_frac", stat.UFrac),
 			obs.I("rows", stat.Rows),
 			obs.I("cols", stat.Cols),
+			obs.I("solves", stat.Solves),
 			obs.I("iters", stat.Iters),
 			obs.I("refactors", stat.Refactors),
 			obs.S("status", stat.Status.String()),
@@ -219,6 +224,11 @@ func globalSweep(ctx context.Context, tm *sta.Timer, reb *eco.Rebuilder, d *ctre
 	best := d.Tree
 	bestVar := res.SumVar0
 	bestU := 0.0
+	// Block 0's LP is built at the first rung and re-solved at the later
+	// ones: every rung starts from a clone of d.Tree, so its analysis, arcs
+	// and knob signatures are the same, and only row (5)'s bound moves. A
+	// block that fails drops it, and the next rung builds afresh.
+	var lp0 *blockLP
 	finalize := func() {
 		res.Tree = best.Clone()
 		res.SumVar = bestVar
@@ -248,9 +258,19 @@ func globalSweep(ctx context.Context, tm *sta.Timer, reb *eco.Rebuilder, d *ctre
 			var es float64
 			var lpErr error
 			perr := resilience.Safely("global block", func() error {
-				stat, n, es, en, lpErr = optimizeBlock(tm, reb, tree, blk, pairs, alphas, envs, cfg, frac)
+				bl := lp0
+				if bi > 0 || bl == nil {
+					bl = buildBlockLP(tm, reb, tree, blk, pairs, alphas, cfg)
+				}
+				if bi == 0 {
+					lp0 = bl
+				}
+				stat, n, es, en, lpErr = optimizeBlock(tm, reb, tree, bl, envs, cfg, frac)
 				return nil
 			})
+			if bi == 0 && (perr != nil || lpErr != nil) {
+				lp0 = nil
+			}
 			if perr != nil {
 				tree = pre
 				cfg.Rec.Record("panic")
@@ -375,6 +395,14 @@ type arcKnobs struct {
 	dp, dm         []int
 }
 
+// knobVars returns the arc's LP variables.
+func (v *arcKnobs) knobVars() []int {
+	if v.dp != nil {
+		return append(slices.Clone(v.dp), v.dm...)
+	}
+	return []int{v.wp, v.wm, v.gp, v.gm}
+}
+
 // delta returns the arc's solved delay change at corner k.
 func (v *arcKnobs) delta(sol *lp.Solution, k int) float64 {
 	if v.dp != nil {
@@ -418,6 +446,10 @@ func gateProfile(reb *eco.Rebuilder, tree *ctree.Tree, arc *ctree.Arc) []float64
 	return prof
 }
 
+// solveHook, when non-nil, sees every block LP solve that runs: the
+// problem as it was solved, and the result. Only tests set it.
+var solveHook func(prob *lp.Problem, sol *lp.Solution, err error)
+
 // solveLP is the guarded LP entry point of the global stage: it fires the
 // lp-solve fault hook, recovers solver panics into typed errors, and counts
 // failures — so a wedged or failing simplex degrades one block instead of
@@ -430,9 +462,12 @@ func solveLP(prob *lp.Problem, inj *faults.Injector, rec *resilience.Recorder) (
 	var sol *lp.Solution
 	err := resilience.Safely("lp solve", func() error {
 		var e error
-		sol, e = prob.Solve(lp.Options{})
+		sol, e = prob.Solve()
 		return e
 	})
+	if solveHook != nil {
+		solveHook(prob, sol, err)
+	}
 	if err != nil {
 		rec.Record("lp-solve")
 		return sol, err
@@ -440,12 +475,31 @@ func solveLP(prob *lp.Problem, inj *faults.Injector, rec *resilience.Recorder) (
 	return sol, nil
 }
 
-// optimizeBlock solves one block LP on the current tree state and realizes
-// the resulting per-arc delay changes (detour trims for fine corrections,
-// Algorithm-1 rebuilds for coarse ones). It returns the LP stat, the number
-// of changed arcs, the accumulated realization error, and the LP solve
-// error if the block's LP could not be solved (the block is then a no-op).
-func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, allPairs []ctree.SinkPair, alphas []float64, envs map[[2]int]*lut.Envelope, cfg GlobalConfig, frac float64) (LPStat, int, float64, int, error) {
+// blockLP is one block's LP with what it was built from: the timing,
+// segmentation and arc delays of the tree it was built on, the block's
+// arcs and their knob variables. Its problem keeps the solver between
+// solves, so a later solve re-optimizes from the last basis.
+type blockLP struct {
+	a         *sta.Analysis // never released: realization re-times from it
+	seg       *ctree.Segmentation
+	arcD      [][]float64
+	arcs      []int
+	external  map[int]bool
+	directLen map[int]float64
+	endLoads  map[int]float64
+
+	prob      *lp.Problem
+	vars      map[int]*arcKnobs
+	lo, hi    []float64 // every variable's pass-1 bounds
+	rowU      int       // the row of constraint (5), ΣV ≤ U
+	curBlockV float64   // the block's ΣV on the tree the LP was built on
+	zeroed    []int     // variables pass 2 fixed at zero; restored before the next pass 1
+}
+
+// buildBlockLP builds the Eq. (4)–(11) LP of one block on the current tree
+// state, with row (5)'s bound left for solveBlock to set. It returns nil
+// when none of the block's pairs has a path.
+func buildBlockLP(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, allPairs []ctree.SinkPair, alphas []float64, cfg GlobalConfig) *blockLP {
 	a := tm.Analyze(tree)
 	seg := ctree.Segment(tree)
 	arcD := sta.ArcDelays(a, seg)
@@ -479,7 +533,7 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, all
 	}
 	blk = valid
 	if len(blk) == 0 {
-		return LPStat{Status: lp.Infeasible}, 0, 0, 0, nil
+		return nil
 	}
 	// Freeze arcs that out-of-block pairs also traverse: a block's ECO must
 	// not shift the skew of pairs its LP cannot see (the per-block golden
@@ -548,265 +602,203 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, all
 		}
 	}
 
+	bl := &blockLP{
+		a: a, seg: seg, arcD: arcD, arcs: arcs, external: external,
+		directLen: map[int]float64{}, endLoads: map[int]float64{},
+		prob: lp.NewProblem(), vars: map[int]*arcKnobs{},
+	}
 	// Per-arc geometry and knob signatures.
-	directLen := map[int]float64{}
 	slopes := map[int][]float64{}
 	profs := map[int][]float64{}
 	budgets := map[int]float64{}
-	endLoads := map[int]float64{}
 	for _, ai := range arcs {
 		arc := seg.Arcs[ai]
-		directLen[ai] = tree.Node(arc.Top).Loc.Manhattan(tree.Node(arc.Bottom).Loc)
-		endLoads[ai] = rebuildEndLoad(tm, tree, arc.Bottom)
-		slopes[ai] = reb.TrimSlopes(tree, arc, endLoads[ai])
+		bl.directLen[ai] = tree.Node(arc.Top).Loc.Manhattan(tree.Node(arc.Bottom).Loc)
+		bl.endLoads[ai] = rebuildEndLoad(tm, tree, arc.Bottom)
+		slopes[ai] = reb.TrimSlopes(tree, arc, bl.endLoads[ai])
 		profs[ai] = gateProfile(reb, tree, arc)
 		budgets[ai] = eco.ArcDetourBudget(tree, arc)
 	}
 
-	type lpOut struct {
-		sol  *lp.Solution
-		stat LPStat
-		vars map[int]*arcKnobs
-		err  error
+	prob := bl.prob
+	addVar := func(lo, hi, cost float64) int {
+		bl.lo = append(bl.lo, lo)
+		bl.hi = append(bl.hi, hi)
+		return prob.AddVar(lo, hi, cost, "")
 	}
-	buildSolve := func(allowed map[int]bool) lpOut {
-		prob := lp.NewProblem()
-		vars := map[int]*arcKnobs{}
-		for _, ai := range arcs {
-			frozen := external[ai] || (allowed != nil && !allowed[ai])
-			v := &arcKnobs{}
-			if cfg.FreeDelta {
-				for k := 0; k < K; k++ {
-					dd := arcD[ai][k]
-					up := (arcGrowth - 1) * dd
-					dmin := reb.Char.MinDelayPerUM(k) * directLen[ai]
-					down := dd - dmin
-					if up < 0 || frozen {
-						up = 0
-					}
-					if down < 0 || frozen {
-						down = 0
-					}
-					v.dp = append(v.dp, prob.AddVar(0, up, 1, ""))
-					v.dm = append(v.dm, prob.AddVar(0, down, 1, ""))
-				}
-			} else {
-				v.slopeW = slopes[ai]
-				v.prof = profs[ai]
-				// Wire knob bounds: removable snaking vs. added snake; gate
-				// knob bounds from constraint (10), split half/half so the
-				// knobs' sum stays within the arc's range.
-				wUp, wDown := 400.0, budgets[ai]
-				gUp, gDown := math.Inf(1), math.Inf(1)
-				for k := 0; k < K; k++ {
-					dd := arcD[ai][k]
-					dmin := reb.Char.MinDelayPerUM(k) * directLen[ai]
-					if p := v.prof[k]; p > 0 {
-						gUp = math.Min(gUp, 0.5*(arcGrowth-1)*dd/p)
-						gDown = math.Min(gDown, 0.5*math.Max(0, dd-dmin)/p)
-					}
-					if sl := v.slopeW[k]; sl > 0 {
-						wUp = math.Min(wUp, 0.5*(arcGrowth-1)*dd/sl)
-						wDown = math.Min(wDown, math.Min(budgets[ai], 0.5*math.Max(0, dd-dmin)/sl))
-					}
-				}
-				if frozen {
-					wUp, wDown, gUp, gDown = 0, 0, 0, 0
-				}
-				wCost := v.slopeW[0]
-				if wCost <= 0 {
-					wCost = 1e-3
-				}
-				v.wp = prob.AddVar(0, math.Max(0, wUp), wCost, "")
-				v.wm = prob.AddVar(0, math.Max(0, wDown), wCost, "")
-				v.gp = prob.AddVar(0, math.Max(0, gUp), 1, "")
-				v.gm = prob.AddVar(0, math.Max(0, gDown), 1, "")
-			}
-			vars[ai] = v
-		}
-		vVar := make([]int, len(blk))
-		var curBlockV float64
-		for i, p := range blk {
-			vVar[i] = prob.AddVar(0, lp.Inf, 0, "")
-			curBlockV += sta.PairVariation(a, alphas, p)
-		}
-		// pathDelta appends mult·δ(lat(A)−lat(B)) at corner k.
-		pathDelta := func(p ctree.SinkPair, k int, mult float64, idx *[]int, coef *[]float64) {
-			for _, ai := range pathOf[p.A] {
-				vars[ai].appendDelta(k, mult, idx, coef)
-			}
-			for _, ai := range pathOf[p.B] {
-				vars[ai].appendDelta(k, -mult, idx, coef)
-			}
-		}
-		// Constraint (6): V bounds every pairwise-corner normalized
-		// variation.
-		for i, p := range blk {
+	for _, ai := range arcs {
+		frozen := external[ai]
+		v := &arcKnobs{}
+		if cfg.FreeDelta {
 			for k := 0; k < K; k++ {
-				sk0 := a.Skew(k, p.A, p.B)
-				for k2 := k + 1; k2 < K; k2++ {
-					s20 := a.Skew(k2, p.A, p.B)
-					base := alphas[k]*sk0 - alphas[k2]*s20
-					for sign := -1.0; sign <= 1.0; sign += 2 {
-						var idx []int
-						var coef []float64
-						idx = append(idx, vVar[i])
-						coef = append(coef, 1)
-						pathDelta(p, k, -sign*alphas[k], &idx, &coef)
-						pathDelta(p, k2, sign*alphas[k2], &idx, &coef)
-						prob.AddConstraint(lp.GE, sign*base, idx, coef)
-					}
+				dd := arcD[ai][k]
+				up := (arcGrowth - 1) * dd
+				dmin := reb.Char.MinDelayPerUM(k) * bl.directLen[ai]
+				down := dd - dmin
+				if up < 0 || frozen {
+					up = 0
+				}
+				if down < 0 || frozen {
+					down = 0
+				}
+				v.dp = append(v.dp, addVar(0, up, 1))
+				v.dm = append(v.dm, addVar(0, down, 1))
+			}
+		} else {
+			v.slopeW = slopes[ai]
+			v.prof = profs[ai]
+			// Wire knob bounds: removable snaking vs. added snake; gate
+			// knob bounds from constraint (10), split half/half so the
+			// knobs' sum stays within the arc's range.
+			wUp, wDown := 400.0, budgets[ai]
+			gUp, gDown := math.Inf(1), math.Inf(1)
+			for k := 0; k < K; k++ {
+				dd := arcD[ai][k]
+				dmin := reb.Char.MinDelayPerUM(k) * bl.directLen[ai]
+				if p := v.prof[k]; p > 0 {
+					gUp = math.Min(gUp, 0.5*(arcGrowth-1)*dd/p)
+					gDown = math.Min(gDown, 0.5*math.Max(0, dd-dmin)/p)
+				}
+				if sl := v.slopeW[k]; sl > 0 {
+					wUp = math.Min(wUp, 0.5*(arcGrowth-1)*dd/sl)
+					wDown = math.Min(wDown, math.Min(budgets[ai], 0.5*math.Max(0, dd-dmin)/sl))
 				}
 			}
+			if frozen {
+				wUp, wDown, gUp, gDown = 0, 0, 0, 0
+			}
+			wCost := v.slopeW[0]
+			if wCost <= 0 {
+				wCost = 1e-3
+			}
+			v.wp = addVar(0, math.Max(0, wUp), wCost)
+			v.wm = addVar(0, math.Max(0, wDown), wCost)
+			v.gp = addVar(0, math.Max(0, gUp), 1)
+			v.gm = addVar(0, math.Max(0, gDown), 1)
 		}
-		// Constraint (5): ΣV ≤ U.
-		{
-			idx := append([]int(nil), vVar...)
-			coef := make([]float64, len(vVar))
-			for i := range coef {
-				coef[i] = 1
-			}
-			prob.AddConstraint(lp.LE, frac*curBlockV, idx, coef)
+		bl.vars[ai] = v
+	}
+	vars := bl.vars
+	vVar := make([]int, len(blk))
+	for i, p := range blk {
+		vVar[i] = addVar(0, lp.Inf, 0)
+		bl.curBlockV += sta.PairVariation(a, alphas, p)
+	}
+	// pathDelta appends mult·δ(lat(A)−lat(B)) at corner k.
+	pathDelta := func(p ctree.SinkPair, k int, mult float64, idx *[]int, coef *[]float64) {
+		for _, ai := range pathOf[p.A] {
+			vars[ai].appendDelta(k, mult, idx, coef)
 		}
-		// Constraint (7): no local-skew degradation at corner 0. The
-		// block and sweep golden gates enforce (7) at the other corners,
-		// and subsume (8).
-		for _, p := range blk {
-			s0 := a.Skew(0, p.A, p.B)
-			bound := math.Abs(s0) + 1 // 1ps slack avoids freezing at s0≈0
-			var idx []int
-			var coef []float64
-			pathDelta(p, 0, 1, &idx, &coef)
-			prob.AddConstraint(lp.LE, bound-s0, idx, coef)
-			idx, coef = nil, nil
-			pathDelta(p, 0, -1, &idx, &coef)
-			prob.AddConstraint(lp.LE, bound+s0, idx, coef)
+		for _, ai := range pathOf[p.B] {
+			vars[ai].appendDelta(k, -mult, idx, coef)
 		}
-		// Constraint (9): max-latency bound on a sample of the latest sinks.
-		{
-			type sl struct {
-				s   ctree.NodeID
-				lat float64
-			}
-			var sinks []sl
-			for s := range pathOf {
-				sinks = append(sinks, sl{s, a.Arrive[0][s]})
-			}
-			sort.Slice(sinks, func(i, j int) bool {
-				if sinks[i].lat != sinks[j].lat {
-					return sinks[i].lat > sinks[j].lat
-				}
-				return sinks[i].s < sinks[j].s
-			})
-			if len(sinks) > maxSinkRows {
-				sinks = sinks[:maxSinkRows]
-			}
-			for _, e := range sinks {
-				for k := 0; k < K; k++ {
+	}
+	// Constraint (6): V bounds every pairwise-corner normalized
+	// variation.
+	for i, p := range blk {
+		for k := 0; k < K; k++ {
+			sk0 := a.Skew(k, p.A, p.B)
+			for k2 := k + 1; k2 < K; k2++ {
+				s20 := a.Skew(k2, p.A, p.B)
+				base := alphas[k]*sk0 - alphas[k2]*s20
+				for sign := -1.0; sign <= 1.0; sign += 2 {
 					var idx []int
 					var coef []float64
-					for _, ai := range pathOf[e.s] {
-						vars[ai].appendDelta(k, 1, &idx, &coef)
-					}
-					prob.AddConstraint(lp.LE, dmaxMargin*a.MaxLat[k]-a.Arrive[k][e.s], idx, coef)
+					idx = append(idx, vVar[i])
+					coef = append(coef, 1)
+					pathDelta(p, k, -sign*alphas[k], &idx, &coef)
+					pathDelta(p, k2, sign*alphas[k2], &idx, &coef)
+					prob.AddConstraint(lp.GE, sign*base, idx, coef)
 				}
 			}
 		}
-
-		// Solve; in free-Δ mode generate W-window (11) rows on violation.
-		var sol *lp.Solution
-		var err error
-		stat := LPStat{}
-		maxRounds := 0
-		if cfg.FreeDelta {
-			maxRounds = ratioRounds
-		}
-		for round := 0; ; round++ {
-			sol, err = solveLP(prob, cfg.Faults, cfg.Rec)
-			if err != nil || sol.Status != lp.Optimal {
-				if sol != nil {
-					stat.Status = sol.Status
-					stat.Iters = sol.Iterations
-					stat.Refactors = sol.Refactors
-				}
-				stat.Rows = prob.NumRows()
-				stat.Cols = prob.NumVars()
-				return lpOut{stat: stat, err: err}
-			}
-			if round >= maxRounds {
-				break
-			}
-			added := 0
-			for _, ai := range arcs {
-				v := vars[ai]
-				x0 := arcD[ai][0] / math.Max(directLen[ai], 1)
-				for k := 0; k < K; k++ {
-					for k2 := k + 1; k2 < K; k2++ {
-						env := envs[[2]int{k, k2}]
-						wmin, wmax := env.Bounds(x0)
-						// The window gates *changes*: widen the band so the
-						// arc's existing ratio stays feasible at Δ=0.
-						if arcD[ai][k2] > 1e-6 {
-							cur := arcD[ai][k] / arcD[ai][k2]
-							if cur > wmax {
-								wmax = cur
-							}
-							if cur < wmin {
-								wmin = cur
-							}
-						}
-						num := arcD[ai][k] + v.delta(sol, k)
-						den := arcD[ai][k2] + v.delta(sol, k2)
-						if den <= 1e-6 {
-							continue
-						}
-						r := num / den
-						if r > wmax*(1+1e-6) {
-							var idx []int
-							var coef []float64
-							v.appendDelta(k, 1, &idx, &coef)
-							v.appendDelta(k2, -wmax, &idx, &coef)
-							prob.AddConstraint(lp.LE, wmax*arcD[ai][k2]-arcD[ai][k], idx, coef)
-							added++
-						} else if r < wmin*(1-1e-6) {
-							var idx []int
-							var coef []float64
-							v.appendDelta(k, 1, &idx, &coef)
-							v.appendDelta(k2, -wmin, &idx, &coef)
-							prob.AddConstraint(lp.GE, wmin*arcD[ai][k2]-arcD[ai][k], idx, coef)
-							added++
-						}
-					}
-				}
-			}
-			if added == 0 {
-				break
-			}
-		}
-		stat.Status = sol.Status
-		stat.Iters = sol.Iterations
-		stat.Refactors = sol.Refactors
-		stat.Rows = prob.NumRows()
-		stat.Cols = prob.NumVars()
-		stat.AbsDeltaSum = sol.Obj
-		return lpOut{sol: sol, stat: stat, vars: vars}
 	}
+	// Constraint (5): ΣV ≤ U, its bound set per rung.
+	{
+		idx := append([]int(nil), vVar...)
+		coef := make([]float64, len(vVar))
+		for i := range coef {
+			coef[i] = 1
+		}
+		bl.rowU = prob.AddConstraint(lp.LE, bl.curBlockV, idx, coef)
+	}
+	// Constraint (7): no local-skew degradation at corner 0. The
+	// block and sweep golden gates enforce (7) at the other corners,
+	// and subsume (8).
+	for _, p := range blk {
+		s0 := a.Skew(0, p.A, p.B)
+		bound := math.Abs(s0) + 1 // 1ps slack avoids freezing at s0≈0
+		var idx []int
+		var coef []float64
+		pathDelta(p, 0, 1, &idx, &coef)
+		prob.AddConstraint(lp.LE, bound-s0, idx, coef)
+		idx, coef = nil, nil
+		pathDelta(p, 0, -1, &idx, &coef)
+		prob.AddConstraint(lp.LE, bound+s0, idx, coef)
+	}
+	// Constraint (9): max-latency bound on a sample of the latest sinks.
+	{
+		type sl struct {
+			s   ctree.NodeID
+			lat float64
+		}
+		var sinks []sl
+		for s := range pathOf {
+			sinks = append(sinks, sl{s, a.Arrive[0][s]})
+		}
+		sort.Slice(sinks, func(i, j int) bool {
+			if sinks[i].lat != sinks[j].lat {
+				return sinks[i].lat > sinks[j].lat
+			}
+			return sinks[i].s < sinks[j].s
+		})
+		if len(sinks) > maxSinkRows {
+			sinks = sinks[:maxSinkRows]
+		}
+		for _, e := range sinks {
+			for k := 0; k < K; k++ {
+				var idx []int
+				var coef []float64
+				for _, ai := range pathOf[e.s] {
+					vars[ai].appendDelta(k, 1, &idx, &coef)
+				}
+				prob.AddConstraint(lp.LE, dmaxMargin*a.MaxLat[k]-a.Arrive[k][e.s], idx, coef)
+			}
+		}
+	}
+	return bl
+}
 
-	// Pass 1: unrestricted. Pass 2: concentrate the change onto the most
-	// useful arcs so per-arc deltas are large enough to realize.
-	first := buildSolve(nil)
-	if first.sol == nil {
-		return first.stat, 0, 0, 0, first.err
+// solveBlock solves the block's LP at ΣV bound frac·(the block's ΣV) in two
+// passes. Pass 1 is unrestricted. Pass 2 fixes at zero the knobs of every
+// arc outside the ones pass 1 leans on most, so per-arc changes are large
+// enough to realize; it is kept if it solves to optimality. Both passes
+// re-optimize the problem's kept basis when there is one, and the next
+// call restores pass 1's bounds. The returned stat sums the pivots and
+// refactorizations of every solve and reports the kept pass; sol is nil
+// if pass 1 did not solve to optimality.
+func solveBlock(bl *blockLP, envs map[[2]int]*lut.Envelope, cfg GlobalConfig, frac float64) (*lp.Solution, LPStat, error) {
+	prob := bl.prob
+	for _, j := range bl.zeroed {
+		prob.SetBounds(j, bl.lo[j], bl.hi[j])
+	}
+	bl.zeroed = bl.zeroed[:0]
+	prob.SetRHS(bl.rowU, frac*bl.curBlockV)
+
+	var stat LPStat
+	first, err := solveRounds(bl, envs, cfg, &stat)
+	if first == nil {
+		return nil, stat, err
 	}
 	type arcReq struct {
 		ai  int
 		req float64
 	}
 	var reqs []arcReq
-	for _, ai := range arcs {
+	for _, ai := range bl.arcs {
 		var req float64
-		for k := 0; k < K; k++ {
-			req += math.Abs(first.vars[ai].delta(first.sol, k))
+		for k := range bl.arcD[ai] {
+			req += math.Abs(bl.vars[ai].delta(first, k))
 		}
 		if req > 1e-6 {
 			reqs = append(reqs, arcReq{ai, req})
@@ -818,7 +810,7 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, all
 		}
 		return reqs[i].ai < reqs[j].ai
 	})
-	topN := len(arcs) / 8
+	topN := len(bl.arcs) / 8
 	if topN < 8 {
 		topN = 8
 	}
@@ -828,24 +820,146 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, all
 			allowed[r.ai] = true
 		}
 	}
-	out := first
-	if len(allowed) > 0 && len(allowed) < len(arcs) {
-		if second := buildSolve(allowed); second.sol != nil {
-			out = second
+	if len(allowed) == 0 || len(allowed) == len(bl.arcs) {
+		return first, stat, nil
+	}
+	kept := stat
+	for _, ai := range bl.arcs {
+		if allowed[ai] || bl.external[ai] {
+			continue
+		}
+		for _, j := range bl.vars[ai].knobVars() {
+			prob.SetBounds(j, 0, 0)
+			bl.zeroed = append(bl.zeroed, j)
 		}
 	}
-	sol, vars, stat := out.sol, out.vars, out.stat
+	second, _ := solveRounds(bl, envs, cfg, &stat)
+	if second == nil {
+		kept.Iters, kept.Refactors, kept.Solves = stat.Iters, stat.Refactors, stat.Solves
+		return first, kept, nil
+	}
+	return second, stat, nil
+}
 
-	// Realize per arc with closed-loop golden feedback: arcs are processed
-	// top-down, the live tree is re-timed incrementally after every change,
-	// and each arc's operator (detour trim or Algorithm-1 rebuild) is
-	// selected against the arc's *live* delay — so cross-arc couplings
-	// (shared-net loading, slew shifts) are compensated instead of
-	// accumulating.
+// solveRounds solves the block's LP; in free-Δ mode it then adds the
+// W-window (11) rows the solution violates and re-solves, up to
+// ratioRounds times. It adds every solve's pivots and refactorizations to
+// stat and sets stat's status, size and objective from the last one. It
+// returns the last solution if that one is optimal, and nil otherwise.
+func solveRounds(bl *blockLP, envs map[[2]int]*lut.Envelope, cfg GlobalConfig, stat *LPStat) (*lp.Solution, error) {
+	prob := bl.prob
+	maxRounds := 0
+	if cfg.FreeDelta {
+		maxRounds = ratioRounds
+	}
+	for round := 0; ; round++ {
+		sol, err := solveLP(prob, cfg.Faults, cfg.Rec)
+		stat.Solves++
+		stat.Rows = prob.NumRows()
+		stat.Cols = prob.NumVars()
+		if sol != nil {
+			stat.Status = sol.Status
+			stat.Iters += sol.Iterations
+			stat.Refactors += sol.Refactors
+			stat.AbsDeltaSum = sol.Obj
+		}
+		if err != nil || sol.Status != lp.Optimal {
+			return nil, err
+		}
+		if round >= maxRounds || addWindowRows(bl, envs, sol) == 0 {
+			return sol, nil
+		}
+	}
+}
+
+// addWindowRows adds a W-window (11) row for every arc and corner pair
+// whose solved delay ratio leaves the envelope, and returns how many it
+// added.
+func addWindowRows(bl *blockLP, envs map[[2]int]*lut.Envelope, sol *lp.Solution) int {
+	added := 0
+	for _, ai := range bl.arcs {
+		v := bl.vars[ai]
+		arcD := bl.arcD[ai]
+		x0 := arcD[0] / math.Max(bl.directLen[ai], 1)
+		for k := range arcD {
+			for k2 := k + 1; k2 < len(arcD); k2++ {
+				env := envs[[2]int{k, k2}]
+				wmin, wmax := env.Bounds(x0)
+				// The window gates *changes*: widen the band so the
+				// arc's existing ratio stays feasible at Δ=0.
+				if arcD[k2] > 1e-6 {
+					cur := arcD[k] / arcD[k2]
+					if cur > wmax {
+						wmax = cur
+					}
+					if cur < wmin {
+						wmin = cur
+					}
+				}
+				num := arcD[k] + v.delta(sol, k)
+				den := arcD[k2] + v.delta(sol, k2)
+				if den <= 1e-6 {
+					continue
+				}
+				r := num / den
+				if r > wmax*(1+1e-6) {
+					var idx []int
+					var coef []float64
+					v.appendDelta(k, 1, &idx, &coef)
+					v.appendDelta(k2, -wmax, &idx, &coef)
+					bl.prob.AddConstraint(lp.LE, wmax*arcD[k2]-arcD[k], idx, coef)
+					added++
+				} else if r < wmin*(1-1e-6) {
+					var idx []int
+					var coef []float64
+					v.appendDelta(k, 1, &idx, &coef)
+					v.appendDelta(k2, -wmin, &idx, &coef)
+					bl.prob.AddConstraint(lp.GE, wmin*arcD[k2]-arcD[k], idx, coef)
+					added++
+				}
+			}
+		}
+	}
+	return added
+}
+
+// optimizeBlock solves a block's LP (bl, built on the tree as it is now;
+// nil when the block has no timed pair) and realizes the resulting per-arc
+// delay changes (detour trims for fine corrections, Algorithm-1 rebuilds
+// for coarse ones). It returns the LP stat, the number of changed arcs, the
+// accumulated realization error, and the LP solve error if the block's LP
+// could not be solved (the block is then a no-op).
+func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, bl *blockLP, envs map[[2]int]*lut.Envelope, cfg GlobalConfig, frac float64) (LPStat, int, float64, int, error) {
+	if bl == nil {
+		return LPStat{Status: lp.Infeasible}, 0, 0, 0, nil
+	}
+	sol, stat, err := solveBlock(bl, envs, cfg, frac)
+	if sol == nil {
+		return stat, 0, 0, 0, err
+	}
+	rebuilt, selErr, selN := realizeBlock(tm, reb, tree, bl, sol)
+	stat.ArcsChanged = rebuilt
+	return stat, rebuilt, selErr, selN, nil
+}
+
+// realizeBlock realizes the solved per-arc delay changes on tree, which
+// must be the tree bl was built on, and returns the number of changed
+// arcs, the accumulated realization error and its count.
+//
+// Realization runs with closed-loop golden feedback: arcs are processed
+// top-down, the live tree is re-timed incrementally after every change,
+// and each arc's operator (detour trim or Algorithm-1 rebuild) is
+// selected against the arc's *live* delay — so cross-arc couplings
+// (shared-net loading, slew shifts) are compensated instead of
+// accumulating.
+func realizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, bl *blockLP, sol *lp.Solution) (int, float64, int) {
+	arcs, arcD, vars, seg := bl.arcs, bl.arcD, bl.vars, bl.seg
+	directLen, endLoads, external := bl.directLen, bl.endLoads, bl.external
+	K := bl.a.K
 	rebuilt := 0
 	var selErr float64
 	selN := 0
-	aLive := a
+	aLive := bl.a
 	for _, ai := range arcs {
 		target := make([]float64, K)
 		maxAbs := 0.0
@@ -997,8 +1111,7 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, all
 			break
 		}
 	}
-	stat.ArcsChanged = rebuilt
-	return stat, rebuilt, selErr, selN, nil
+	return rebuilt, selErr, selN
 }
 
 func sortedKeys(m map[int]int) []int {

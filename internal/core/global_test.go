@@ -1,14 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"testing"
 
 	"skewvar/internal/ctree"
 	"skewvar/internal/eco"
-	"skewvar/internal/edaio"
 	"skewvar/internal/geom"
 	"skewvar/internal/legalize"
 	"skewvar/internal/lp"
@@ -168,23 +166,12 @@ func TestGlobalNoNegativeDetour(t *testing.T) {
 	base, ch := testTech(t)
 	v := testgen.CLS2v1(80)
 	v.Seed = 15335
-	d, _, err := testgen.Build(base, v)
+	gd, _, err := testgen.Build(base, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := edaio.WriteDesign(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	d, err = edaio.ReadDesign(&buf, edaio.WithCells(func(name string) bool { return base.CellByName(name) != nil }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := base.SubCorners(d.CornerNames...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunFlows(context.Background(), sta.New(view), ch, d, nil, FlowConfig{
+	d, tm := readBack(t, gd)
+	res, err := RunFlows(context.Background(), tm, ch, d, nil, FlowConfig{
 		TopPairs: 24, Global: GlobalConfig{MaxPairsPerLP: 24}, Only: []string{"global"}, Workers: 1,
 	})
 	if err != nil {

@@ -76,16 +76,125 @@ func solveDiff(got *Solution, gotErr error, want *Solution, wantErr error) strin
 	return ""
 }
 
-// solve runs Solve and refSolve on p and fails t unless they agree bit for
-// bit. Every LP this package's tests solve goes through it.
-func solve(t testing.TB, p *Problem, opt Options) (*Solution, error) {
+// solve runs Solve and refSolve on p, which has not been solved before,
+// and fails t unless they agree bit for bit. Every LP this package's tests
+// solve cold goes through it.
+func solve(t testing.TB, p *Problem) (*Solution, error) {
 	t.Helper()
-	sol, err := p.Solve(opt)
-	ref, refErr := refSolve(p, opt)
+	if p.s != nil {
+		t.Fatal("solve compares cold solves, but the problem keeps a solver")
+	}
+	sol, err := p.Solve()
+	ref, refErr := refSolve(p, p.maxIters)
 	if d := solveDiff(sol, err, ref, refErr); d != "" {
 		t.Fatalf("Solve differs from the reference solver: %s", d)
 	}
 	return sol, err
+}
+
+// resolve re-solves p, which keeps the solver of an earlier solve, and
+// fails t unless the answer agrees with the reference solving the edited p
+// cold: the same status and error class, an objective within 1e-6
+// relative, and, for a warm answer, a certificate that still holds at the
+// kept basis. It returns the answer.
+func resolve(t testing.TB, p *Problem) *Solution {
+	t.Helper()
+	if p.s == nil {
+		t.Fatal("resolve needs a problem that keeps a solver")
+	}
+	sol, err := p.Solve()
+	ref, refErr := refSolve(p, p.maxIters)
+	if (err == nil) != (refErr == nil) || errors.Is(err, resilience.ErrSolver) != errors.Is(refErr, resilience.ErrSolver) {
+		t.Fatalf("re-solve error %v, reference %v", err, refErr)
+	}
+	if (sol == nil) != (ref == nil) {
+		t.Fatalf("re-solve solution %v, reference %v", sol, ref)
+	}
+	if sol == nil {
+		return nil
+	}
+	if sol.Status != ref.Status {
+		t.Fatalf("re-solve status %v (warm %v), reference %v", sol.Status, sol.Warm, ref.Status)
+	}
+	if sol.Status != Optimal {
+		return sol
+	}
+	if diff := math.Abs(sol.Obj - ref.Obj); diff > 1e-6*math.Max(1, math.Abs(ref.Obj)) {
+		t.Fatalf("re-solve objective %v (warm %v), reference %v", sol.Obj, sol.Warm, ref.Obj)
+	}
+	if sol.Warm {
+		if cerr := p.s.certifyOptimal(p, sol); cerr != nil {
+			t.Fatalf("warm answer's certificate fails at the kept basis: %v", cerr)
+		}
+	}
+	return sol
+}
+
+// editLP applies k seeded edits to p: right-hand sides moved, bounds
+// tightened, loosened (one side sometimes to infinity), fixed or widened
+// to include zero, and rows added. An added row passes through x, the last
+// optimal point, when there is one. Most edited draws stay feasible; some
+// become infeasible or unbounded.
+func editLP(rng *rand.Rand, p *Problem, x []float64, k int) {
+	n := p.NumVars()
+	for ; k > 0; k-- {
+		switch rng.Intn(4) {
+		case 0:
+			if m := p.NumRows(); m > 0 {
+				r := rng.Intn(m)
+				p.SetRHS(r, p.rowRHS[r]+rng.NormFloat64()/2)
+			}
+		case 1:
+			j := rng.Intn(n)
+			lo, hi := p.lo[j], p.hi[j]
+			mid := 0.0
+			switch {
+			case !math.IsInf(lo, -1) && !math.IsInf(hi, 1):
+				mid = lo + (hi-lo)*rng.Float64()
+			case !math.IsInf(lo, -1):
+				mid = lo + rng.Float64()
+			case !math.IsInf(hi, 1):
+				mid = hi - rng.Float64()
+			}
+			switch rng.Intn(4) {
+			case 0: // tighten
+				p.SetBounds(j, math.Max(lo, mid-rng.Float64()), math.Min(hi, mid+rng.Float64()))
+			case 1: // loosen
+				p.SetBounds(j, lo-rng.Float64(), hi+rng.Float64())
+			case 2: // loosen one side to infinity
+				if rng.Intn(2) == 0 {
+					p.SetBounds(j, math.Inf(-1), hi)
+				} else {
+					p.SetBounds(j, lo, Inf)
+				}
+			default: // fix
+				p.SetBounds(j, mid, mid)
+			}
+		case 2:
+			var idx []int
+			var coef []float64
+			var lhs float64
+			for e := 1 + rng.Intn(4); e > 0; e-- {
+				j := rng.Intn(n)
+				idx = append(idx, j)
+				coef = append(coef, rng.NormFloat64())
+				if x != nil {
+					lhs += coef[len(coef)-1] * x[j]
+				}
+			}
+			switch rng.Intn(3) {
+			case 0:
+				p.AddConstraint(LE, lhs+rng.Float64()-0.2, idx, coef)
+			case 1:
+				p.AddConstraint(GE, lhs-rng.Float64()+0.2, idx, coef)
+			default:
+				p.AddConstraint(EQ, lhs+rng.NormFloat64()/4, idx, coef)
+			}
+		default: // widen to include zero
+			j := rng.Intn(n)
+			p.SetBounds(j, math.Min(p.lo[j], 0), math.Max(p.hi[j], 0))
+		}
+	}
 }
 
 // mixedLP draws an LP of n variables and about m rows with every kind of
@@ -189,8 +298,8 @@ func TestSolveMatchesReference(t *testing.T) {
 			sp := mixedLP(rng, sz.n, sz.m)
 			name := fmt.Sprintf("%dx%d draw %d", sz.m, sz.n, d)
 			p := sp.build(false)
-			sol, err := solve(t, p, Options{})
-			twin, twinErr := refSolve(sp.build(true), Options{})
+			sol, err := solve(t, p)
+			twin, twinErr := refSolve(sp.build(true), 0)
 			if diff := solveDiff(sol, err, twin, twinErr); diff != "" {
 				t.Fatalf("%s: Solve differs from the reference on the zero twin: %s", name, diff)
 			}
@@ -208,12 +317,62 @@ func TestSolveMatchesReference(t *testing.T) {
 	}
 }
 
+// TestResolveMatchesReference re-solves each mixed-family LP after rounds
+// of seeded edits (right-hand sides, bounds tightened, loosened and fixed,
+// rows added) and holds every re-solve to the reference solving the edited
+// LP cold (see resolve). Most re-solves must finish warm, and the warm
+// ones must take fewer pivots in total than cold solves of the same LPs.
+func TestResolveMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	type size struct{ draws, n, m int }
+	sizes := []size{{60, 12, 10}, {30, 60, 45}, {6, 200, 160}}
+	if testing.Short() {
+		sizes = []size{{30, 12, 10}, {6, 60, 45}}
+	}
+	statuses := map[Status]int{}
+	var resolves, warm, warmPivots, coldPivots int
+	for _, sz := range sizes {
+		for d := 0; d < sz.draws; d++ {
+			p := mixedLP(rng, sz.n, sz.m).build(false)
+			sol, err := solve(t, p)
+			if err != nil {
+				continue
+			}
+			for round := 0; round < 4 && p.s != nil; round++ {
+				editLP(rng, p, sol.X, 1+rng.Intn(4))
+				sol = resolve(t, p)
+				resolves++
+				if sol == nil {
+					continue
+				}
+				statuses[sol.Status]++
+				if sol.Warm {
+					warm++
+					warmPivots += sol.Iterations
+					ref, _ := refSolve(p, 0)
+					coldPivots += ref.Iterations
+				}
+			}
+		}
+	}
+	t.Logf("%d re-solves (%v), %d warm: %d pivots, %d cold", resolves, statuses, warm, warmPivots, coldPivots)
+	if statuses[Optimal] == 0 || statuses[Infeasible] == 0 {
+		t.Errorf("the edits need optimal and infeasible re-solves: %v", statuses)
+	}
+	if warm < resolves/2 {
+		t.Errorf("only %d of %d re-solves finished warm", warm, resolves)
+	}
+	if warmPivots >= coldPivots {
+		t.Errorf("warm re-solves took %d pivots, cold solves of the same LPs %d", warmPivots, coldPivots)
+	}
+}
+
 // decodeLP reads a small LP from fuzz bytes: at most 12 variables and 12
 // rows, each variable's bounds −∞ or finite below and finite or +∞ above,
 // every row sense, and row indices that repeat. Coefficients stay within
 // ±1e3 and bounds, costs and right-hand sides within ±32, so every value a
 // solve computes stays finite. Missing bytes read as zero.
-func decodeLP(data []byte) *lpSpec {
+func decodeLP(data []byte) (sp *lpSpec, rest []byte) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -223,7 +382,7 @@ func decodeLP(data []byte) *lpSpec {
 		return b
 	}
 	small := func() float64 { return float64(int8(next())) / 4 }
-	sp := &lpSpec{}
+	sp = &lpSpec{}
 	n := 1 + int(next()%12)
 	m := int(next() % 13)
 	for j := 0; j < n; j++ {
@@ -250,7 +409,7 @@ func decodeLP(data []byte) *lpSpec {
 		}
 		sp.rows = append(sp.rows, row)
 	}
-	return sp
+	return sp, data
 }
 
 // FuzzSolveMatchesReference holds Solve to the reference solver, and to
@@ -280,11 +439,22 @@ func FuzzSolveMatchesReference(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sp := decodeLP(data)
-		sol, err := solve(t, sp.build(false), Options{})
-		twin, twinErr := refSolve(sp.build(true), Options{})
+		sp, rest := decodeLP(data)
+		p := sp.build(false)
+		sol, err := solve(t, p)
+		twin, twinErr := refSolve(sp.build(true), 0)
 		if d := solveDiff(sol, err, twin, twinErr); d != "" {
 			t.Fatalf("Solve differs from the reference on the zero twin: %s", d)
+		}
+		// Second stage: re-solve after edits seeded by the rest of the input.
+		var seed int64
+		for _, b := range rest {
+			seed = seed*131 + int64(b)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for round := 0; round < 3 && p.s != nil; round++ {
+			editLP(rng, p, sol.X, 1+rng.Intn(3))
+			sol = resolve(t, p)
 		}
 	})
 }

@@ -1,7 +1,11 @@
 // Package lp is a self-contained linear-programming solver: a two-phase
 // bounded-variable revised simplex with an explicitly maintained basis
 // inverse, sparse constraint columns, Dantzig pricing with a Bland
-// anti-cycling fallback, and periodic refactorization.
+// anti-cycling fallback, and periodic refactorization. A Problem keeps its
+// solver after a solve, and a solve after SetRHS, SetBounds or
+// AddConstraint re-optimizes from the kept basis with a bounded dual
+// simplex (warm.go). Every answer is checked against a certificate before
+// it is returned (certify.go).
 //
 // The paper solves its global skew-variation LP (Eqs. (4)–(11)) with a
 // commercial solver; this package fills that role. B⁻¹ is stored dense and
@@ -13,14 +17,16 @@
 // about 10% nonzero on the global stage's LPs (docs/SOLVER.md), so a pivot
 // costs far less than the O(m²) of a dense sweep; refactorization and the
 // storage stay O(m²). Each value that is computed comes from the same
-// floating-point operations, in the same order, as in a dense sweep, so
-// Solve's results are bit for bit those of the dense solver (see iterate).
+// floating-point operations, in the same order, as in a dense sweep, so a
+// cold Solve's results are bit for bit those of the dense solver (see
+// iterate).
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"skewvar/internal/resilience"
 )
@@ -64,8 +70,9 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
-// Problem is a linear program under construction: minimize cᵀx subject to
-// row constraints and variable bounds.
+// Problem is a linear program: minimize cᵀx subject to row constraints and
+// variable bounds. After a solve it keeps the solver (basis, B⁻¹ and
+// scratch), and the next Solve re-optimizes from that basis.
 type Problem struct {
 	lo, hi, cost []float64
 	names        []string
@@ -76,6 +83,14 @@ type Problem struct {
 	rowCoef  [][]float64
 
 	err error // first build error; sticky, reported by Err and Solve
+
+	// AddConstraint's sort and merge buffers.
+	pos []int
+	mi  []int
+	mc  []float64
+
+	s        *solver // the last successful solve's solver; nil = solve cold
+	maxIters int     // iteration cap of one solve; 0 selects 40·(m+n)+2000
 }
 
 // NewProblem returns an empty minimization problem.
@@ -90,15 +105,16 @@ func (p *Problem) fail(format string, args ...interface{}) {
 	}
 }
 
-// Err returns the first invalid AddVar/AddConstraint input recorded so far,
-// or nil. Solve also reports it, so most callers need not check between
-// builder calls.
+// Err returns the first invalid AddVar/AddConstraint/SetRHS/SetBounds input
+// recorded so far, or nil. Solve also reports it, so most callers need not
+// check between builder calls.
 func (p *Problem) Err() error { return p.err }
 
 // AddVar adds a variable with bounds [lo, hi] and objective coefficient
 // cost, returning its index. Use -Inf/Inf for free bounds. Invalid inputs
 // (NaN, lo > hi) record a sticky error reported by Err/Solve; the variable is
-// still appended (with zeroed bounds) so indices stay consistent.
+// still appended (with zeroed bounds) so indices stay consistent. A variable
+// added after a solve makes the next Solve a cold one.
 func (p *Problem) AddVar(lo, hi, cost float64, name string) int {
 	switch {
 	case math.IsNaN(lo) || math.IsNaN(hi) || math.IsNaN(cost):
@@ -112,7 +128,50 @@ func (p *Problem) AddVar(lo, hi, cost float64, name string) int {
 	p.hi = append(p.hi, hi)
 	p.cost = append(p.cost, cost)
 	p.names = append(p.names, name)
+	p.s = nil
 	return len(p.lo) - 1
+}
+
+// SetBounds changes variable j's bounds to [lo, hi]. Invalid inputs (an
+// unknown variable, NaN, lo > hi) record a sticky error reported by
+// Err/Solve and change nothing.
+func (p *Problem) SetBounds(j int, lo, hi float64) {
+	switch {
+	case j < 0 || j >= len(p.lo):
+		p.fail("lp: SetBounds on unknown variable %d", j)
+	case math.IsNaN(lo) || math.IsNaN(hi):
+		p.fail("lp: variable %q gets a NaN bound (lo %v, hi %v)", p.names[j], lo, hi)
+	case lo > hi:
+		p.fail("lp: variable %q gets lo %v > hi %v", p.names[j], lo, hi)
+	default:
+		p.lo[j], p.hi[j] = lo, hi
+	}
+}
+
+// SetRHS changes row's right-hand side. Invalid inputs (an unknown row, NaN)
+// record a sticky error reported by Err/Solve and change nothing.
+func (p *Problem) SetRHS(row int, rhs float64) {
+	switch {
+	case row < 0 || row >= len(p.rowRHS):
+		p.fail("lp: SetRHS on unknown row %d", row)
+	case math.IsNaN(rhs):
+		p.fail("lp: row %d gets a NaN right-hand side", row)
+	default:
+		p.rowRHS[row] = rhs
+	}
+}
+
+// Clone returns a copy of p's variables and rows without its kept solver,
+// so the copy's first Solve is a cold one.
+func (p *Problem) Clone() *Problem {
+	// Rows are never changed in place, so the copy shares them.
+	return &Problem{
+		lo: slices.Clone(p.lo), hi: slices.Clone(p.hi), cost: slices.Clone(p.cost),
+		names:    slices.Clone(p.names),
+		rowSense: slices.Clone(p.rowSense), rowRHS: slices.Clone(p.rowRHS),
+		rowIdx: slices.Clone(p.rowIdx), rowCoef: slices.Clone(p.rowCoef),
+		err: p.err, maxIters: p.maxIters,
+	}
 }
 
 // NumVars returns the number of structural variables.
@@ -126,7 +185,8 @@ func (p *Problem) NumRows() int { return len(p.rowSense) }
 // order, and a variable whose coefficients sum to exactly zero is left out
 // of the row. Invalid rows (length mismatch, unknown variable, NaN
 // coefficient or RHS) record a sticky error reported by Err/Solve and are
-// dropped; the returned index is -1.
+// dropped; the returned index is -1. A row added after a solve joins the
+// kept basis with its slack basic.
 func (p *Problem) AddConstraint(sense Sense, rhs float64, idx []int, coef []float64) int {
 	if len(idx) != len(coef) {
 		p.fail("lp: row %d: index/coefficient length mismatch (%d vs %d)", len(p.rowSense), len(idx), len(coef))
@@ -149,13 +209,12 @@ func (p *Problem) AddConstraint(sense Sense, rhs float64, idx []int, coef []floa
 	// Order the positions by variable, stably, so each variable's
 	// coefficients are summed in input order. An exact-zero sum is dropped:
 	// the solver would only ever add products with it.
-	pos := make([]int, len(idx))
-	for i := range pos {
-		pos[i] = i
+	pos := p.pos[:0]
+	for i := range idx {
+		pos = append(pos, i)
 	}
-	sort.SliceStable(pos, func(a, b int) bool { return idx[pos[a]] < idx[pos[b]] })
-	var mi []int
-	var mc []float64
+	slices.SortStableFunc(pos, func(a, b int) int { return cmp.Compare(idx[a], idx[b]) })
+	mi, mc := p.mi[:0], p.mc[:0]
 	for k := 0; k < len(pos); {
 		v := idx[pos[k]]
 		var sum float64
@@ -167,10 +226,11 @@ func (p *Problem) AddConstraint(sense Sense, rhs float64, idx []int, coef []floa
 			mc = append(mc, sum)
 		}
 	}
+	p.pos, p.mi, p.mc = pos, mi, mc
 	p.rowSense = append(p.rowSense, sense)
 	p.rowRHS = append(p.rowRHS, rhs)
-	p.rowIdx = append(p.rowIdx, mi)
-	p.rowCoef = append(p.rowCoef, mc)
+	p.rowIdx = append(p.rowIdx, slices.Clone(mi))
+	p.rowCoef = append(p.rowCoef, slices.Clone(mc))
 	return len(p.rowSense) - 1
 }
 
@@ -180,18 +240,15 @@ type Solution struct {
 	Obj        float64
 	X          []float64 // structural variable values
 	Iterations int
-	Refactors  int // basis refactorizations performed (numerical-health signal)
-}
-
-// Options tunes the solver. Zero values select defaults.
-type Options struct {
-	MaxIters int // default 40·(m+n)+2000
+	Refactors  int  // basis refactorizations performed (numerical-health signal)
+	Warm       bool // re-optimized from the kept basis; false for a cold solve
 }
 
 const (
 	refactorEvery = 400
 	// feasTol is the primal feasibility tolerance of the initial slack
-	// basis; optTol is the reduced-cost tolerance of pricing.
+	// basis and of the dual simplex; optTol is the reduced-cost tolerance
+	// of pricing.
 	feasTol float64 = 1e-7
 	optTol  float64 = 1e-7
 )
@@ -234,8 +291,19 @@ type solver struct {
 	rho        []float64
 	rhoSeen    []bool
 	rhoVars    []int
-	// The [B | I] rows of refactor, allocated at the first one.
-	gj [][]float64
+	// The [B | I] rows of refactor, allocated at the first one, and the
+	// scratch of refactor, of the dual values and of the basic values.
+	gj       [][]float64
+	gjNZ     []int
+	y        []float64
+	costRows []int
+	rhs      []float64
+
+	// The dual simplex's breakpoints, the boxed variables its step flips,
+	// and the sign that makes its infeasible row a ray.
+	bps     []breakpoint
+	flips   []int
+	raySign float64
 
 	iters, maxIters int
 	sinceRefactor   int
@@ -249,24 +317,56 @@ func iterLimitErr(iters int) error {
 	return fmt.Errorf("lp: iteration limit exhausted after %d iterations: %w", iters, resilience.ErrSolver)
 }
 
-// Solve runs the two-phase simplex. A problem with invalid build inputs
-// (see Err) fails immediately with a resilience.ErrSolver-wrapped error.
-// Iteration-limit exhaustion returns both the IterLimit-status solution and
-// a typed resilience.ErrSolver error; Infeasible and Unbounded are
-// legitimate outcomes reported via Status with a nil error.
-func (p *Problem) Solve(opt Options) (*Solution, error) {
+// Solve solves the problem. The first Solve is a cold two-phase primal
+// simplex from the slack basis. A later one re-optimizes from the basis the
+// previous one kept (warm.go), and solves cold instead when that basis
+// cannot be made dual feasible or the re-solve fails its certificate.
+//
+// A problem with invalid build inputs (see Err) fails immediately with a
+// resilience.ErrSolver-wrapped error. Iteration-limit exhaustion returns
+// both the IterLimit-status solution and a typed resilience.ErrSolver
+// error, and so does an answer that fails its certificate (certify.go);
+// Infeasible and Unbounded are legitimate outcomes reported via Status
+// with a nil error.
+func (p *Problem) Solve() (*Solution, error) {
 	if p.err != nil {
 		return nil, fmt.Errorf("lp: invalid problem: %v: %w", p.err, resilience.ErrSolver)
 	}
+	maxIters := p.maxIters
+	if maxIters == 0 {
+		maxIters = 40*(len(p.rowSense)+len(p.lo)) + 2000
+	}
+	// The solver is kept only once a solve returns without error, so a
+	// panic or a failure leaves the next Solve cold.
+	var iters, refactors int
+	if s := p.s; s != nil {
+		p.s = nil
+		s.maxIters = maxIters
+		if sol := s.resolve(p); sol != nil {
+			p.s = s
+			return sol, nil
+		}
+		iters, refactors = s.iters, s.refactors
+	}
+	s := newSolver(p, maxIters)
+	sol, err := s.solveCold(p)
+	sol.Iterations += iters
+	sol.Refactors += refactors
+	if err == nil {
+		p.s = s
+	}
+	return sol, err
+}
+
+// newSolver builds the solver of a cold solve: slack columns, the slack
+// basis and an artificial for each row the slack basis violates.
+func newSolver(p *Problem, maxIters int) *solver {
 	m := len(p.rowSense)
 	nS := len(p.lo)
-	if opt.MaxIters == 0 {
-		opt.MaxIters = 40*(m+nS) + 2000
-	}
 	s := &solver{
 		m:        m,
 		nStruct:  nS,
-		maxIters: opt.MaxIters,
+		maxIters: maxIters,
 		rowIdx:   p.rowIdx,
 		rowCoef:  p.rowCoef,
 	}
@@ -283,18 +383,10 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 	}
 	// Slack per row: A·x + s = b.
 	for r := 0; r < m; r++ {
+		lo, hi := slackBounds(p.rowSense[r])
 		s.cols = append(s.cols, col{idx: []int{r}, val: []float64{1}})
-		switch p.rowSense[r] {
-		case LE:
-			s.lo = append(s.lo, 0)
-			s.hi = append(s.hi, Inf)
-		case GE:
-			s.lo = append(s.lo, math.Inf(-1))
-			s.hi = append(s.hi, 0)
-		default: // EQ
-			s.lo = append(s.lo, 0)
-			s.hi = append(s.hi, 0)
-		}
+		s.lo = append(s.lo, lo)
+		s.hi = append(s.hi, hi)
 		s.cost2 = append(s.cost2, 0)
 	}
 	s.n = len(s.cols)
@@ -324,7 +416,6 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 	s.basis = make([]int, m)
 	s.xB = make([]float64, m)
 	s.artOf = make([]int, m)
-	needPhase1 := false
 	for r := 0; r < m; r++ {
 		sj := nS + r // slack index
 		s.artOf[r] = -1
@@ -335,7 +426,6 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 		}
 		// Violated: introduce an artificial with +1 coefficient holding the
 		// residual; the slack goes nonbasic at its nearest bound.
-		needPhase1 = true
 		slackRest := restValue(s.lo[sj], s.hi[sj])
 		s.xN[sj] = slackRest
 		s.atUpper[sj] = !math.IsInf(s.hi[sj], 1) && slackRest == s.hi[sj] && slackRest != s.lo[sj]
@@ -365,15 +455,50 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 	for i := 0; i < m; i++ {
 		s.binv[i*m+i] = 1
 	}
-	s.w = make([]float64, m)
-	s.pivRow = make([]float64, m)
-	s.nzW = make([]int, 0, m)
-	s.nzRow = make([]int, 0, m)
-	s.rho = make([]float64, s.n)
-	s.rhoSeen = make([]bool, s.n)
+	s.sizeScratch()
+	return s
+}
 
+// slackBounds returns the bounds of a row's slack: A·x + s = b with s ≥ 0
+// for ≤, s ≤ 0 for ≥ and s = 0 for =.
+func slackBounds(sense Sense) (lo, hi float64) {
+	switch sense {
+	case LE:
+		return 0, Inf
+	case GE:
+		return math.Inf(-1), 0
+	}
+	return 0, 0
+}
+
+// sizeScratch sizes the per-row and per-variable scratch for m rows and n
+// variables, keeping what is already large enough.
+func (s *solver) sizeScratch() {
+	m, n := s.m, s.n
+	if cap(s.w) < m {
+		s.w = make([]float64, m)
+		s.pivRow = make([]float64, m)
+		s.y = make([]float64, m)
+		s.rhs = make([]float64, m)
+		s.nzW = make([]int, 0, m)
+		s.nzRow = make([]int, 0, m)
+		s.costRows = make([]int, 0, m)
+		s.gjNZ = make([]int, 0, 2*m)
+	}
+	s.w, s.pivRow, s.y, s.rhs = s.w[:m], s.pivRow[:m], s.y[:m], s.rhs[:m]
+	if cap(s.rho) < n {
+		s.rho = make([]float64, n)
+		s.rhoSeen = make([]bool, n)
+	}
+	s.rho, s.rhoSeen = s.rho[:n], s.rhoSeen[:n]
+}
+
+// solveCold runs the two phases from the slack basis newSolver built and
+// checks the answer's certificate.
+func (s *solver) solveCold(p *Problem) (*Solution, error) {
+	nS, m := s.nStruct, s.m
 	sol := &Solution{}
-	if needPhase1 {
+	if s.n > nS+m {
 		// Phase-1 objective: minimize Σ|artificial| = Σ(+a⁺) + Σ(−a⁻).
 		s.cost = make([]float64, s.n)
 		for j := nS + m; j < s.n; j++ {
@@ -394,6 +519,11 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 			sol.Status = Infeasible
 			sol.Iterations = s.iters
 			sol.Refactors = s.refactors
+			// The phase-1 duals are the Farkas ray.
+			s.duals(s.cost, s.y)
+			if err := s.certifyInfeasible(s.y); err != nil {
+				return sol, certErr(sol.Status, err)
+			}
 			return sol, nil
 		}
 		// Pin artificials to zero so phase 2 cannot reuse them.
@@ -419,6 +549,17 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 		sol.Status = IterLimit
 		return sol, iterLimitErr(s.iters)
 	}
+	s.optimal(p, sol)
+	if err := s.certifyOptimal(p, sol); err != nil {
+		return sol, certErr(sol.Status, err)
+	}
+	return sol, nil
+}
+
+// optimal fills sol with the optimal basis's structural values and their
+// objective.
+func (s *solver) optimal(p *Problem, sol *Solution) {
+	nS := s.nStruct
 	sol.Status = Optimal
 	sol.X = make([]float64, nS)
 	for j := 0; j < nS; j++ {
@@ -433,7 +574,6 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 		obj += p.cost[j] * sol.X[j]
 	}
 	sol.Obj = obj
-	return sol, nil
 }
 
 func restValue(lo, hi float64) float64 {
@@ -467,6 +607,28 @@ func (s *solver) objective() float64 {
 	return o
 }
 
+// duals sets y = c_B·B⁻¹ for the costs cost: y_i = Σ_r c_B,r·(B⁻¹)ᵣᵢ over
+// ascending r with c_B,r ≠ 0, one column of B⁻¹ at a time — the terms,
+// and the order, of a sweep over B⁻¹'s rows.
+func (s *solver) duals(cost, y []float64) {
+	m := s.m
+	rows := s.costRows[:0]
+	for r, v := range s.basis {
+		if cost[v] != 0 {
+			rows = append(rows, r)
+		}
+	}
+	s.costRows = rows
+	for i := range y {
+		bc := s.binv[i*m : i*m+m]
+		var v float64
+		for _, r := range rows {
+			v += cost[s.basis[r]] * bc[r]
+		}
+		y[i] = v
+	}
+}
+
 // recomputeReducedCosts rebuilds s.d from scratch: d_j = c_j − y·A_j with
 // y = c_B·B⁻¹. Called at phase start, at refactorization, and when pricing
 // switches to Bland's rule (to clear accumulated drift).
@@ -474,24 +636,8 @@ func (s *solver) recomputeReducedCosts() {
 	if len(s.d) < s.n {
 		s.d = make([]float64, s.n)
 	}
-	m := s.m
-	// y_i = Σ_r c_B,r·(B⁻¹)ᵣᵢ over ascending r with c_B,r ≠ 0, one column of
-	// B⁻¹ at a time: the terms, and the order, of a sweep over B⁻¹'s rows.
-	rows := make([]int, 0, m)
-	for r, v := range s.basis {
-		if s.cost[v] != 0 {
-			rows = append(rows, r)
-		}
-	}
-	y := make([]float64, m)
-	for i := range y {
-		bc := s.binv[i*m : i*m+m]
-		var v float64
-		for _, r := range rows {
-			v += s.cost[s.basis[r]] * bc[r]
-		}
-		y[i] = v
-	}
+	y := s.y
+	s.duals(s.cost, y)
 	for j := 0; j < s.n; j++ {
 		if s.rowOf[j] >= 0 {
 			s.d[j] = 0
@@ -503,6 +649,20 @@ func (s *solver) recomputeReducedCosts() {
 			dv -= y[r] * c.val[t]
 		}
 		s.d[j] = dv
+	}
+}
+
+// ftran sets s.w = B⁻¹·A_q, one contiguous column of B⁻¹ per entry of A_q.
+func (s *solver) ftran(q int) {
+	m := s.m
+	w := s.w
+	clear(w)
+	c := &s.cols[q]
+	for t, r := range c.idx {
+		av := c.val[t]
+		for i, b := range s.binv[r*m : r*m+m] {
+			w[i] += b * av
+		}
 	}
 }
 
@@ -541,15 +701,7 @@ func (s *solver) iterate() Status {
 		if enter < 0 {
 			return Optimal
 		}
-		// w = B⁻¹ · A_enter, one contiguous column of B⁻¹ per entry.
-		clear(w)
-		c := &s.cols[enter]
-		for t, r := range c.idx {
-			av := c.val[t]
-			for i, b := range s.binv[r*m : r*m+m] {
-				w[i] += b * av
-			}
-		}
+		s.ftran(enter)
 		// Ratio test: entering moves by Δ·dir from its rest value; basic r
 		// moves by −dir·Δ·w[r].
 		limit := math.Inf(1)
@@ -612,28 +764,13 @@ func (s *solver) iterate() Status {
 				s.xN[lv] = s.lo[lv]
 				s.atUpper[lv] = false
 			}
-			s.rowOf[lv] = -1
-			s.basis[leave] = enter
-			s.rowOf[enter] = leave
-			s.xB[leave] = entVal
-			// Incremental reduced-cost update: d'_j = d_j − γ·ρ_j with
-			// γ = d_q/w_r and ρ_j = (old B⁻¹ row r)·A_j. The departing
-			// variable lands at d = −γ automatically (ρ_lv = 1).
 			gamma := s.d[enter] / w[leave]
 			s.gatherPivotRow(leave)
 			if gamma != 0 {
-				s.updateReducedCosts(gamma)
-			} else {
-				s.d[lv] = 0
+				s.accumulateRho()
 			}
-			s.d[enter] = 0
-			s.updateBinv(leave, w)
-			s.sinceRefactor++
-			if s.sinceRefactor >= refactorEvery {
-				if !s.refactor() {
-					return IterLimit // numerically wedged basis
-				}
-				s.recomputeReducedCosts()
+			if !s.pivot(leave, enter, entVal, gamma) {
+				return IterLimit // numerically wedged basis
 			}
 		}
 		// Stall detection for Bland switching.
@@ -645,6 +782,37 @@ func (s *solver) iterate() Status {
 			stall++
 		}
 	}
+}
+
+// pivot makes enter basic in row leave at value entVal, once the departing
+// variable has been moved to its bound, and updates the reduced costs and
+// B⁻¹. The caller has gathered the old row leave of B⁻¹ and, unless γ is
+// zero, accumulated ρ over it; s.w holds B⁻¹·A_enter. The update is
+// d'_j = d_j − γ·ρ_j with ρ_j = (old B⁻¹ row leave)·A_j, and the departing
+// variable lands at d = −γ since ρ_lv = 1. pivot refactors every
+// refactorEvery pivots and reports false if that finds the basis singular.
+func (s *solver) pivot(leave, enter int, entVal, gamma float64) bool {
+	lv := s.basis[leave]
+	s.rowOf[lv] = -1
+	s.basis[leave] = enter
+	s.rowOf[enter] = leave
+	s.xB[leave] = entVal
+	if gamma != 0 {
+		s.applyRho(gamma)
+	} else {
+		s.clearRho()
+		s.d[lv] = 0
+	}
+	s.d[enter] = 0
+	s.updateBinv(leave, s.w)
+	s.sinceRefactor++
+	if s.sinceRefactor >= refactorEvery {
+		if !s.refactor() {
+			return false
+		}
+		s.recomputeReducedCosts()
+	}
+	return true
 }
 
 // price selects the entering variable. dir=+1 to increase (at lower, d<0),
@@ -698,13 +866,14 @@ func (s *solver) gatherPivotRow(leave int) {
 	s.nzRow = nz
 }
 
-// updateReducedCosts applies d_j −= γ·ρ_j to every nonbasic j with ρ_j ≠ 0,
-// where ρ_j = (old B⁻¹ row leave)·A_j. It accumulates ρ row by row over the
-// rows of A where that pivot row is nonzero: a row's structural entries,
-// its unit slack and its artificial, if any. A column lists its rows in
-// ascending order and the walk visits rows in ascending order, so each ρ_j
-// sums the nonzero terms of the column-wise dot product in its order.
-func (s *solver) updateReducedCosts(gamma float64) {
+// accumulateRho sets s.rho[j] = ρ_j = s.pivRow·A_j for every variable j
+// with a nonzero term, listed in s.rhoVars. It accumulates ρ row by row
+// over the rows of A where the pivot row is nonzero: a row's structural
+// entries, its unit slack and its artificial, if any. A column lists its
+// rows in ascending order and the walk visits rows in ascending order, so
+// each ρ_j sums the nonzero terms of the column-wise dot product in its
+// order.
+func (s *solver) accumulateRho() {
 	vars := s.rhoVars[:0]
 	add := func(j int, v float64) {
 		if !s.rhoSeen[j] {
@@ -724,14 +893,28 @@ func (s *solver) updateReducedCosts(gamma float64) {
 			add(a, pr*1) // the artificial, also +1
 		}
 	}
-	for _, j := range vars {
+	s.rhoVars = vars
+}
+
+// applyRho applies d_j −= γ·ρ_j to every nonbasic j with ρ_j ≠ 0 and
+// clears the accumulators accumulateRho filled.
+func (s *solver) applyRho(gamma float64) {
+	for _, j := range s.rhoVars {
 		rho := s.rho[j]
 		s.rho[j], s.rhoSeen[j] = 0, false
 		if s.rowOf[j] < 0 && rho != 0 {
 			s.d[j] -= gamma * rho
 		}
 	}
-	s.rhoVars = vars
+	s.rhoVars = s.rhoVars[:0]
+}
+
+// clearRho clears the accumulators accumulateRho filled.
+func (s *solver) clearRho() {
+	for _, j := range s.rhoVars {
+		s.rho[j], s.rhoSeen[j] = 0, false
+	}
+	s.rhoVars = s.rhoVars[:0]
 }
 
 // updateBinv applies the elementary pivot transform for the basis change in
@@ -766,8 +949,8 @@ func (s *solver) updateBinv(leave int, w []float64) {
 func (s *solver) refactor() bool {
 	s.refactors++
 	m := s.m
-	// Assemble [B | I] in the scratch rows, allocated once per solve.
-	if s.gj == nil {
+	// Assemble [B | I] in the scratch rows, allocated once per solver size.
+	if len(s.gj) != m {
 		buf := make([]float64, 2*m*m)
 		s.gj = make([][]float64, m)
 		for i := range s.gj {
@@ -787,7 +970,7 @@ func (s *solver) refactor() bool {
 	}
 	// Gauss-Jordan with partial pivoting, eliminating over the nonzero
 	// columns of the scaled pivot row only.
-	nz := make([]int, 0, 2*m)
+	nz := s.gjNZ[:0]
 	for colI := 0; colI < m; colI++ {
 		piv := colI
 		for r := colI + 1; r < m; r++ {
@@ -822,20 +1005,11 @@ func (s *solver) refactor() bool {
 			}
 		}
 	}
+	s.gjNZ = nz
 	// Recompute the basic values as x_B = B⁻¹(b − N·x_N) from the cached
 	// right-hand side b, reading B⁻¹ from the row-major result before it is
 	// transposed into s.binv.
-	rhs := make([]float64, m)
-	copy(rhs, s.rhsCache)
-	for j := 0; j < s.n; j++ {
-		if s.rowOf[j] >= 0 || s.xN[j] == 0 {
-			continue
-		}
-		c := &s.cols[j]
-		for t, r := range c.idx {
-			rhs[r] -= c.val[t] * s.xN[j]
-		}
-	}
+	rhs := s.nonbasicRHS()
 	for r := 0; r < m; r++ {
 		row := a[r][m:]
 		var v float64
@@ -847,4 +1021,20 @@ func (s *solver) refactor() bool {
 	}
 	s.sinceRefactor = 0
 	return true
+}
+
+// nonbasicRHS returns b − N·x_N in s.rhs.
+func (s *solver) nonbasicRHS() []float64 {
+	rhs := s.rhs
+	copy(rhs, s.rhsCache)
+	for j := 0; j < s.n; j++ {
+		if s.rowOf[j] >= 0 || s.xN[j] == 0 {
+			continue
+		}
+		c := &s.cols[j]
+		for t, r := range c.idx {
+			rhs[r] -= c.val[t] * s.xN[j]
+		}
+	}
+	return rhs
 }

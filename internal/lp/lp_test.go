@@ -11,7 +11,7 @@ import (
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := solve(t, p, Options{})
+	sol, err := solve(t, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestInfeasible(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(0, 1, 1, "x")
 	p.AddConstraint(GE, 5, []int{x}, []float64{1})
-	sol, err := solve(t, p, Options{})
+	sol, err := solve(t, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestInfeasibleContradiction(t *testing.T) {
 	y := p.AddVar(-Inf, Inf, 0, "y")
 	p.AddConstraint(EQ, 1, []int{x, y}, []float64{1, 1})
 	p.AddConstraint(EQ, 3, []int{x, y}, []float64{1, 1})
-	sol, _ := solve(t, p, Options{})
+	sol, _ := solve(t, p)
 	if sol.Status != Infeasible {
 		t.Errorf("status = %v", sol.Status)
 	}
@@ -125,7 +125,7 @@ func TestUnbounded(t *testing.T) {
 	x := p.AddVar(0, Inf, -1, "x")
 	y := p.AddVar(0, Inf, 0, "y")
 	p.AddConstraint(LE, 5, []int{y}, []float64{1})
-	sol, _ := solve(t, p, Options{})
+	sol, _ := solve(t, p)
 	_ = x
 	if sol.Status != Unbounded {
 		t.Errorf("status = %v, want unbounded", sol.Status)
@@ -332,7 +332,7 @@ func TestRandomFeasibleBoundedLPs(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		p, x0 := randomBoundedLP(rng)
 		n := len(x0)
-		sol, err := solve(t, p, Options{})
+		sol, err := solve(t, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +376,7 @@ func TestMediumScalePerformance(t *testing.T) {
 		}
 		p.AddConstraint(LE, lhs+0.1, idx, coef)
 	}
-	sol, err := solve(t, p, Options{})
+	sol, err := solve(t, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,6 +412,13 @@ func TestBuildErrorsAreSticky(t *testing.T) {
 		{"unknown-var", func(p *Problem, x int) { p.AddConstraint(LE, 0, []int{99}, []float64{1}) }},
 		{"nan-coef", func(p *Problem, x int) { p.AddConstraint(LE, 0, []int{x}, []float64{math.NaN()}) }},
 		{"nan-rhs", func(p *Problem, x int) { p.AddConstraint(LE, math.NaN(), []int{x}, []float64{1}) }},
+		{"set-bounds-unknown-var", func(p *Problem, x int) { p.SetBounds(x+1, 0, 1) }},
+		{"set-bounds-nan", func(p *Problem, x int) { p.SetBounds(x, math.NaN(), 1) }},
+		{"set-bounds-lo>hi", func(p *Problem, x int) { p.SetBounds(x, 2, 1) }},
+		{"set-rhs-unknown-row", func(p *Problem, x int) { p.SetRHS(0, 1) }},
+		{"set-rhs-nan", func(p *Problem, x int) {
+			p.SetRHS(p.AddConstraint(LE, 1, []int{x}, []float64{1}), math.NaN())
+		}},
 	}
 	for _, tc := range cases {
 		p := NewProblem()
@@ -424,7 +431,7 @@ func TestBuildErrorsAreSticky(t *testing.T) {
 			t.Errorf("%s: no build error recorded", tc.name)
 			continue
 		}
-		sol, err := solve(t, p, Options{})
+		sol, err := solve(t, p)
 		if sol != nil || err == nil {
 			t.Errorf("%s: Solve = (%v, %v), want build error", tc.name, sol, err)
 		}
@@ -449,7 +456,8 @@ func TestIterLimitIsTypedSolverError(t *testing.T) {
 	y := p.AddVar(0, Inf, -1, "y")
 	p.AddConstraint(LE, 4, []int{x, y}, []float64{1, 2})
 	p.AddConstraint(LE, 4, []int{x, y}, []float64{2, 1})
-	sol, err := solve(t, p, Options{MaxIters: 1})
+	p.maxIters = 1
+	sol, err := solve(t, p)
 	if err == nil {
 		t.Fatal("iteration-limit exhaustion returned nil error")
 	}
@@ -458,6 +466,16 @@ func TestIterLimitIsTypedSolverError(t *testing.T) {
 	}
 	if sol == nil || sol.Status != IterLimit {
 		t.Fatalf("sol = %+v, want IterLimit status alongside the error", sol)
+	}
+
+	// A re-solve that needs a pivot past the cap falls back to a cold
+	// solve, which hits the cap too.
+	p.maxIters = 0
+	solveOK(t, p)
+	p.AddConstraint(LE, 0.5, []int{x}, []float64{1})
+	p.maxIters = 1
+	if sol := resolve(t, p); sol.Status != IterLimit || sol.Warm {
+		t.Fatalf("re-solve = %+v, want a cold IterLimit", sol)
 	}
 }
 
@@ -578,14 +596,14 @@ func TestStrongDuality(t *testing.T) {
 	}
 	checked := 0
 	for i, p := range lps {
-		sol, err := solve(t, p, Options{})
+		sol, err := solve(t, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sol.Status != Optimal {
 			continue
 		}
-		dsol, err := solve(t, dualOf(p), Options{})
+		dsol, err := solve(t, dualOf(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -599,5 +617,73 @@ func TestStrongDuality(t *testing.T) {
 	}
 	if checked < 60 {
 		t.Errorf("only %d of %d LPs were optimal", checked, len(lps))
+	}
+}
+
+// TestCertificateRejectsWrongAnswers shows the certificate can fail: it
+// accepts a solve's optimal answer and its phase-1 ray, and rejects the
+// answer moved off its rows, off its bounds, off its objective or off the
+// optimum, and rays that prove nothing.
+func TestCertificateRejectsWrongAnswers(t *testing.T) {
+	p := NewProblem()
+	x := p.AddVar(0, Inf, -1, "x")
+	y := p.AddVar(0, Inf, -1, "y")
+	p.AddConstraint(LE, 4, []int{x, y}, []float64{1, 2})
+	p.AddConstraint(LE, 4, []int{x, y}, []float64{2, 1})
+	sol := solveOK(t, p)
+	if err := p.s.certifyOptimal(p, sol); err != nil {
+		t.Fatalf("the solve's own answer: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(s *Solution)
+	}{
+		{"row violated", func(s *Solution) { s.X[x]++ }},
+		{"bound violated", func(s *Solution) { s.X[y] = -1 }},
+		{"objective off", func(s *Solution) { s.Obj-- }},
+		{"not optimal", func(s *Solution) { s.X[x], s.X[y], s.Obj = 0, 0, 0 }},
+	} {
+		bad := *sol
+		bad.X = append([]float64(nil), sol.X...)
+		tc.edit(&bad)
+		if err := p.s.certifyOptimal(p, &bad); err == nil {
+			t.Errorf("%s: certificate holds", tc.name)
+		}
+	}
+
+	// z ∈ [0, 1] with z ≥ 2: y = 1 on the row proves it infeasible.
+	q := NewProblem()
+	z := q.AddVar(0, 1, 0, "z")
+	q.AddConstraint(GE, 2, []int{z}, []float64{1})
+	if sol, _ := solve(t, q); sol.Status != Infeasible {
+		t.Fatalf("status %v, want infeasible", sol.Status)
+	}
+	for _, tc := range []struct {
+		ray  float64
+		want bool
+	}{{1, true}, {0, false}, {-1, false}} {
+		if err := q.s.certifyInfeasible([]float64{tc.ray}); (err == nil) != tc.want {
+			t.Errorf("ray %v: certificate error %v", tc.ray, err)
+		}
+	}
+}
+
+// TestResolveFallsBackCold frees a variable whose reduced cost then calls
+// for a bound it no longer has: no flip makes the kept basis dual
+// feasible, so the re-solve solves cold, and so does a clone.
+func TestResolveFallsBackCold(t *testing.T) {
+	p := NewProblem()
+	x := p.AddVar(0, Inf, 1, "x")
+	p.AddConstraint(GE, -3, []int{x}, []float64{1})
+	if sol := solveOK(t, p); sol.X[x] != 0 {
+		t.Fatalf("x = %v, want 0", sol.X[x])
+	}
+	p.SetBounds(x, math.Inf(-1), Inf)
+	sol := resolve(t, p)
+	if sol.Warm || sol.Status != Optimal || sol.X[x] != -3 {
+		t.Errorf("re-solve: warm %v, status %v, x = %v; want a cold optimum at −3", sol.Warm, sol.Status, sol.X[x])
+	}
+	if c, _ := solve(t, p.Clone()); c.Obj != sol.Obj {
+		t.Errorf("clone objective %v, problem %v", c.Obj, sol.Obj)
 	}
 }

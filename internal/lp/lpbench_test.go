@@ -33,12 +33,12 @@ func TestLargeishLPPerf(t *testing.T) {
 		p.AddConstraint(LE, lhs+0.05+rng.Float64()*0.2, idx, coef)
 	}
 	t0 := time.Now()
-	sol, err := p.Solve(Options{})
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("status=%v iters=%d obj=%.3f elapsed=%v", sol.Status, sol.Iterations, sol.Obj, time.Since(t0))
-	ref, refErr := refSolve(p, Options{})
+	ref, refErr := refSolve(p, p.maxIters)
 	if d := solveDiff(sol, err, ref, refErr); d != "" {
 		t.Fatalf("Solve differs from the reference solver: %s", d)
 	}

@@ -1,11 +1,12 @@
 package lp
 
 // The reference solver TestSolveMatchesReference and
-// FuzzSolveMatchesReference hold Solve to, bit for bit: the dense simplex
-// Solve replaced, kept verbatim but for its names. It stores B⁻¹ row-major
-// as m separate rows, sweeps every column in the inverse update, the
-// reduced-cost update and the Gauss–Jordan refactorization, and allocates
-// a fresh [B | I] at every refactorization. It shares the package's
+// FuzzSolveMatchesReference hold a cold Solve to, bit for bit, and the
+// re-solve tests hold a re-solve to by status and objective: the dense
+// simplex Solve replaced, kept verbatim but for its names. It stores B⁻¹
+// row-major as m separate rows, sweeps every column in the inverse update,
+// the reduced-cost update and the Gauss–Jordan refactorization, and
+// allocates a fresh [B | I] at every refactorization. It shares the package's
 // tolerances, refactorization period and error constructor, so it pins
 // the arithmetic of a solve, not its tuning.
 
@@ -70,20 +71,21 @@ type refSolver struct {
 	refactors       int
 }
 
-// refSolve is the reference two-phase simplex, with Solve's contract.
-func refSolve(p *Problem, opt Options) (*Solution, error) {
+// refSolve is the reference two-phase simplex, with a cold Solve's
+// contract. maxIters caps the iterations; 0 selects Solve's default.
+func refSolve(p *Problem, maxIters int) (*Solution, error) {
 	if p.err != nil {
 		return nil, fmt.Errorf("lp: invalid problem: %v: %w", p.err, resilience.ErrSolver)
 	}
 	m := len(p.rowSense)
 	nS := len(p.lo)
-	if opt.MaxIters == 0 {
-		opt.MaxIters = 40*(m+nS) + 2000
+	if maxIters == 0 {
+		maxIters = 40*(m+nS) + 2000
 	}
 	s := &refSolver{
 		m:        m,
 		nStruct:  nS,
-		maxIters: opt.MaxIters,
+		maxIters: maxIters,
 	}
 	// Build columns: structural vars from rows.
 	s.cols = make([]refCol, nS, nS+2*m)
