@@ -112,11 +112,13 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/skewlint -dir bench ./... skewvar/internal/...
 
-# 30-second fuzz passes: the design reader's validation layer, then the LP
-# solver against its dense reference solver (bit-identical results).
+# 30-second fuzz passes: the design reader's validation layer, the LP
+# solver against its dense reference solver, and the scratch-built route
+# builders against their allocating reference (both bit-identical).
 fuzz:
 	$(GO) test ./internal/edaio/ -run '^$$' -fuzz FuzzReadDesign -fuzztime 30s
 	$(GO) test ./internal/lp/ -run '^$$' -fuzz FuzzSolveMatchesReference -fuzztime 30s
+	$(GO) test ./internal/route/ -run '^$$' -fuzz FuzzRouteMatchesReference -fuzztime 30s
 
 help:
 	@echo "tier1            lint + cover + build + test + race (the merge gate)"
@@ -132,4 +134,4 @@ help:
 	@echo "load-e2e         skewload load/durability end-to-end (group commit vs per-line fsync)"
 	@echo "journal-e2e      storage-fault end-to-end (compaction crash boundaries, disk-fault matrix, scrub)"
 	@echo "bench-check      vet + test + skewlint the bench/ pipeline-benchmark module"
-	@echo "fuzz             30s fuzz of the design reader, then 30s of the LP solver against its reference"
+	@echo "fuzz             30s fuzz each: design reader, LP solver vs its reference, route builders vs theirs"

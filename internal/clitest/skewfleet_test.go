@@ -146,6 +146,7 @@ func TestSkewfleetKillSteal(t *testing.T) {
 		t.Fatalf("reference result: HTTP %d (%d bytes)", rcode, len(refBytes))
 	}
 	refTrace := canonicalJobTrace(t, filepath.Join(refSpool, "r0"), refID)
+	crashAfter := crashDelay(t, filepath.Join(refSpool, "r0"), refID)
 	if ec := ref.sigterm(t); ec != 0 {
 		t.Fatalf("reference drain: exit %d; stderr:\n%s", ec, ref.stderr)
 	}
@@ -169,7 +170,7 @@ func TestSkewfleetKillSteal(t *testing.T) {
 						t.Fatal("submit response names no owning replica")
 					}
 					waitJob(t, p.url, id, "running", "done")
-					time.Sleep(150 * time.Millisecond) // let the flow get into the stage
+					time.Sleep(crashAfter) // let the flow get into the stage
 					if code := adminPost(t, p.url, "/admin/crash/"+owner); code != http.StatusOK {
 						t.Fatalf("admin crash of %s: HTTP %d", owner, code)
 					}

@@ -382,7 +382,7 @@ func TestLocalOptIncrementalMatchesFullSTA(t *testing.T) {
 		for _, mv := range eco.Enumerate(d.Tree, tm.Tech, buf, d.Die) {
 			// The trial LocalOpt runs: a copy-on-write clone, the move,
 			// the invariant check.
-			t2 := d.Tree.CloneShared(mutableForMove(d.Tree, mv)...)
+			t2 := d.Tree.CloneShared(mutableForMove(nil, d.Tree, mv)...)
 			if eco.Apply(t2, tm.Tech, lg, mv) != nil || t2.Validate() != nil {
 				continue
 			}

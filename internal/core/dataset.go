@@ -49,28 +49,37 @@ type netStages struct {
 // own net, a resized child's net (Type II), and both old and new driver
 // nets for surgery (Type III). Nets without fanout pins are left out.
 func affectedStages(tr *ctree.Tree, m eco.Move) []netStages {
-	var out []netStages
-	addNet := func(d ctree.NodeID) {
-		if d == ctree.NoNode || tr.Node(d) == nil {
-			return
-		}
-		if pins := tr.FanoutPins(d); len(pins) > 0 {
-			out = append(out, netStages{d: d, pins: pins})
-		}
-	}
+	nets, _ := appendAffectedStages(nil, nil, tr, m)
+	return nets
+}
+
+// appendAffectedStages is affectedStages over caller-owned scratch: it
+// appends the nets to nets and their pin lists to pins, and returns both
+// extended slices for reuse.
+func appendAffectedStages(nets []netStages, pins []ctree.NodeID, tr *ctree.Tree, m eco.Move) ([]netStages, []ctree.NodeID) {
+	var drivers [3]ctree.NodeID
+	ds := drivers[:0]
 	switch m.Type {
 	case eco.TypeI:
-		addNet(tr.Driver(m.Buffer))
-		addNet(m.Buffer)
+		ds = append(ds, tr.Driver(m.Buffer), m.Buffer)
 	case eco.TypeII:
-		addNet(tr.Driver(m.Buffer))
-		addNet(m.Buffer)
-		addNet(m.Child)
+		ds = append(ds, tr.Driver(m.Buffer), m.Buffer, m.Child)
 	case eco.TypeIII:
-		addNet(m.Buffer) // the old driver (child has left its net)
-		addNet(m.NewDrv)
+		ds = append(ds, m.Buffer, m.NewDrv) // the old driver (child has left its net)
 	}
-	return out
+	for _, d := range ds {
+		if d == ctree.NoNode || tr.Node(d) == nil {
+			continue
+		}
+		// A later append may move pins to a larger array; the nets already
+		// listed keep their slices of the old one, whose values stay put.
+		lo := len(pins)
+		pins = tr.AppendFanoutPins(pins, d)
+		if hi := len(pins); hi > lo {
+			nets = append(nets, netStages{d: d, pins: pins[lo:hi:hi]})
+		}
+	}
+	return nets, pins
 }
 
 // BuildDataset generates stage-delay training data from artificial
@@ -196,7 +205,8 @@ func TrainOnDataset(ctx context.Context, t *tech.Tech, ds *Dataset, cfg TrainCon
 		Xv := make([][]float64, len(X))
 		for i, y := range Yd {
 			Y[i] = y - X[i][RSMTD2M]
-			Xv[i] = mlView(X[i])
+			v := mlView(X[i])
+			Xv[i] = v[:]
 		}
 		X = Xv
 		trainOne := func(X [][]float64, Y []float64) (ml.Model, error) {

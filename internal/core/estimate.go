@@ -103,12 +103,14 @@ func StageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID, pins []ctree.No
 	return dst
 }
 
-// estScratch is the pooled working set of one net estimate: the route
-// child lists and BFS queue, the RC layout, and the post-move estimator's
-// slew and stage-row buffers. Nothing in it outlives the call that took it
-// from the pool.
+// estScratch is the pooled working set of one net estimate: the two
+// routes and their builders' scratch, the route child lists and BFS queue,
+// the RC layout, and the post-move estimator's slew and stage-row buffers.
+// Nothing in it outlives the call that took it from the pool.
 type estScratch struct {
 	locs        []geom.Point
+	routes      [2]route.Tree // RSMT, single trunk
+	rs          route.Scratch
 	head, next  []int32 // route child lists: first child, next sibling
 	queue, rcOf []int32 // BFS queue; RC node of each route node
 	pinRC       []int32 // RC node of each route pin i+1
@@ -138,9 +140,11 @@ func (sc *estScratch) stageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID
 	for _, p := range pins {
 		sc.locs = append(sc.locs, tr.Node(p).Loc)
 	}
-	routes := [2]*route.Tree{route.RSMT(sc.locs), route.SingleTrunk(sc.locs)}
+	sc.rs.RSMT(&sc.routes[0], sc.locs)
+	sc.rs.SingleTrunk(&sc.routes[1], sc.locs)
 	bb := geom.BBox(sc.locs)
-	for topo, rt := range routes {
+	for topo := range sc.routes {
+		rt := &sc.routes[topo]
 		// Estimator knows intended snaking detours (they are in the design
 		// database) but not congestion.
 		for i, p := range pins {

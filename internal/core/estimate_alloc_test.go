@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -15,13 +16,14 @@ import (
 )
 
 // Allocation ceilings of the predictor path, as fixed numbers (CHANGES.md
-// derives them): a tenth of the 510,982 allocations BuildDataset(Default28nm,
-// 4, 8, 1) made when every stage rebuilt its RC trees through rctree.Builder,
-// and a quarter of the 736 that path made per warm Gain call over the
-// digest's move set.
+// derives them): BuildDataset(Default28nm, 4, 8, 1) made 3,986 allocations
+// once the routes, the ridge view, the fanout lists and Enumerate's buffer
+// list stopped allocating (8,229 before, 510,982 when every stage rebuilt
+// its RC trees through rctree.Builder), and its ceiling is a quarter above
+// that; a warm Gain call makes none.
 const (
-	maxDatasetAllocs = 51098
-	maxGainAllocs    = 184
+	maxDatasetAllocs = 4983
+	maxGainAllocs    = 0
 )
 
 // digestScoring is TestEstimatorDigest's scoring set-up: a ridge model
@@ -90,15 +92,21 @@ func TestGainAllocBudget(t *testing.T) {
 	}
 	s := newDigestScoring(t)
 	sc := s.scorer()
-	// AllocsPerRun's warm-up pass fills the pre-move cache and the pools.
-	allocs := testing.AllocsPerRun(1, func() {
+	pass := func() {
 		for _, mv := range s.moves {
 			sc.Gain(mv)
 		}
-	}) / float64(len(s.moves))
-	t.Logf("warm Gain: %.1f allocations per call over %d moves (ceiling %d)", allocs, len(s.moves), maxGainAllocs)
-	if allocs > maxGainAllocs {
-		t.Errorf("warm Gain makes %.1f allocations per call, ceiling %d", allocs, maxGainAllocs)
+	}
+	// A first pass fills the pre-move cache. Its allocations can start a
+	// GC cycle, and each cycle makes every sync.Pool allocate a fresh
+	// per-P array on its next use; collecting now keeps that cycle out of
+	// the measured pass. AllocsPerRun's own warm-up pass refills the pools.
+	pass()
+	runtime.GC()
+	allocs := testing.AllocsPerRun(1, pass)
+	t.Logf("warm Gain: %.0f allocations over %d calls (ceiling %d per call)", allocs, len(s.moves), maxGainAllocs)
+	if allocs > maxGainAllocs*float64(len(s.moves)) {
+		t.Errorf("warm Gain makes %.0f allocations over %d calls, ceiling %d per call", allocs, len(s.moves), maxGainAllocs)
 	}
 }
 
@@ -130,6 +138,84 @@ func TestGainParallelMatchesSerial(t *testing.T) {
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("move %d (%s): concurrent gain %v, serial %v", i, s.moves[i], got[i], want[i])
+		}
+	}
+}
+
+// panicOnNth is a StageModel that panics on its nth prediction and
+// otherwise defers to the model it wraps.
+type panicOnNth struct {
+	StageModel
+	n, calls int
+}
+
+func (p *panicOnNth) PredictDelta(k int, feats []float64) float64 {
+	p.calls++
+	if p.calls == p.n {
+		panic("injected prediction failure")
+	}
+	return p.StageModel.PredictDelta(k, feats)
+}
+
+// countPredictions counts PredictDelta calls.
+type countPredictions struct {
+	StageModel
+	calls int
+}
+
+func (c *countPredictions) PredictDelta(k int, feats []float64) float64 {
+	c.calls++
+	return c.StageModel.PredictDelta(k, feats)
+}
+
+// TestGainPanicLeavesScorerIntact makes the model panic in the middle of
+// one Gain call, after the move has been applied to a pooled post-move
+// tree, once for a move of each type. The panicking call's tree must not
+// return to the pool: every later Gain on the same scorer must equal a
+// fresh scorer's bit for bit.
+func TestGainPanicLeavesScorerIntact(t *testing.T) {
+	s := newDigestScoring(t)
+	fresh := s.scorer()
+	want := make([]float64, len(s.moves))
+	for i, mv := range s.moves {
+		want[i] = fresh.Gain(mv)
+	}
+	// The prediction count before each move, on a scorer scoring in order.
+	counter := &countPredictions{StageModel: s.model}
+	counted := NewMoveScorer(s.tm, s.tree, s.die, s.alphas, s.pairs, counter)
+	before := make([]int, len(s.moves))
+	for i, mv := range s.moves {
+		before[i] = counter.calls
+		counted.Gain(mv)
+	}
+	for _, typ := range []eco.MoveType{eco.TypeI, eco.TypeII, eco.TypeIII} {
+		// The first move of the type whose gain runs the model, past the
+		// moves that warm the pools.
+		victim := -1
+		for i := 10; i+1 < len(s.moves); i++ {
+			if s.moves[i].Type == typ && before[i+1] > before[i] {
+				victim = i
+				break
+			}
+		}
+		if victim < 0 {
+			t.Fatalf("no %v move runs the model", typ)
+		}
+		model := &panicOnNth{StageModel: s.model, n: before[victim] + 1}
+		sc := NewMoveScorer(s.tm, s.tree, s.die, s.alphas, s.pairs, model)
+		for i, mv := range s.moves {
+			var got float64
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				got = sc.Gain(mv)
+				return false
+			}()
+			if panicked != (i == victim) {
+				t.Fatalf("%v: move %d (%s) panicked=%v, want a panic at move %d only", typ, i, mv, panicked, victim)
+			}
+			if !panicked && math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("%v: move %d (%s) after a panic at move %d: gain %v, fresh scorer %v", typ, i, mv, victim, got, want[i])
+			}
 		}
 	}
 }

@@ -233,7 +233,8 @@ func LocalOpt(ctx context.Context, tm *sta.Timer, d *ctree.Design, alphas []floa
 					// Copy-on-write clone: only the nodes this move mutates
 					// are private; the rest are shared, read-only, with the
 					// concurrent trials.
-					t2 := cur.CloneShared(mutableForMove(cur, cands[i].move)...)
+					var mut [3]ctree.NodeID
+					t2 := cur.CloneShared(mutableForMove(mut[:0], cur, cands[i].move)...)
 					if err := eco.Apply(t2, tm.Tech, lg, cands[i].move); err != nil {
 						return nil
 					}
@@ -386,13 +387,16 @@ type scoredMove struct {
 // pre-move tree state. It is safe for concurrent use; its stage estimator
 // caches pre-move estimates across calls.
 type MoveScorer struct {
-	est         *stageEstimator // owns the pre-move tree and its golden analysis
-	alphas      []float64
-	pairs       []ctree.SinkPair
-	pairsBySink map[ctree.NodeID][]int
-	model       StageModel
-	lg          *legalize.Legalizer
-	skewCap     []float64 // per-corner local-skew ceiling (pre-move max |skew|)
+	est    *stageEstimator // owns the pre-move tree and its golden analysis
+	alphas []float64
+	pairs  []ctree.SinkPair
+	// The pairs of sink id are pairIdx[pairOff[id]:pairOff[id+1]], in
+	// ascending pair order.
+	pairOff, pairIdx []int32
+	model            StageModel
+	lg               *legalize.Legalizer
+	skewCap          []float64 // per-corner local-skew ceiling (pre-move max |skew|)
+	posts            sync.Pool // *postTree over est.pre
 }
 
 // NewMoveScorer analyzes the tree and prepares a scorer over the pair set.
@@ -402,20 +406,44 @@ func NewMoveScorer(tm *sta.Timer, tr *ctree.Tree, die geom.Rect, alphas []float6
 
 // newMoveScorer prepares a scorer over tree tr and its golden analysis a.
 func newMoveScorer(t *tech.Tech, tr *ctree.Tree, a *sta.Analysis, lg *legalize.Legalizer, alphas []float64, pairs []ctree.SinkPair, model StageModel) *MoveScorer {
-	pbs := map[ctree.NodeID][]int{}
-	for i, p := range pairs {
-		pbs[p.A] = append(pbs[p.A], i)
-		pbs[p.B] = append(pbs[p.B], i)
-	}
 	caps := make([]float64, a.K)
 	for k := range caps {
 		caps[k] = sta.MaxAbsSkew(a, k, pairs)
 	}
-	return &MoveScorer{
+	s := &MoveScorer{
 		est:    newStageEstimator(t, tr, a),
-		alphas: alphas, pairs: pairs, pairsBySink: pbs, model: model,
+		alphas: alphas, pairs: pairs, model: model,
 		lg: lg, skewCap: caps,
 	}
+	s.indexPairs(len(tr.Nodes))
+	s.posts.New = func() interface{} {
+		return &postTree{Tree: ctree.Tree{Source: tr.Source, Nodes: slices.Clone(tr.Nodes)}}
+	}
+	return s
+}
+
+// indexPairs builds the per-sink pair lists over node ids [0, nodes): a
+// counting pass, then a fill in ascending pair order. A pair naming the
+// same sink at both ends is listed twice; the touched-pair walk's seen
+// flags count it once.
+func (s *MoveScorer) indexPairs(nodes int) {
+	off := make([]int32, nodes+1)
+	for _, p := range s.pairs {
+		off[p.A+1]++
+		off[p.B+1]++
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	idx := make([]int32, off[nodes])
+	fill := slices.Clone(off[:nodes])
+	for pi, p := range s.pairs {
+		idx[fill[p.A]] = int32(pi)
+		fill[p.A]++
+		idx[fill[p.B]] = int32(pi)
+		fill[p.B]++
+	}
+	s.pairOff, s.pairIdx = off, idx
 }
 
 // Analysis exposes the scorer's pre-move golden analysis.
@@ -446,26 +474,79 @@ func predictGains(ctx context.Context, sc *MoveScorer, moves []eco.Move, cfg Loc
 // of the (virtually applied) move are re-estimated with the model, the
 // per-sink latency deltas are propagated down the post-move tree, and the
 // predicted variation reduction over the touched pairs is summed.
+//
+// The move is applied to one of the scorer's pooled post-move trees, whose
+// slots for the nodes the move mutates point at private copies for the
+// duration of the call. A warm call allocates nothing.
 func (s *MoveScorer) Gain(mv eco.Move) float64 {
-	post := s.est.pre.CloneShared(mutableForMove(s.est.pre, mv)...)
-	if err := eco.Apply(post, s.est.t, s.lg, mv); err != nil {
-		return math.Inf(-1)
-	}
-	nets := affectedStages(post, mv)
-	if len(nets) == 0 {
-		return math.Inf(-1)
-	}
+	pre := s.est.pre
+	post := s.posts.Get().(*postTree)
 	g := gainScratchPool.Get().(*gainScratch)
-	g.prepare(len(post.Nodes), len(s.pairs))
-	gain := s.gain(post, nets, g)
-	g.release()
+	g.mutable = mutableForMove(g.mutable[:0], pre, mv)
+	post.privatize(pre, pre.Source)
+	for _, id := range g.mutable {
+		post.privatize(pre, id)
+	}
+	gain := math.Inf(-1)
+	if eco.Apply(&post.Tree, s.est.t, s.lg, mv) == nil {
+		g.nets, g.pins = appendAffectedStages(g.nets[:0], g.pins[:0], &post.Tree, mv)
+		if len(g.nets) > 0 {
+			g.prepare(len(post.Nodes), len(s.pairs))
+			gain = s.gain(&post.Tree, g.nets, g)
+			g.reset()
+		}
+	}
+	// A call that panics gets to neither Put: its tree still holds the
+	// move, and its scratch may hold set slots.
+	post.restore(pre)
+	s.posts.Put(post)
+	gainScratchPool.Put(g)
 	return gain
+}
+
+// postTree is a reusable post-move tree of one MoveScorer. Its node table
+// is copied from the pre-move tree once, when the pool creates it; between
+// calls every slot points at the pre-move node. A call points the slots of
+// the nodes its move mutates at private copies in own, reusing their
+// structs and Children arrays, and restore points them back.
+type postTree struct {
+	ctree.Tree
+	own [4]ctree.Node   // private copies: the source and ≤3 mutable nodes
+	ids [4]ctree.NodeID // the slots that point into own, first n of them
+	n   int
+}
+
+// privatize points slot id at a private copy of pre's node id. Ids that
+// are missing or already private are left as they are.
+func (p *postTree) privatize(pre *ctree.Tree, id ctree.NodeID) {
+	n := pre.Node(id)
+	if n == nil || slices.Contains(p.ids[:p.n], id) {
+		return
+	}
+	cp := &p.own[p.n]
+	children := cp.Children
+	*cp = *n
+	cp.Children = append(children[:0], n.Children...)
+	p.Nodes[id] = cp
+	p.ids[p.n] = id
+	p.n++
+}
+
+// restore points every private slot back at pre's node.
+func (p *postTree) restore(pre *ctree.Tree) {
+	for _, id := range p.ids[:p.n] {
+		p.Nodes[id] = pre.Nodes[id]
+	}
+	p.n = 0
 }
 
 // gainScratch is the pooled working set of one Gain call, indexed by
 // post-tree node and by pair. Between calls every slot is -1 and every
 // seen flag false; nothing in it outlives the call.
 type gainScratch struct {
+	mutable   []ctree.NodeID // nodes the move mutates
+	nets      []netStages    // the move's affected nets
+	pins      []ctree.NodeID // their fanout pins
 	feats     []float64      // one net's feature rows
 	heads     []ctree.NodeID // pins whose stage delay the move changes
 	deltas    []float64      // per head, K predicted stage-delay changes
@@ -474,7 +555,7 @@ type gainScratch struct {
 	sinks     []ctree.NodeID // sinks holding a slot, in slot order
 	sinkDelta []float64      // per slot, K accumulated deltas
 	seen      []bool         // per pair: already in touched
-	touched   []int
+	touched   []int32
 }
 
 var gainScratchPool = sync.Pool{New: func() interface{} { return new(gainScratch) }}
@@ -491,16 +572,14 @@ func (g *gainScratch) prepare(nodes, pairs int) {
 	g.sinks, g.sinkDelta, g.touched = g.sinks[:0], g.sinkDelta[:0], g.touched[:0]
 }
 
-// release restores the between-calls invariant and returns g to the pool.
-// A call that panics never gets here; its scratch is dropped, not reused.
-func (g *gainScratch) release() {
+// reset restores the between-calls invariant of the slots and seen flags.
+func (g *gainScratch) reset() {
 	for _, id := range g.sinks {
 		g.slot[id] = -1
 	}
 	for _, pi := range g.touched {
 		g.seen[pi] = false
 	}
-	gainScratchPool.Put(g)
 }
 
 // sinkDeltaOf returns the accumulated deltas of a sink, nil when no
@@ -577,7 +656,7 @@ func (s *MoveScorer) gain(post *ctree.Tree, nets []netStages, g *gainScratch) fl
 	// is not associative, so the order must follow from the pair set, not
 	// from the order the tree walk discovered the sinks in.
 	for _, sid := range g.sinks {
-		for _, pi := range s.pairsBySink[sid] {
+		for _, pi := range s.pairIdx[s.pairOff[sid]:s.pairOff[sid+1]] {
 			if !g.seen[pi] {
 				g.seen[pi] = true
 				g.touched = append(g.touched, pi)
@@ -644,22 +723,23 @@ func ActualMoveGain(tm *sta.Timer, tr *ctree.Tree, die geom.Rect, alphas []float
 	return v0 - sta.SumVariation(a2, alphas, pairs)
 }
 
-// mutableForMove lists the nodes eco.Apply mutates in place for a move, for
-// CloneShared: the perturbed buffer (Type I/II Loc and cell), the resized or
-// reassigned child, and for surgery the child's structural parent (its
-// Children splice) and the new driver (its Children append).
-func mutableForMove(tr *ctree.Tree, mv eco.Move) []ctree.NodeID {
+// mutableForMove appends to dst the nodes eco.Apply mutates in place for a
+// move, for CloneShared and the scorer's post-move trees: the perturbed
+// buffer (Type I/II Loc and cell), the resized or reassigned child, and for
+// surgery the child's structural parent (its Children splice) and the new
+// driver (its Children append).
+func mutableForMove(dst []ctree.NodeID, tr *ctree.Tree, mv eco.Move) []ctree.NodeID {
 	switch mv.Type {
 	case eco.TypeII:
-		return []ctree.NodeID{mv.Buffer, mv.Child}
+		return append(dst, mv.Buffer, mv.Child)
 	case eco.TypeIII:
-		out := []ctree.NodeID{mv.Child, mv.NewDrv}
+		dst = append(dst, mv.Child, mv.NewDrv)
 		if n := tr.Node(mv.Child); n != nil && n.Parent != ctree.NoNode {
-			out = append(out, n.Parent)
+			dst = append(dst, n.Parent)
 		}
-		return out
+		return dst
 	default:
-		return []ctree.NodeID{mv.Buffer}
+		return append(dst, mv.Buffer)
 	}
 }
 

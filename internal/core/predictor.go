@@ -46,17 +46,30 @@ const (
 // regressors consume: the four delta estimates plus fanout, aspect ratio,
 // slew and drive. Unbounded absolute features (bbox area, raw latencies)
 // are excluded — they wreck polynomial models outside the training range.
-func mlView(feats []float64) []float64 {
-	return []float64{
+func mlView(feats []float64) [8]float64 {
+	return [8]float64{
 		feats[0], feats[1], feats[2], feats[3],
 		feats[FeatFanout], feats[FeatAR], feats[FeatSlew], feats[FeatDrive],
 	}
 }
 
+// predictView evaluates m on feats' mlView. A slice passed through the
+// ml.Model interface escapes to the heap, so a ridge model, the kind the
+// local stage scores most moves with, gets a static call that keeps its
+// view on the stack.
+func predictView(m ml.Model, feats []float64) float64 {
+	if r, ok := m.(*ml.Ridge); ok {
+		v := mlView(feats) // stays on the stack: a static call
+		return r.Predict(v[:])
+	}
+	v := mlView(feats) // escapes through the interface call
+	return m.Predict(v[:])
+}
+
 // PredictDelta implements StageModel.
 func (m *MLStageModel) PredictDelta(k int, feats []float64) float64 {
 	base := feats[RSMTD2M]
-	c := m.Models[k].Predict(mlView(feats))
+	c := predictView(m.Models[k], feats)
 	if k < len(m.Shrink) {
 		c *= m.Shrink[k]
 	}

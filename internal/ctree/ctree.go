@@ -214,9 +214,9 @@ func (t *Tree) Clone() *Tree {
 // append, since AddNode grows the parent's Children. Shared nodes must be
 // treated as read-only.
 //
-// This is what makes concurrent move trials cheap: a trial clones O(move)
-// nodes instead of O(design), and trials racing on the same base tree only
-// ever read the shared nodes.
+// A clone deep-copies O(move) nodes, but it still copies the whole
+// O(design) node table of pointers. Trials racing on the same base tree
+// only ever read the shared nodes.
 func (t *Tree) CloneShared(mutable ...NodeID) *Tree {
 	c := &Tree{Source: t.Source, Nodes: make([]*Node, len(t.Nodes))}
 	copy(c.Nodes, t.Nodes)
@@ -349,27 +349,31 @@ func (t *Tree) Driver(id NodeID) NodeID {
 // node: every buffer input pin or sink pin reached from id without passing
 // through another buffer. This is the electrical net driven by node id.
 func (t *Tree) FanoutPins(id NodeID) []NodeID {
-	var out []NodeID
+	return t.AppendFanoutPins(nil, id)
+}
+
+// AppendFanoutPins appends FanoutPins(id) to dst and returns the extended
+// slice. The walk visits each node's children last to first and descends
+// into a tap before moving on to its earlier siblings.
+func (t *Tree) AppendFanoutPins(dst []NodeID, id NodeID) []NodeID {
 	n := t.Node(id)
 	if n == nil {
-		return nil
+		return dst
 	}
-	stack := append([]NodeID(nil), n.Children...)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for i := len(n.Children) - 1; i >= 0; i-- {
+		cur := n.Children[i]
 		c := t.Node(cur)
 		if c == nil {
 			continue
 		}
 		switch c.Kind {
 		case KindBuffer, KindSink:
-			out = append(out, cur)
+			dst = append(dst, cur)
 		case KindTap:
-			stack = append(stack, c.Children...)
+			dst = t.AppendFanoutPins(dst, cur)
 		}
 	}
-	return out
+	return dst
 }
 
 // SubtreeSinks returns every sink at or below the given node.

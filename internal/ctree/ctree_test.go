@@ -533,3 +533,65 @@ func TestCloneIsolationUnderRandomEditsProperty(t *testing.T) {
 		}
 	}
 }
+
+// stackFanoutPins is the fanout walk over an explicit LIFO stack seeded
+// with the children: the order oracle for AppendFanoutPins.
+func stackFanoutPins(t *Tree, id NodeID) []NodeID {
+	var out []NodeID
+	n := t.Node(id)
+	if n == nil {
+		return nil
+	}
+	stack := append([]NodeID(nil), n.Children...)
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		c := t.Node(cur)
+		if c == nil {
+			continue
+		}
+		switch c.Kind {
+		case KindBuffer, KindSink:
+			out = append(out, cur)
+		case KindTap:
+			stack = append(stack, c.Children...)
+		}
+	}
+	return out
+}
+
+// TestAppendFanoutPinsOrder compares every driving node's fanout pins with
+// the stack walk on random trees with nested taps, and checks that
+// AppendFanoutPins keeps what dst already held.
+func TestAppendFanoutPinsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	kinds := []Kind{KindBuffer, KindTap, KindTap, KindSink}
+	for trial := 0; trial < 40; trial++ {
+		tr := NewTree(geom.Pt(0, 0), "CKINVX8")
+		open := []NodeID{tr.Source}
+		for i := 0; i < 60; i++ {
+			k := kinds[rng.Intn(len(kinds))]
+			cell := ""
+			if k == KindBuffer {
+				cell = "CKINVX2"
+			}
+			n := tr.AddNode(k, geom.Pt(float64(i), 0), cell, open[rng.Intn(len(open))])
+			if k != KindSink {
+				open = append(open, n.ID)
+			}
+		}
+		prefix := []NodeID{NoNode, 7}
+		for _, id := range open {
+			want := stackFanoutPins(tr, id)
+			got := tr.AppendFanoutPins(append([]NodeID(nil), prefix...), id)
+			if len(got) != len(prefix)+len(want) || got[0] != prefix[0] || got[1] != prefix[1] {
+				t.Fatalf("trial %d, node %d: AppendFanoutPins %v, want prefix %v then %v", trial, id, got, prefix, want)
+			}
+			for i, p := range want {
+				if got[len(prefix)+i] != p {
+					t.Fatalf("trial %d, node %d: pins %v, stack walk %v", trial, id, got[len(prefix):], want)
+				}
+			}
+		}
+	}
+}

@@ -146,6 +146,7 @@ func Enumerate(tr *ctree.Tree, t *tech.Tech, buf ctree.NodeID, die geom.Rect) []
 	}
 	// Type III: reassign each child pin of this buffer to a same-level
 	// driver within the window.
+	bufs := tr.Buffers()
 	for _, ck := range tr.FanoutPins(buf) {
 		cn := tr.Node(ck)
 		lvl := tr.Level(ck)
@@ -153,7 +154,7 @@ func Enumerate(tr *ctree.Tree, t *tech.Tech, buf ctree.NodeID, die geom.Rect) []
 			geom.Pt(cn.Loc.X-SurgeryWindow/2, cn.Loc.Y-SurgeryWindow/2),
 			geom.Pt(cn.Loc.X+SurgeryWindow/2, cn.Loc.Y+SurgeryWindow/2),
 		)
-		for _, cand := range tr.Buffers() {
+		for _, cand := range bufs {
 			if cand == buf || cand == ck {
 				continue
 			}

@@ -136,10 +136,14 @@ func MedianPoint(pts []Point) Point {
 		xs[i] = p.X
 		ys[i] = p.Y
 	}
-	return Point{X: median(xs), Y: median(ys)}
+	return Point{X: Median(xs), Y: Median(ys)}
 }
 
-func median(v []float64) float64 {
+// Median returns the median of a non-empty slice, the mean of the two
+// middle values for an even count, and leaves v sorted ascending. The sort
+// is a stable insertion sort, so among values that compare equal (−0 and
+// +0) the one earlier in v stays earlier.
+func Median(v []float64) float64 {
 	// Insertion sort: point sets here are small (net fanouts).
 	for i := 1; i < len(v); i++ {
 		for j := i; j > 0 && v[j] < v[j-1]; j-- {

@@ -167,12 +167,36 @@ func TrainRidge(X [][]float64, y []float64, lambda float64) (*Ridge, error) {
 	return &Ridge{scaler: sc, ys: ys, coef: coef, dim: len(X[0])}, nil
 }
 
-// Predict implements Model.
+// ridgeStackDim is the widest input whose scaled copy Predict keeps on the
+// stack; the delta-latency view is 8 wide.
+const ridgeStackDim = 16
+
+// Predict implements Model. It takes the dot product of the coefficients
+// with expand2 of the scaled input in place: the same terms, multiplied and
+// summed in expand2's order, so the result is bit-identical without
+// materializing either vector.
 func (r *Ridge) Predict(x []float64) float64 {
-	f := expand2(r.scaler.Transform(x))
+	var buf [ridgeStackDim]float64
+	xs := buf[:0]
+	if len(x) > len(buf) {
+		xs = make([]float64, 0, len(x))
+	}
+	for j, v := range x {
+		xs = append(xs, (v-r.scaler.Mean[j])/r.scaler.Std[j])
+	}
+	c := r.coef
 	var v float64
-	for i, c := range r.coef {
-		v += c * f[i]
+	v += c[0] * 1 // expand2's leading 1
+	i := 1
+	for _, xj := range xs {
+		v += c[i] * xj
+		i++
+	}
+	for a := range xs {
+		for b := a; b < len(xs); b++ {
+			v += c[i] * float64(xs[a]*xs[b])
+			i++
+		}
 	}
 	return r.ys.back(v)
 }

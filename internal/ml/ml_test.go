@@ -98,6 +98,45 @@ func TestRidgeRecoversQuadratic(t *testing.T) {
 	}
 }
 
+// TestRidgePredictMatchesExpansion holds the in-place Predict to the
+// materialized form, coef · expand2(scaled x), bit for bit: at the
+// delta-latency view's width, and wider than Predict's stack buffer.
+func TestRidgePredictMatchesExpansion(t *testing.T) {
+	for _, d := range []int{1, 8, ridgeStackDim + 3} {
+		rng := rand.New(rand.NewSource(int64(d)))
+		X, y := synth(rng, 150, d, 0.05)
+		r, err := TrainRidge(X, y, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Xt, _ := synth(rng, 50, d, 0)
+		Xt = append(Xt, make([]float64, d)) // the all-zero input
+		for i, x := range Xt {
+			f := expand2(r.scaler.Transform(x))
+			var want float64
+			for j, c := range r.coef {
+				want += c * f[j]
+			}
+			want = r.ys.back(want)
+			if got := r.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("d=%d, input %d: Predict %v, expansion %v", d, i, got, want)
+			}
+		}
+	}
+}
+
+func TestRidgePredictZeroAlloc(t *testing.T) {
+	X, y := synth(rand.New(rand.NewSource(4)), 100, 8, 0.05)
+	r, err := TrainRidge(X, y, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := X[7]
+	if allocs := testing.AllocsPerRun(100, func() { r.Predict(x) }); allocs != 0 {
+		t.Errorf("warm Ridge.Predict makes %.1f allocations, want 0", allocs)
+	}
+}
+
 func TestANNGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	X, y := synth(rng, 40, 3, 0)
