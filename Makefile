@@ -113,12 +113,14 @@ bench-check:
 	$(GO) run ./cmd/skewlint -dir bench ./... skewvar/internal/...
 
 # 30-second fuzz passes: the design reader's validation layer, the LP
-# solver against its dense reference solver, and the scratch-built route
-# builders against their allocating reference (both bit-identical).
+# solver against its dense reference solver, the scratch-built route
+# builders against their allocating reference, and the Algorithm-1 search
+# against its per-candidate reference (all three bit-identical).
 fuzz:
 	$(GO) test ./internal/edaio/ -run '^$$' -fuzz FuzzReadDesign -fuzztime 30s
 	$(GO) test ./internal/lp/ -run '^$$' -fuzz FuzzSolveMatchesReference -fuzztime 30s
 	$(GO) test ./internal/route/ -run '^$$' -fuzz FuzzRouteMatchesReference -fuzztime 30s
+	$(GO) test ./internal/eco/ -run '^$$' -fuzz FuzzSelectMatchesReference -fuzztime 30s
 
 help:
 	@echo "tier1            lint + cover + build + test + race (the merge gate)"
@@ -134,4 +136,4 @@ help:
 	@echo "load-e2e         skewload load/durability end-to-end (group commit vs per-line fsync)"
 	@echo "journal-e2e      storage-fault end-to-end (compaction crash boundaries, disk-fault matrix, scrub)"
 	@echo "bench-check      vet + test + skewlint the bench/ pipeline-benchmark module"
-	@echo "fuzz             30s fuzz each: design reader, LP solver vs its reference, route builders vs theirs"
+	@echo "fuzz             30s fuzz each: design reader, LP solver, route builders, Algorithm-1 search vs references"

@@ -952,6 +952,11 @@ func optimizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, bl *bloc
 // selected against the arc's *live* delay — so cross-arc couplings
 // (shared-net loading, slew shifts) are compensated instead of
 // accumulating.
+//
+// An arc edit is rolled back through an undo record of the arc's nodes
+// (Top, the interior chain, Bottom), on an edit error as on a rejection,
+// and every incremental analysis is released once superseded. bl.a is
+// never released: block 0's analysis is reused across rungs.
 func realizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, bl *blockLP, sol *lp.Solution) (int, float64, int) {
 	arcs, arcD, vars, seg := bl.arcs, bl.arcD, bl.vars, bl.seg
 	directLen, endLoads, external := bl.directLen, bl.endLoads, bl.external
@@ -960,8 +965,21 @@ func realizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, bl *block
 	var selErr float64
 	selN := 0
 	aLive := bl.a
+	// supersede makes a the live analysis and releases the one it replaces.
+	supersede := func(a *sta.Analysis) {
+		if aLive != bl.a {
+			aLive.Release()
+		}
+		aLive = a
+	}
+	target, live := make([]float64, K), make([]float64, K)
+	var undo ctree.Undo
+	var arcNodes []ctree.NodeID
+	saveArc := func(arc *ctree.Arc) {
+		arcNodes = append(append(append(arcNodes[:0], arc.Top), arc.Interior...), arc.Bottom)
+		undo.Save(tree, arcNodes...)
+	}
 	for _, ai := range arcs {
-		target := make([]float64, K)
 		maxAbs := 0.0
 		for k := 0; k < K; k++ {
 			delta := vars[ai].delta(sol, k)
@@ -975,7 +993,6 @@ func realizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, bl *block
 		}
 		arc := seg.Arcs[ai]
 		// Live arc delay (anchors persist across earlier realizations).
-		live := make([]float64, K)
 		for k := 0; k < K; k++ {
 			top := aLive.Arrive[k][arc.Top]
 			if math.IsNaN(top) {
@@ -1022,8 +1039,7 @@ func realizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, bl *block
 		}
 		var dirty []ctree.NodeID
 		var err error
-		pre := tree.Clone()
-		aPre := aLive
+		saveArc(arc)
 		switch {
 		case rebuildSol != nil:
 			dirty, err = reb.RebuildArc(tree, arc, rebuildSol)
@@ -1033,34 +1049,36 @@ func realizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, bl *block
 			continue
 		}
 		if err != nil {
+			undo.Restore(tree)
 			continue
 		}
-		aLive = tm.AnalyzeIncremental(tree, aLive, dirty)
+		aNew := tm.AnalyzeIncremental(tree, aLive, dirty)
 		// Per-arc golden gate: the realized arc must actually move toward
 		// its target (estimates — especially full rebuilds — carry
 		// placement/interpolation noise the selection cannot see).
 		var errAfter float64
 		for k := 0; k < K; k++ {
-			top := aLive.Arrive[k][arc.Top]
+			top := aNew.Arrive[k][arc.Top]
 			if math.IsNaN(top) {
 				top = 0
 			}
-			l := aLive.Arrive[k][arc.Bottom] - top
+			l := aNew.Arrive[k][arc.Bottom] - top
 			errAfter += math.Abs(l - target[k])
 			for k2 := k + 1; k2 < K; k2++ {
-				top2 := aLive.Arrive[k2][arc.Top]
+				top2 := aNew.Arrive[k2][arc.Top]
 				if math.IsNaN(top2) {
 					top2 = 0
 				}
-				l2 := aLive.Arrive[k2][arc.Bottom] - top2
+				l2 := aNew.Arrive[k2][arc.Bottom] - top2
 				errAfter += math.Abs((l - l2) - (target[k] - target[k2]))
 			}
 		}
 		if errAfter > 0.9*doNothing {
-			*tree = *pre
-			aLive = aPre
+			undo.Restore(tree)
+			aNew.Release()
 			continue
 		}
+		supersede(aNew)
 		rebuilt++
 		selErr += bestErr
 		selN++
@@ -1076,11 +1094,9 @@ func realizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, bl *block
 				continue
 			}
 			arc := seg.Arcs[ai]
-			target := make([]float64, K)
 			for k := 0; k < K; k++ {
 				target[k] = arcD[ai][k] + vars[ai].delta(sol, k)
 			}
-			live := make([]float64, K)
 			for k := 0; k < K; k++ {
 				top := aLive.Arrive[k][arc.Top]
 				if math.IsNaN(top) {
@@ -1100,17 +1116,20 @@ func realizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, bl *block
 			if err != nil {
 				continue
 			}
+			saveArc(arc)
 			dirty, err := reb.ApplyTrim(tree, arc, t.ExtraUM)
 			if err != nil {
+				undo.Restore(tree)
 				continue
 			}
-			aLive = tm.AnalyzeIncremental(tree, aLive, dirty)
+			supersede(tm.AnalyzeIncremental(tree, aLive, dirty))
 			changed++
 		}
 		if changed == 0 {
 			break
 		}
 	}
+	supersede(nil) // releases the last live analysis
 	return rebuilt, selErr, selN
 }
 

@@ -184,3 +184,38 @@ func TestGlobalNoNegativeDetour(t *testing.T) {
 		t.Errorf("global tree invalid: %v", err)
 	}
 }
+
+// maxGlobalOptAllocs is the allocation ceiling of one GlobalOpt on
+// BenchmarkGlobalOpt's shape, a quarter above the 29,956 allocations it
+// made once ECO realization stopped cloning the tree per arc, dropping its
+// analyses and allocating per search candidate (226,189 before).
+const maxGlobalOptAllocs = 37445
+
+// TestGlobalOptAllocBudget runs the global stage on BenchmarkGlobalOpt's
+// shape: CLS1v1 with 160 flip-flops, its top 60 sink pairs in one LP
+// block, one worker.
+func TestGlobalOptAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates on alloc-free paths")
+	}
+	base, ch := testTech(t)
+	d, tm, err := testgen.Build(base, testgen.CLS1v1(160))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm.Workers = 1
+	pairs := d.TopPairs(60)
+	a := tm.Analyze(d.Tree)
+	alphas := sta.Alphas(a, pairs)
+	a.Release()
+	cfg := GlobalConfig{TopPairs: 60, MaxPairsPerLP: 60}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := GlobalOpt(context.Background(), tm, ch, d, alphas, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("GlobalOpt(CLS1v1(160), 60 pairs): %.0f allocations (ceiling %d)", allocs, maxGlobalOptAllocs)
+	if allocs > maxGlobalOptAllocs {
+		t.Errorf("GlobalOpt makes %.0f allocations, ceiling %d", allocs, maxGlobalOptAllocs)
+	}
+}

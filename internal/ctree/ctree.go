@@ -238,6 +238,57 @@ func (t *Tree) CloneShared(mutable ...NodeID) *Tree {
 	return c
 }
 
+// Undo rolls back a local edit in place, in O(edit) instead of the O(design)
+// of a Clone. Save records the listed nodes (their slots, values and
+// Children) and the node-table length; Restore puts them back and drops
+// every node appended since. The contract is CloneShared's: list every node
+// the edit mutates in place, including the parent of any node it appends or
+// removes. An Undo is reusable; each Save replaces the previous record.
+type Undo struct {
+	n     int      // node-table length at Save
+	ids   []NodeID // saved slots, in Save order
+	nodes []*Node  // slot contents at Save (nil for an empty slot)
+	vals  []Node   // node values at Save
+	kids  []NodeID // every saved node's Children, concatenated
+}
+
+// Save records the listed nodes of t.
+func (u *Undo) Save(t *Tree, ids ...NodeID) {
+	u.n = len(t.Nodes)
+	u.ids, u.nodes, u.vals, u.kids = u.ids[:0], u.nodes[:0], u.vals[:0], u.kids[:0]
+	for _, id := range ids {
+		n := t.Node(id)
+		u.ids = append(u.ids, id)
+		u.nodes = append(u.nodes, n)
+		if n == nil {
+			u.vals = append(u.vals, Node{})
+			continue
+		}
+		u.vals = append(u.vals, *n)
+		u.kids = append(u.kids, n.Children...)
+	}
+}
+
+// Restore returns t to its state at the last Save. Each saved node gets
+// back its slot, its value and its own Children array with the saved
+// contents, so no two nodes ever share a Children array.
+func (u *Undo) Restore(t *Tree) {
+	clear(t.Nodes[u.n:])
+	t.Nodes = t.Nodes[:u.n]
+	off := 0
+	for i, id := range u.ids {
+		n := u.nodes[i]
+		if int(id) >= 0 && int(id) < u.n {
+			t.Nodes[id] = n
+		}
+		if n == nil {
+			continue
+		}
+		*n = u.vals[i]
+		off += copy(n.Children, u.kids[off:off+len(n.Children)])
+	}
+}
+
 // Sinks returns all sink node IDs in ascending ID order.
 func (t *Tree) Sinks() []NodeID {
 	var out []NodeID

@@ -2,6 +2,7 @@ package ctree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"skewvar/internal/geom"
@@ -594,4 +595,67 @@ func TestAppendFanoutPinsOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUndoRestore edits the small tree — a node appended under b3, b2
+// removed, s2 moved under tap — and restores it: every slot, value and
+// Children list must match a Clone taken before. Appending under every
+// saved node afterwards must leave the two trees equal, so no restored
+// node shares a Children array with another.
+func TestUndoRestore(t *testing.T) {
+	tr, ids := buildSmall(t)
+	ref := tr.Clone()
+	saved := []NodeID{ids["tap"], ids["b2"], ids["s1"], ids["b3"], ids["s2"]}
+	var u Undo
+	u.Save(tr, saved...)
+	tr.AddNode(KindSink, geom.Pt(50, -30), "", ids["b3"])
+	if err := tr.RemoveNode(ids["b2"]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.ReassignParent(ids["s2"], ids["tap"]); err != nil {
+		t.Fatal(err)
+	}
+	u.Restore(tr)
+	same := func(what string) {
+		t.Helper()
+		if len(tr.Nodes) != len(ref.Nodes) {
+			t.Fatalf("%s: %d slots, want %d", what, len(tr.Nodes), len(ref.Nodes))
+		}
+		for i, w := range ref.Nodes {
+			g := tr.Nodes[i]
+			if (g == nil) != (w == nil) {
+				t.Fatalf("%s: slot %d is %v, want %v", what, i, g, w)
+			}
+			if w == nil {
+				continue
+			}
+			if g.ID != w.ID || g.Kind != w.Kind || g.Loc != w.Loc || g.CellName != w.CellName ||
+				g.Parent != w.Parent || g.Detour != w.Detour || g.Name != w.Name ||
+				!slices.Equal(g.Children, w.Children) {
+				t.Fatalf("%s: node %d is %+v, want %+v", what, i, *g, *w)
+			}
+		}
+	}
+	same("restored")
+	for _, id := range saved {
+		if tr.Node(id).Kind == KindSink {
+			continue
+		}
+		tr.AddNode(KindSink, geom.Pt(60, 0), "", id)
+		ref.AddNode(KindSink, geom.Pt(60, 0), "", id)
+	}
+	same("appended under every saved node")
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// A removed node, as a stale arc still lists it, is saved as an
+	// empty slot and stays empty.
+	if err := tr.RemoveNode(ids["b1"]); err != nil {
+		t.Fatal(err)
+	}
+	ref = tr.Clone()
+	u.Save(tr, ids["b1"], ids["tap"])
+	tr.AddNode(KindBuffer, geom.Pt(70, 0), "CKINVX2", ids["tap"])
+	u.Restore(tr)
+	same("restored around an empty slot")
 }

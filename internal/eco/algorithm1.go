@@ -21,15 +21,15 @@ type Rebuilder struct {
 	T    *tech.Tech
 	Char *lut.Char
 	Lg   *legalize.Legalizer
-
-	// SpacingStride subsamples the LUT spacing grid during the search (1 =
-	// every characterized spacing; 3 = every 15µm). Higher is faster.
-	SpacingStride int
 }
 
-// NewRebuilder returns a Rebuilder with default search granularity.
+// spacingStride subsamples the LUT spacing grid during the search: every
+// second characterized spacing, 10µm apart.
+const spacingStride int = 2
+
+// NewRebuilder returns a Rebuilder over a technology's characterized LUTs.
 func NewRebuilder(t *tech.Tech, ch *lut.Char, lg *legalize.Legalizer) *Rebuilder {
-	return &Rebuilder{T: t, Char: ch, Lg: lg, SpacingStride: 2}
+	return &Rebuilder{T: t, Char: ch, Lg: lg}
 }
 
 // Solution is a chosen (size, spacing, count) inverter-pair insertion.
@@ -39,7 +39,6 @@ type Solution struct {
 	Pairs     int
 	DetourUM  float64 // total extra wire vs. the direct run
 	Err       float64 // Algorithm-1 combined error
-	Est       []float64
 }
 
 // endLoad returns the input capacitance presented by an arc's bottom anchor.
@@ -96,84 +95,125 @@ func nearestSpacingIdx(q float64) int {
 	return i
 }
 
+// algorithm1Err is the combined error of lines 8–13: per-corner delay
+// error plus the error of every corner-pair delay difference.
+func algorithm1Err(est, dlp []float64) float64 {
+	var err float64
+	for k := range dlp {
+		err += math.Abs(est[k] - dlp[k])
+	}
+	for k := range dlp {
+		for k2 := k + 1; k2 < len(dlp); k2++ {
+			err += math.Abs((est[k] - est[k2]) - (dlp[k] - dlp[k2]))
+		}
+	}
+	return err
+}
+
 // Select runs the Algorithm-1 search (lines 3–18) for one arc: it scans gate
 // sizes × spacings, estimates the required pair count from LUTuniform at the
 // nominal corner, probes uest±2, and returns the minimum-error solution.
+//
+// Each candidate's estimate is Estimate's, summed in Estimate's order. At
+// a grid spacing the head (first wire, first pair) comes from the LUTs'
+// head table and the last stage is computed once per (cell, spacing) for
+// one pair and once for two or more. A spacing stretched to cover the
+// direct run is the same for every grid spacing below it, so a repeated
+// (cell, pair count) would repeat an estimate that cannot win under the
+// strict < and is skipped.
 func (r *Rebuilder) Select(directUM float64, endLoad float64, dlp []float64) (*Solution, error) {
-	if len(dlp) != r.T.NumCorners() {
-		return nil, fmt.Errorf("eco: %d delay targets for %d corners", len(dlp), r.T.NumCorners())
+	K := r.T.NumCorners()
+	if len(dlp) != K {
+		return nil, fmt.Errorf("eco: %d delay targets for %d corners", len(dlp), K)
 	}
-	stride := r.SpacingStride
-	if stride < 1 {
-		stride = 1
-	}
-	best := &Solution{Err: math.Inf(1)}
-	errOf := func(est []float64) float64 {
-		var err float64
-		for k := range dlp {
-			err += math.Abs(est[k] - dlp[k])
-		}
-		for k := range dlp {
-			for k2 := k + 1; k2 < len(dlp); k2++ {
-				err += math.Abs((est[k] - est[k2]) - (dlp[k] - dlp[k2]))
-			}
-		}
-		return err
-	}
-	consider := func(p int, q float64, u int) {
-		// u pairs ⇒ u+1 segments; the wire must at least cover the direct
-		// run.
-		eff := q
-		if minSpacing := directUM / float64(u+1); eff < minSpacing {
-			eff = minSpacing
-		}
-		if eff > 2*lut.SpacingMax {
-			return // not characterized; unreachable spacing
-		}
-		est := make([]float64, len(dlp))
-		for k := range dlp {
-			est[k] = r.Estimate(p, eff, u, k, endLoad)
-		}
-		if err := errOf(est); err < best.Err {
-			// At the clamped spacing eff*(u+1) can round a hair below
-			// directUM; a wire never runs shorter than the direct path.
-			best = &Solution{CellIdx: p, SpacingUM: eff, Pairs: u,
-				DetourUM: math.Max(0, eff*float64(u+1)-directUM), Err: err, Est: est}
-		}
-	}
+	// est holds the candidate's per-corner estimate; last1 and lastN hold
+	// the last stage at the current grid spacing for one pair and for two
+	// or more.
+	buf := make([]float64, 3*K)
+	est, last1, lastN := buf[:K], buf[K:2*K], buf[2*K:]
+	best := Solution{Err: math.Inf(1)}
 	// Bare-wire options (full buffer removal), with optional snaking.
 	for _, f := range []float64{1, 1.15, 1.3, 1.5} {
 		length := directUM * f
-		est := make([]float64, len(dlp))
-		for k := range dlp {
+		for k := range est {
 			est[k] = r.Estimate(0, length, 0, k, endLoad)
 		}
-		if err := errOf(est); err < best.Err {
-			best = &Solution{CellIdx: 0, SpacingUM: length, Pairs: 0,
-				DetourUM: length - directUM, Err: err, Est: est}
+		if err := algorithm1Err(est, dlp); err < best.Err {
+			best = Solution{CellIdx: 0, SpacingUM: length, Pairs: 0,
+				DetourUM: length - directUM, Err: err}
 		}
 	}
+	nom := r.T.Nominal
 	for p := range r.T.Cells {
-		for qi := 0; qi < len(r.Char.Spacings); qi += stride {
+		var stretched uint64 // bit u-1: (p, u) already tried stretched
+		for qi := 0; qi < len(r.Char.Spacings); qi += spacingStride {
 			q := r.Char.Spacings[qi]
-			uniform := r.Char.Uniform(p, qi, r.T.Nominal)
+			uniform := r.Char.Uniform(p, qi, nom)
 			if uniform <= 0 {
 				continue
 			}
-			uest := int(math.Round(dlp[r.T.Nominal] / uniform))
+			uest := int(math.Round(dlp[nom] / uniform))
 			lo := uest - 2
 			if lo < 1 {
 				lo = 1
 			}
+			have1, haveN := false, false
 			for u := lo; u <= uest+2 && u <= 64; u++ {
-				consider(p, q, u)
+				// u pairs ⇒ u+1 segments; the wire must at least cover the
+				// direct run.
+				eff := q
+				if minSpacing := directUM / float64(u+1); eff < minSpacing {
+					bit := uint64(1) << (u - 1)
+					if stretched&bit != 0 {
+						continue
+					}
+					stretched |= bit
+					eff = minSpacing
+					if eff > 2*lut.SpacingMax {
+						continue // not characterized; unreachable spacing
+					}
+					for k := range est {
+						est[k] = r.Estimate(p, eff, u, k, endLoad)
+					}
+				} else {
+					if u == 1 && !have1 {
+						for k := range last1 {
+							last1[k], _ = r.Char.DetailStage(p, q, k, r.Char.SteadySlew(p, qi, k), endLoad)
+						}
+						have1 = true
+					}
+					if u >= 2 && !haveN {
+						for k := range lastN {
+							lastN[k], _ = r.Char.DetailStage(p, q, k, r.Char.Head(p, qi, k).SlewOut, endLoad)
+						}
+						haveN = true
+					}
+					for k := range est {
+						h := r.Char.Head(p, qi, k)
+						if u == 1 {
+							est[k] = h.Wire + last1[k]
+							continue
+						}
+						total := h.Wire + h.First
+						if u > 2 {
+							total += float64(u-2) * r.Char.UniformAt(p, q, k)
+						}
+						est[k] = total + lastN[k]
+					}
+				}
+				if err := algorithm1Err(est, dlp); err < best.Err {
+					// At the clamped spacing eff*(u+1) can round a hair below
+					// directUM; a wire never runs shorter than the direct path.
+					best = Solution{CellIdx: p, SpacingUM: eff, Pairs: u,
+						DetourUM: math.Max(0, eff*float64(u+1)-directUM), Err: err}
+				}
 			}
 		}
 	}
 	if math.IsInf(best.Err, 1) {
 		return nil, fmt.Errorf("eco: no feasible insertion for arc (direct %.1fµm)", directUM)
 	}
-	return best, nil
+	return &best, nil
 }
 
 // RebuildArc applies a selected solution to the tree: removes the arc's

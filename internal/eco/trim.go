@@ -1,6 +1,7 @@
 package eco
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -14,10 +15,12 @@ import (
 // the LP's small surgical corrections are realized this way, while large
 // corrections go through the full Algorithm-1 rebuild.
 type TrimSolution struct {
-	ExtraUM float64   // signed wire change (negative removes existing snake)
-	Err     float64   // Algorithm-1 combined error at the chosen trim
-	Est     []float64 // estimated post-trim arc delays per corner
+	ExtraUM float64 // signed wire change (negative removes existing snake)
+	Err     float64 // Algorithm-1 combined error at the chosen trim
 }
+
+// errNoTrim is SelectTrim's answer when no trim beats doing nothing.
+var errNoTrim = errors.New("eco: no trim improves on the current arc")
 
 // arcDetourBudget returns the total removable snaking on the arc (interior
 // nodes + bottom anchor).
@@ -99,31 +102,31 @@ func (r *Rebuilder) SelectTrim(tr *ctree.Tree, arc *ctree.Arc, arcD, dlp []float
 	}
 	slopes := r.TrimSlopes(tr, arc, endLoad)
 	budget := ArcDetourBudget(tr, arc)
-	errAt := func(extra float64) (float64, []float64) {
-		est := make([]float64, len(arcD))
+	// errAt is algorithm1Err of the estimate arcD + slopes·extra, computed
+	// without materializing it.
+	errAt := func(extra float64) float64 {
 		var err float64
 		for k := range arcD {
-			est[k] = arcD[k] + slopes[k]*extra
-			err += math.Abs(est[k] - dlp[k])
+			err += math.Abs((arcD[k] + slopes[k]*extra) - dlp[k])
 		}
 		for k := range arcD {
+			ek := arcD[k] + slopes[k]*extra
 			for k2 := k + 1; k2 < len(arcD); k2++ {
-				err += math.Abs((est[k] - est[k2]) - (dlp[k] - dlp[k2]))
+				err += math.Abs((ek - (arcD[k2] + slopes[k2]*extra)) - (dlp[k] - dlp[k2]))
 			}
 		}
-		return err, est
+		return err
 	}
-	doNothing, _ := errAt(0)
-	best := &TrimSolution{ExtraUM: 0, Err: doNothing}
+	best := TrimSolution{ExtraUM: 0, Err: errAt(0)}
 	for extra := -budget; extra <= maxExtra; extra += 2 {
-		if e, est := errAt(extra); e < best.Err {
-			best = &TrimSolution{ExtraUM: extra, Err: e, Est: est}
+		if e := errAt(extra); e < best.Err {
+			best = TrimSolution{ExtraUM: extra, Err: e}
 		}
 	}
 	if best.ExtraUM == 0 {
-		return nil, fmt.Errorf("eco: no trim improves on the current arc")
+		return nil, errNoTrim
 	}
-	return best, nil
+	return &best, nil
 }
 
 // ApplyTrim adjusts the arc's snaking: positive extra is added at the bottom
@@ -138,8 +141,12 @@ func (r *Rebuilder) ApplyTrim(tr *ctree.Tree, arc *ctree.Arc, extra float64) ([]
 		bottom.Detour += extra
 		return []ctree.NodeID{arc.Bottom}, nil
 	}
-	dirty := []ctree.NodeID{arc.Bottom}
 	remove := -extra
+	// Check the budget first: a failed trim leaves the tree untouched.
+	if short := remove - ArcDetourBudget(tr, arc); short > 1e-6 {
+		return nil, fmt.Errorf("eco: trim removes more snaking than the arc carries (%.1fµm short)", short)
+	}
+	dirty := []ctree.NodeID{arc.Bottom}
 	if take := math.Min(remove, bottom.Detour); take > 0 {
 		bottom.Detour -= take
 		remove -= take
@@ -155,9 +162,6 @@ func (r *Rebuilder) ApplyTrim(tr *ctree.Tree, arc *ctree.Arc, extra float64) ([]
 			remove -= take
 			dirty = append(dirty, n.ID)
 		}
-	}
-	if remove > 1e-6 {
-		return nil, fmt.Errorf("eco: trim removed more snaking than the arc carries (%.1fµm short)", remove)
 	}
 	return dirty, nil
 }

@@ -178,6 +178,27 @@ func TestApplyTrimErrors(t *testing.T) {
 	}
 }
 
+// TestApplyTrimFailureLeavesTreeUnchanged asks for more snake removal than
+// the arc carries: the trim must fail before it consumes any detour.
+func TestApplyTrimFailureLeavesTreeUnchanged(t *testing.T) {
+	th, ch, lg := env(t)
+	r := NewRebuilder(th, ch, lg)
+	tr, ids := snakeTree()
+	arc := ctree.Segment(tr).Arcs[0]
+	before := make([]float64, len(ids))
+	for i, id := range ids {
+		before[i] = tr.Node(id).Detour
+	}
+	if _, err := r.ApplyTrim(tr, arc, -(ArcDetourBudget(tr, arc) + 5)); err == nil {
+		t.Fatal("over-removal accepted")
+	}
+	for i, id := range ids {
+		if got := tr.Node(id).Detour; got != before[i] {
+			t.Errorf("node %d detour %v after the failed trim, was %v", id, got, before[i])
+		}
+	}
+}
+
 func TestTrimAfterRebuildStaleArc(t *testing.T) {
 	// After RebuildArc, the segmentation's Interior list is stale (old
 	// nodes removed). Trim helpers must tolerate it: budget and apply work

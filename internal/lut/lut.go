@@ -45,6 +45,19 @@ type Char struct {
 	uniform [][][]float64
 	// steadySlew[cell][spacing][corner]: the self-consistent input slew.
 	steadySlew [][][]float64
+	// head[(cell*len(Spacings)+spacing)*corners+corner]: the
+	// arc-independent head of an Algorithm-1 estimate at a grid spacing.
+	head []Head
+}
+
+// Head is the arc-independent head of an Algorithm-1 arc estimate at a
+// grid spacing q: the wire from the top anchor into the first pair, and
+// the first pair driving a q-µm wire into an identical pair at the steady
+// slew. It is exactly what the estimate computes for those stages.
+type Head struct {
+	Wire    float64 // WireDelay(k, q, InCap)
+	First   float64 // DetailStage(p, q, k, SteadySlew(p, qi, k), InCap)
+	SlewOut float64 // that stage's output slew
 }
 
 // Characterize builds the LUTs for a technology. Runtime is milliseconds; in
@@ -56,7 +69,8 @@ func Characterize(t *tech.Tech) *Char {
 	}
 	c := &Char{T: t, Spacings: spacings}
 	nc := t.NumCorners()
-	for ci, cell := range t.Cells {
+	c.head = make([]Head, 0, len(t.Cells)*len(spacings)*nc)
+	for p, cell := range t.Cells {
 		u := make([][]float64, len(spacings))
 		s := make([][]float64, len(spacings))
 		for qi, q := range spacings {
@@ -66,11 +80,14 @@ func Characterize(t *tech.Tech) *Char {
 				delay, slew := steadyStage(t, cell, q, k)
 				u[qi][k] = delay
 				s[qi][k] = slew
+				var h Head
+				h.Wire, _ = c.WireDelay(k, q, cell.InCap)
+				h.First, h.SlewOut = c.DetailStage(p, q, k, slew, cell.InCap)
+				c.head = append(c.head, h)
 			}
 		}
 		c.uniform = append(c.uniform, u)
 		c.steadySlew = append(c.steadySlew, s)
-		_ = ci
 	}
 	return c
 }
@@ -147,6 +164,13 @@ func (c *Char) Uniform(p, q, k int) float64 { return c.uniform[p][q][k] }
 
 // SteadySlew returns the converged stage input slew for (p, q, k).
 func (c *Char) SteadySlew(p, q, k int) float64 { return c.steadySlew[p][q][k] }
+
+// Head returns the estimate head for cell index p, spacing index qi and
+// corner k.
+func (c *Char) Head(p, qi, k int) Head {
+	nc := c.T.NumCorners()
+	return c.head[(p*len(c.Spacings)+qi)*nc+k]
+}
 
 // UniformAt linearly interpolates LUTuniform at an arbitrary spacing
 // (clamped to the characterized range).

@@ -36,6 +36,13 @@ func TestCharacterizeShape(t *testing.T) {
 				if s := c.SteadySlew(p, qi, k); s <= 0 || s > 5000 {
 					t.Fatalf("steady slew(%d,%d,%d) = %v", p, qi, k, s)
 				}
+				// The head table holds exactly what the stage calls return.
+				q, in := c.Spacings[qi], c.T.Cells[p].InCap
+				wire, _ := c.WireDelay(k, q, in)
+				first, slewOut := c.DetailStage(p, q, k, c.SteadySlew(p, qi, k), in)
+				if h := c.Head(p, qi, k); h != (Head{Wire: wire, First: first, SlewOut: slewOut}) {
+					t.Fatalf("head(%d,%d,%d) = %+v, want {%v %v %v}", p, qi, k, h, wire, first, slewOut)
+				}
 			}
 		}
 	}
