@@ -323,10 +323,9 @@ func BenchmarkSTAAnalyze(b *testing.B) {
 	}
 }
 
-// BenchmarkSTAAnalyzeParallel sweeps the timer's per-corner worker pool.
+// BenchmarkSTAAnalyzeParallel times one serial Analyze of CLS1v1(280).
 // "warm" reuses the net cache across analyses (the flow's steady state);
-// "cold" flushes it first, so the RC build cost is measured too. j=1 is the
-// exact serial path the speedups are measured against.
+// "cold" flushes it first, so the RC build cost is measured too.
 func BenchmarkSTAAnalyzeParallel(b *testing.B) {
 	base, _ := exp.Technology()
 	d, tm, err := testgen.Build(base, testgen.CLS1v1(280))
@@ -334,30 +333,27 @@ func BenchmarkSTAAnalyzeParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, mode := range []string{"warm", "cold"} {
-		for _, j := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/j=%d", mode, j), func(b *testing.B) {
-				tm.Workers = j
-				tm.FlushNetCache()
-				if mode == "warm" {
-					tm.Analyze(d.Tree)
+		b.Run(mode, func(b *testing.B) {
+			tm.FlushNetCache()
+			if mode == "warm" {
+				tm.Analyze(d.Tree)
+			}
+			pre := tm.CacheStats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if mode == "cold" {
+					tm.FlushNetCache()
 				}
-				pre := tm.CacheStats()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if mode == "cold" {
-						tm.FlushNetCache()
-					}
-					tm.Analyze(d.Tree).Release()
-				}
-				b.StopTimer()
-				// Cache counters are cumulative on the timer, so report the
-				// hit rate of the lookups this sub-benchmark made.
-				post := tm.CacheStats()
-				if traffic := (post.Hits - pre.Hits) + (post.Misses - pre.Misses); traffic > 0 {
-					b.ReportMetric(float64(post.Hits-pre.Hits)/float64(traffic), "hits/lookup")
-				}
-			})
-		}
+				tm.Analyze(d.Tree).Release()
+			}
+			b.StopTimer()
+			// Cache counters are cumulative on the timer, so report the
+			// hit rate of the lookups this sub-benchmark made.
+			post := tm.CacheStats()
+			if traffic := (post.Hits - pre.Hits) + (post.Misses - pre.Misses); traffic > 0 {
+				b.ReportMetric(float64(post.Hits-pre.Hits)/float64(traffic), "hits/lookup")
+			}
+		})
 	}
 }
 
@@ -476,7 +472,6 @@ func BenchmarkGlobalOpt(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tm.Workers = 1
 	pairs := d.TopPairs(60)
 	a := tm.Analyze(d.Tree)
 	alphas := sta.Alphas(a, pairs)

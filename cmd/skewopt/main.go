@@ -61,7 +61,7 @@ func main() {
 	resume := flag.Bool("resume", false, "resume from the -checkpoint file")
 	ckptEvery := flag.Int("checkpoint-every", 1, "local iterations between checkpoint saves")
 	timeout := flag.Duration("timeout", 0, "overall flow deadline (0 = none)")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker count for per-corner STA and concurrent move trials (1 = exact serial paths; results are identical at any -j)")
+	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker count for the local stage's concurrent move trials (1 = exact serial path; results are identical at any -j)")
 	faultSpec := flag.String("faults", "", "deterministic fault injection spec, e.g. 'lp-solve:first=1,checkpoint-write:p=0.5' (testing)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault injection")
 	tracePath := flag.String("trace", "", "write a JSONL run trace here (docs/OBSERVABILITY.md)")
@@ -143,7 +143,6 @@ func main() {
 	if *jobs < 1 {
 		usagef("-j must be >= 1 (got %d)", *jobs)
 	}
-	tm.Workers = *jobs
 	pairSet := d.TopPairs(*pairs)
 	a0 := tm.Analyze(d.Tree)
 	alphas := sta.Alphas(a0, pairSet)

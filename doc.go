@@ -7,7 +7,7 @@
 // optimization that together minimize the sum of clock-skew variations
 // across PVT corners — together with every substrate the paper depends on:
 // a multi-corner NLDM technology model, a golden static timing analyzer
-// (Elmore/D2M wire models, PERI slew propagation), a baseline clock-tree
+// (D2M wire delay, PERI slew propagation), a baseline clock-tree
 // synthesizer, rectilinear Steiner routing, placement legalization, a
 // bounded-variable simplex LP solver, ANN/SVR/HSM regressors, ECO engines,
 // and the CLS1/CLS2 benchmark generators of the paper's evaluation.

@@ -155,7 +155,7 @@ func TestPoolboundCorpus(t *testing.T) {
 	p := loadCorpus(t, "poolbound")
 	// Bind the sanctioned-pool allowlist to the corpus package's runIndexed,
 	// startAccept, startMonitor, and runClients, mirroring how Suite binds
-	// DefaultPools' multi-entry lists (core.runIndexed / sta.forEachCorner /
+	// DefaultPools' multi-entry lists (core.runIndexed /
 	// serve.startWorkers+startAccept / fleet.startMonitor+startAccept /
 	// skewload's runClients).
 	a := Poolbound(map[string][]string{p.Path: {"runIndexed", "startAccept", "startMonitor", "runClients"}})

@@ -18,7 +18,6 @@ import (
 // whose bodies may contain go statements.
 var DefaultPools = map[string][]string{
 	"skewvar/internal/core":  {"runIndexed"},
-	"skewvar/internal/sta":   {"forEachCorner"},
 	"skewvar/internal/serve": {"startWorkers", "startAccept"},
 	"skewvar/internal/fleet": {"startMonitor", "startAccept"},
 	"skewvar/cmd/skewload":   {"runClients"},

@@ -54,12 +54,11 @@ type FlowConfig struct {
 	// "global" itself is not requested.
 	Only []string
 
-	// Workers bounds the flow's parallelism — the timer's per-corner STA
-	// fan-out and the local stage's concurrent move trials (cmd/skewopt's
-	// -j flag). 0 = runtime.GOMAXPROCS(0); 1 = the exact serial paths.
+	// Workers sizes the local stage's move pool: its concurrent predictor
+	// scoring and golden trials (cmd/skewopt's -j flag). The timer is
+	// serial. 0 = runtime.GOMAXPROCS(0); 1 = the exact serial path.
 	// Results — FlowResult metrics and checkpoint bytes — are identical at
-	// any setting. A LocalConfig.Workers value, when set, takes precedence
-	// for the local stage.
+	// any setting. A LocalConfig.Workers value, when set, takes precedence.
 	Workers int
 
 	// Faults is an optional deterministic fault injector threaded into every
@@ -149,7 +148,6 @@ func RunFlows(ctx context.Context, tm *sta.Timer, ch *lut.Char, d *ctree.Design,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	tm.Workers = workers
 	if cfg.Obs != nil {
 		tm.Obs = cfg.Obs
 	}

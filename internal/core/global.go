@@ -127,16 +127,20 @@ func GlobalOpt(ctx context.Context, tm *sta.Timer, ch *lut.Char, d *ctree.Design
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("core: no sink pairs: %w", resilience.ErrInvalidDesign)
 	}
-	// Envelopes for every corner pair (constraint (11) / Figure 2).
-	K := tm.Tech.NumCorners()
-	envs := map[[2]int]*lut.Envelope{}
-	for k := 0; k < K; k++ {
-		for k2 := k + 1; k2 < K; k2++ {
-			e, err := ch.FitEnvelope(k, k2)
-			if err != nil {
-				return nil, fmt.Errorf("core: envelope (%d,%d): %w", k, k2, err)
+	// Envelopes for every corner pair (constraint (11) / Figure 2). Only
+	// free-Δ's W-window rows read them.
+	var envs map[[2]int]*lut.Envelope
+	if cfg.FreeDelta {
+		K := tm.Tech.NumCorners()
+		envs = map[[2]int]*lut.Envelope{}
+		for k := 0; k < K; k++ {
+			for k2 := k + 1; k2 < K; k2++ {
+				e, err := ch.FitEnvelope(k, k2)
+				if err != nil {
+					return nil, fmt.Errorf("core: envelope (%d,%d): %w", k, k2, err)
+				}
+				envs[[2]int{k, k2}] = e
 			}
-			envs[[2]int{k, k2}] = e
 		}
 	}
 	lg := legalize.New(d.Die, tm.Tech.SiteW, tm.Tech.RowH)
@@ -1142,8 +1146,9 @@ func sortedKeys(m map[int]int) []int {
 	return out
 }
 
-// rebuildEndLoad mirrors the Rebuilder's bottom-anchor load model, with
-// access to the timer for branch taps.
+// rebuildEndLoad is the load an arc's bottom anchor presents to a rebuilt
+// arc: a sink's pin cap, a buffer's input cap, or for a branch tap the
+// summed pin caps of its fanout (3 fF when that sum is zero).
 func rebuildEndLoad(tm *sta.Timer, tree *ctree.Tree, bottom ctree.NodeID) float64 {
 	n := tree.Node(bottom)
 	switch n.Kind {

@@ -203,7 +203,6 @@ func TestGlobalOptAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm.Workers = 1
 	pairs := d.TopPairs(60)
 	a := tm.Analyze(d.Tree)
 	alphas := sta.Alphas(a, pairs)

@@ -41,11 +41,11 @@ type LocalConfig struct {
 	Seed     int64
 
 	// Workers bounds the concurrency of candidate-move trials and predictor
-	// evaluation, and is installed as the timer's per-corner STA parallelism
-	// for the duration of the run (default runtime.GOMAXPROCS(0); 1 = the
-	// exact serial path). Results are identical at any setting: trials write
-	// to indexed slots and the winner is reduced deterministically by
-	// (score, move index), never by completion order.
+	// evaluation (default runtime.GOMAXPROCS(0); 1 = the exact serial
+	// path). Concurrent trials share the caller's timer. Results are
+	// identical at any setting: trials write to indexed slots and the
+	// winner is reduced deterministically by (score, move index), never by
+	// completion order.
 	Workers int
 
 	// StartIter resumes the iteration count from a checkpoint: the loop
@@ -125,7 +125,6 @@ func LocalOpt(ctx context.Context, tm *sta.Timer, d *ctree.Design, alphas []floa
 		return nil, fmt.Errorf("core: no sink pairs: %w", resilience.ErrInvalidDesign)
 	}
 	lg := legalize.New(d.Die, tm.Tech.SiteW, tm.Tech.RowH)
-	tm.Workers = cfg.Workers
 
 	cur := d.Tree.Clone()
 	a0 := tm.Analyze(cur)

@@ -41,21 +41,6 @@ type Solution struct {
 	Err       float64 // Algorithm-1 combined error
 }
 
-// endLoad returns the input capacitance presented by an arc's bottom anchor.
-func (r *Rebuilder) endLoad(tr *ctree.Tree, bottom ctree.NodeID) float64 {
-	n := tr.Node(bottom)
-	switch n.Kind {
-	case ctree.KindSink:
-		return r.T.SinkCap
-	case ctree.KindBuffer, ctree.KindSource:
-		if c := r.T.CellByName(n.CellName); c != nil {
-			return c.InCap
-		}
-	}
-	// Branch tap: approximate with the typical downstream pin load.
-	return 3.0
-}
-
 // Estimate predicts the rebuilt arc delay at corner k for a candidate
 // (cell p, effective spacing q, u pairs) over a direct length with the given
 // end load — LUTdetail for the first and last stages, LUTuniform for the

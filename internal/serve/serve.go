@@ -205,7 +205,7 @@ type JobRequest struct {
 	Flow    string `json:"flow,omitempty"`    // global, local, global-local, or all (default global-local)
 	Pairs   int    `json:"pairs,omitempty"`   // top critical pairs in the objective (default 300)
 	Iters   int    `json:"iters,omitempty"`   // local-optimization iteration cap (default 12)
-	Workers int    `json:"workers,omitempty"` // intra-job parallelism (default 1; results identical at any setting)
+	Workers int    `json:"workers,omitempty"` // local-stage move pool size (default 1; results identical at any setting)
 
 	// TimeoutMS shortens the per-job deadline below the server's
 	// JobTimeout ceiling (0 = use the ceiling; larger values are capped).

@@ -21,7 +21,7 @@ func TestAnalyzeWarmZeroAlloc(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates on alloc-free paths")
 	}
 	d, tm := buildCase(t, testgen.CLS1v1(140))
-	ft := timerLike(tm, 1)
+	ft := timerLike(tm)
 	// Warm the net cache, the scratch pools, and the analysis pool.
 	for i := 0; i < 3; i++ {
 		ft.Analyze(d.Tree).Release()
@@ -66,7 +66,7 @@ const coldAllocBudget = 5126
 // view for all corners at once must stay within it.
 func TestAnalyzeColdAllocBudget(t *testing.T) {
 	d, tm := buildCase(t, testgen.CLS1v1(140))
-	ft := timerLike(tm, 1)
+	ft := timerLike(tm)
 	ft.Analyze(d.Tree).Release() // warm pools; cache is flushed per run below
 	cold := testing.AllocsPerRun(10, func() {
 		ft.FlushNetCache()

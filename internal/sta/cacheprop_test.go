@@ -74,14 +74,13 @@ func maxAnalysisDiff(a, b *sta.Analysis, tr *ctree.Tree) (arr, slew float64) {
 
 // Property: a long-lived timer whose net cache was warmed on earlier
 // topologies never serves a stale entry — after every applied ECO move its
-// (parallel) analysis is bit-identical to a fresh cold serial timer's.
+// analysis is bit-identical to a fresh cold timer's.
 func TestNetCacheNeverStaleParallelProperty(t *testing.T) {
 	th := tech.Default28nm()
 	die := geom.NewRect(geom.Pt(0, 0), geom.Pt(600, 600))
 	lg := legalize.New(die, th.SiteW, th.RowH)
 	rng := rand.New(rand.NewSource(23))
 	warm := sta.New(th)
-	warm.Workers = 2
 	for trial := 0; trial < 5; trial++ {
 		tr := deepTree(rng)
 		warm.Analyze(tr) // seed the cache with the pre-move topology
@@ -96,7 +95,7 @@ func TestNetCacheNeverStaleParallelProperty(t *testing.T) {
 				continue
 			}
 			applied++
-			fresh := sta.New(th) // cold cache, serial path
+			fresh := sta.New(th) // cold cache
 			mustBitEqual(t, "warm-vs-fresh", fresh.Analyze(tr), warm.Analyze(tr))
 		}
 		if applied == 0 {
@@ -105,8 +104,8 @@ func TestNetCacheNeverStaleParallelProperty(t *testing.T) {
 	}
 }
 
-// Property: chained incremental analyses through the cached parallel timer
-// track a full re-analysis after every applied ECO move, the way the local
+// Property: chained incremental analyses through the cached timer track a
+// full re-analysis after every applied ECO move, the way the local
 // optimizer uses them — within the slew-convergence tolerance, accumulated
 // over the chain.
 func TestIncrementalParallelAfterMovesProperty(t *testing.T) {
@@ -115,7 +114,6 @@ func TestIncrementalParallelAfterMovesProperty(t *testing.T) {
 	lg := legalize.New(die, th.SiteW, th.RowH)
 	rng := rand.New(rand.NewSource(41))
 	tm := sta.New(th)
-	tm.Workers = 2
 	for trial := 0; trial < 5; trial++ {
 		tr := deepTree(rng)
 		base := tm.Analyze(tr)

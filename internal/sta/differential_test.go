@@ -1,12 +1,10 @@
 // Differential equivalence suite for the flat SoA kernel: every analysis
 // it produces must be bitwise identical — floats, NaN positions, derived
 // skews — to the plain per-corner reference timer (reference_test.go),
-// across design classes, sizes, seeds, corner counts, wire models, and
-// worker counts.
+// across design classes, sizes, seeds and corner counts.
 package sta_test
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -20,20 +18,6 @@ import (
 	"skewvar/internal/tech"
 	"skewvar/internal/testgen"
 )
-
-// diffWorkerSweep: the serial driver-major path and the corner-parallel
-// path — the two propagation orders the flat kernel implements.
-var diffWorkerSweep = []int{1, 4}
-
-// diffWires are the two wire models the differential tests run under.
-var diffWires = []sta.WireModel{sta.WireD2M, sta.WireElmore}
-
-// wireTimer is timerLike under the given wire model.
-func wireTimer(tm *sta.Timer, wire sta.WireModel, workers int) *sta.Timer {
-	nt := timerLike(tm, workers)
-	nt.Wire = wire
-	return nt
-}
 
 // diffCorpus builds the differential corpus: the three benchmark classes
 // at two sizes each, a reseeded variant (different placement, same
@@ -96,26 +80,20 @@ func mustEqualSkews(t *testing.T, label string, want, got *sta.Analysis, pairs [
 }
 
 // TestFlatKernelMatchesReference is the core differential claim: for
-// every corpus design under both wire models, cold and warm analyses at
-// j ∈ {1, 4} are bitwise identical to the reference timer's, down to
-// derived skews.
+// every corpus design, cold and warm analyses are bitwise identical to the
+// reference timer's, down to derived skews.
 func TestFlatKernelMatchesReference(t *testing.T) {
 	names, designs, timers := diffCorpus(t)
 	for i, d := range designs {
-		for _, wire := range diffWires {
-			label := fmt.Sprintf("%s/wire=%d", names[i], wire)
-			ref := sta.ReferenceAnalyze(wireTimer(timers[i], wire, 1), d.Tree)
-			for _, j := range diffWorkerSweep {
-				ft := wireTimer(timers[i], wire, j)
-				cold := ft.Analyze(d.Tree)
-				mustBitEqual(t, label+"/cold", ref, cold)
-				mustEqualSkews(t, label+"/cold", ref, cold, d.Pairs)
-				warm := ft.Analyze(d.Tree)
-				mustBitEqual(t, label+"/warm", ref, warm)
-				cold.Release()
-				warm.Release()
-			}
-		}
+		ref := sta.ReferenceAnalyze(timers[i], d.Tree)
+		ft := timerLike(timers[i])
+		cold := ft.Analyze(d.Tree)
+		mustBitEqual(t, names[i]+"/cold", ref, cold)
+		mustEqualSkews(t, names[i]+"/cold", ref, cold, d.Pairs)
+		warm := ft.Analyze(d.Tree)
+		mustBitEqual(t, names[i]+"/warm", ref, warm)
+		cold.Release()
+		warm.Release()
 	}
 }
 
@@ -130,53 +108,44 @@ const canonicalAnalyzeTrace = `{"kind":"span","path":"sta.analyze","attrs":[{"k"
 
 // TestFlatKernelCanonicalTrace pins the observability contract: the
 // canonical trace (span kinds, ancestry, attributes — ids and timings
-// stripped) of an analysis is the fixed literal above in both propagation
-// orders.
+// stripped) of an analysis is the fixed literal above.
 func TestFlatKernelCanonicalTrace(t *testing.T) {
 	d, tm := buildCase(t, testgen.CLS1v1(64))
-	for _, j := range diffWorkerSweep {
-		nt := timerLike(tm, j)
-		nt.Obs = obs.New()
-		nt.Analyze(d.Tree).Release()
-		if got := string(obs.CanonicalTrace(nt.Obs.Records())); got != canonicalAnalyzeTrace {
-			t.Fatalf("canonical trace diverged at j=%d:\nwant:\n%s\ngot:\n%s", j, canonicalAnalyzeTrace, got)
-		}
+	nt := timerLike(tm)
+	nt.Obs = obs.New()
+	nt.Analyze(d.Tree).Release()
+	if got := string(obs.CanonicalTrace(nt.Obs.Records())); got != canonicalAnalyzeTrace {
+		t.Fatalf("canonical trace diverged:\nwant:\n%s\ngot:\n%s", canonicalAnalyzeTrace, got)
 	}
 }
 
 // TestFlatIncrementalMatchesReference drives the same chained ECO edits —
 // displacements, detours, and re-parenting — through the kernel and the
-// reference on every corpus design under both wire models, with caches
-// cold and warmed on the pre-edit topology, so dirty nets must miss on
-// their fresh hash keys while clean nets hit.
+// reference on every corpus design, with caches cold and warmed on the
+// pre-edit topology, so dirty nets must miss on their fresh hash keys
+// while clean nets hit.
 func TestFlatIncrementalMatchesReference(t *testing.T) {
 	names, designs, timers := diffCorpus(t)
 	for i, d := range designs {
-		for _, wire := range diffWires {
-			label := fmt.Sprintf("%s/wire=%d", names[i], wire)
-			ref := wireTimer(timers[i], wire, 1)
-			rng := rand.New(rand.NewSource(71))
-			tr := d.Tree.Clone()
-			base := sta.ReferenceAnalyze(ref, tr)
-			for trial := 0; trial < 8; trial++ {
-				dirty := diffEdit(tr, rng, trial)
-				if dirty == nil {
-					continue
-				}
-				want := sta.ReferenceAnalyzeIncremental(ref, tr, base, dirty)
-				for _, j := range diffWorkerSweep {
-					warm := wireTimer(timers[i], wire, j)
-					warm.Analyze(d.Tree).Release() // warm on the pre-edit topology
-					got := warm.AnalyzeIncremental(tr, base, dirty)
-					mustBitEqual(t, label+"/incremental/warm", want, got)
-					got.Release()
-					cold := wireTimer(timers[i], wire, j)
-					got = cold.AnalyzeIncremental(tr, base, dirty)
-					mustBitEqual(t, label+"/incremental/cold", want, got)
-					got.Release()
-				}
-				base = want
+		rng := rand.New(rand.NewSource(71))
+		tr := d.Tree.Clone()
+		base := sta.ReferenceAnalyze(timers[i], tr)
+		for trial := 0; trial < 8; trial++ {
+			dirty := diffEdit(tr, rng, trial)
+			if dirty == nil {
+				continue
 			}
+			want := sta.ReferenceAnalyzeIncremental(timers[i], tr, base, dirty)
+			warm := timerLike(timers[i])
+			warm.Analyze(d.Tree).Release() // warm on the pre-edit topology
+			got := warm.AnalyzeIncremental(tr, base, dirty)
+			mustBitEqual(t, names[i]+"/incremental/warm", want, got)
+			got.Release()
+			cold := timerLike(timers[i])
+			got = cold.AnalyzeIncremental(tr, base, dirty)
+			mustBitEqual(t, names[i]+"/incremental/cold", want, got)
+			got.Release()
+			base = want
 		}
 	}
 }
@@ -221,18 +190,16 @@ func diffEdit(tr *ctree.Tree, rng *rand.Rand, trial int) []ctree.NodeID {
 func TestFlatScratchAliasing(t *testing.T) {
 	dA, tmA := buildCase(t, testgen.CLS1v1(90))
 	dB, tmB := buildCase(t, testgen.CLS2v1(150))
-	for _, j := range diffWorkerSweep {
-		ta := timerLike(tmA, j)
-		tb := timerLike(tmB, j)
-		first := ta.Analyze(dA.Tree)
-		snapshot := cloneAnalysis(first)
-		first.Release()
-		tb.Analyze(dB.Tree).Release()
-		ta.FlushNetCache() // rebuild A's views through reused build scratch too
-		again := ta.Analyze(dA.Tree)
-		mustBitEqual(t, "A/B/A reuse", snapshot, again)
-		again.Release()
-	}
+	ta := timerLike(tmA)
+	tb := timerLike(tmB)
+	first := ta.Analyze(dA.Tree)
+	snapshot := cloneAnalysis(first)
+	first.Release()
+	tb.Analyze(dB.Tree).Release()
+	ta.FlushNetCache() // rebuild A's views through reused build scratch too
+	again := ta.Analyze(dA.Tree)
+	mustBitEqual(t, "A/B/A reuse", snapshot, again)
+	again.Release()
 }
 
 // cloneAnalysis deep-copies an Analysis so it survives Release.

@@ -20,10 +20,9 @@ package sta
 //     not reallocated: the warm path runs at ~zero allocations
 //     (alloc_test.go pins this).
 //
-// With Workers <= 1 (the default) propagation is driver-major: each
-// (driver, net) pair is timed at every corner before the next. With
-// Workers > 1 corners fan out across goroutines (forEachCorner). Both
-// orders are bit-identical — corners never share state.
+// Propagation is one serial, driver-major pass (analyze): each (driver,
+// net) pair is timed at every corner before the next. The timer starts no
+// goroutines; concurrent callers share only the cache's immutable views.
 
 import (
 	"fmt"
@@ -178,9 +177,8 @@ func flatNetHash(tr *ctree.Tree, d ctree.NodeID, stack []hashItem) (uint64, []ha
 // flatScratch is the pooled per-analysis working set.
 type flatScratch struct {
 	drivers []drivingNode
-	evals   []*flatNetEval
 	sinks   []ctree.NodeID
-	nets    []ctree.NodeID // net-node walk output (incremental fast path)
+	nets    []ctree.NodeID // net-node walk output (arrival-offset path)
 	nstack  []ctree.NodeID // tree DFS stack
 	hstack  []hashItem
 }
@@ -190,10 +188,6 @@ var flatScratchPool = sync.Pool{New: func() interface{} { return new(flatScratch
 func getFlatScratch() *flatScratch { return flatScratchPool.Get().(*flatScratch) }
 
 func putFlatScratch(sc *flatScratch) {
-	for i := range sc.evals {
-		sc.evals[i] = nil // don't pin evicted views
-	}
-	sc.evals = sc.evals[:0]
 	sc.drivers = sc.drivers[:0]
 	sc.sinks = sc.sinks[:0]
 	sc.nets = sc.nets[:0]
@@ -362,17 +356,6 @@ func appendNetNodes(tr *ctree.Tree, id ctree.NodeID, out, stack []ctree.NodeID) 
 	return out, stack
 }
 
-// initCorner NaN-fills one corner's rows and seeds the source.
-func (tm *Timer) initCorner(tr *ctree.Tree, a *Analysis, k int) {
-	arr, slw := a.Arrive[k], a.Slew[k]
-	for i := range arr {
-		arr[i] = math.NaN()
-		slw[i] = math.NaN()
-	}
-	arr[tr.Source] = 0
-	slw[tr.Source] = tm.SourceSlew
-}
-
 // maxSinkLat returns the largest timed sink arrival, 0 when none is timed.
 func maxSinkLat(arr []float64, sinks []ctree.NodeID) float64 {
 	var m float64
@@ -386,21 +369,14 @@ func maxSinkLat(arr []float64, sinks []ctree.NodeID) float64 {
 
 // propagateNet writes one net's arrivals and slews at corner k from the
 // view's corner-k moment rows.
-func (tm *Timer) propagateNet(ev *flatNetEval, a *Analysis, k int, arrIn, dly, outSlew float64) {
+func propagateNet(ev *flatNetEval, a *Analysis, k int, arrIn, dly, outSlew float64) {
 	S := len(ev.ids)
 	m1s := ev.m1[k*S : (k+1)*S]
 	m2s := ev.m2[k*S : (k+1)*S]
 	arr, slw := a.Arrive[k], a.Slew[k]
 	for i, nid := range ev.ids {
 		m1, m2 := m1s[i], m2s[i]
-		var wire float64
-		switch tm.Wire {
-		case WireElmore:
-			wire = m1
-		default:
-			wire = rctree.D2M(m1, m2)
-		}
-		arr[nid] = arrIn + dly + wire
+		arr[nid] = arrIn + dly + rctree.D2M(m1, m2)
 		slw[nid] = rctree.PERISlew(outSlew, rctree.StepSlew(m1, m2))
 	}
 }
@@ -410,84 +386,61 @@ func (tm *Timer) propagateNet(ev *flatNetEval, a *Analysis, k int, arrIn, dly, o
 func (tm *Timer) timeNetFlat(dr *drivingNode, ev *flatNetEval, a *Analysis, k int) {
 	slewIn := a.Slew[k][dr.id]
 	dly, outSlew := PairDelay(tm.Tech, dr.cell, k, slewIn, ev.totalCap[k])
-	tm.propagateNet(ev, a, k, a.Arrive[k][dr.id], dly, outSlew)
+	propagateNet(ev, a, k, a.Arrive[k][dr.id], dly, outSlew)
 }
 
-// analyzeFlat is Analyze. Net views are resolved up front — one hash
-// per (driver, analysis), one all-corner build per miss — so propagation
-// never touches the cache.
-func (tm *Timer) analyzeFlat(tr *ctree.Tree) *Analysis {
+// baseAt reads node id's corner-k baseline arrival and slew; ok is false
+// when the baseline has no timed entry for the node.
+func baseAt(base *Analysis, k int, id ctree.NodeID) (arr, slew float64, ok bool) {
+	if k >= base.K || int(id) >= len(base.Arrive[k]) {
+		return 0, 0, false
+	}
+	arr, slew = base.Arrive[k][id], base.Slew[k][id]
+	return arr, slew, !math.IsNaN(arr)
+}
+
+// shiftNet writes the listed net nodes' corner-k baseline slews and their
+// baseline arrivals shifted by delta. It returns false at the first node
+// the baseline has no entry for; the caller then times the net in full,
+// which overwrites every node shiftNet wrote.
+func shiftNet(nets []ctree.NodeID, base, a *Analysis, k int, delta float64) bool {
+	arr, slw := a.Arrive[k], a.Slew[k]
+	for _, nid := range nets {
+		bA, bS, ok := baseAt(base, k, nid)
+		if !ok {
+			return false
+		}
+		arr[nid] = bA + delta
+		slw[nid] = bS
+	}
+	return true
+}
+
+// analyze is Analyze (base nil) and AnalyzeIncremental: one serial pass
+// that walks the drivers in topological order and times each (driver,
+// net) pair at every corner before the next driver.
+//
+// Each corner's rows start as a copy of the baseline's (NaN where there is
+// none) with the source seeded. A driver with no baseline, or one that is
+// dirty or drives a dirty node, is timed in full at every corner. Any
+// other driver is decided per corner: when its input slew is within
+// slewConvergedEps of the baseline, its net keeps the baseline slews and
+// shifts by the driver's arrival delta; otherwise, or when a net node is
+// missing from the baseline, the net is timed in full. A net's all-corner
+// view is resolved through the cache at most once per analysis, and its
+// nodes are listed at most once. Corner k's rows depend only on corner k's
+// rows, so the driver-major order gives the bits a corner-by-corner pass
+// would.
+func (tm *Timer) analyze(tr *ctree.Tree, base *Analysis, dirty []ctree.NodeID) *Analysis {
 	K := tm.Tech.NumCorners()
 	n := len(tr.Nodes)
-	sc := getFlatScratch()
-	drivers := tm.appendDrivingNodes(tr, sc)
-	sc.sinks = appendSinks(tr, sc.sinks[:0])
-	sinks := sc.sinks
-	cache := tm.flatcache()
-	evals := sc.evals[:0]
-	for i := range drivers {
-		evals = append(evals, tm.resolveFlatEval(cache, tr, drivers[i].id, sc))
+	// Drivers re-timed in full whatever their slews: dirty sources and
+	// buffers, and the drivers of dirty nodes. Nil when nothing is dirty,
+	// so a full analysis makes no map.
+	var recompute map[ctree.NodeID]bool
+	if len(dirty) > 0 {
+		recompute = make(map[ctree.NodeID]bool, 2*len(dirty))
 	}
-	sc.evals = evals
-
-	a := getAnalysis(K, n)
-	var sp *obs.Span
-	if tm.Obs != nil {
-		sp = tm.Obs.StartSpan("sta.analyze", obs.I("corners", K), obs.I("drivers", len(drivers)))
-		tm.Obs.Counter("sta.analyses").Inc()
-	}
-	if tm.Workers <= 1 || K <= 1 {
-		tm.analyzeFlatDriverMajor(tr, sc, a, sp)
-	} else {
-		tm.forEachCorner(K, func(k int) {
-			var csp *obs.Span
-			if sp != nil {
-				csp = sp.StartChild("sta.corner", obs.I("corner", k))
-			}
-			tm.initCorner(tr, a, k)
-			for i := range drivers {
-				tm.timeNetFlat(&drivers[i], evals[i], a, k)
-			}
-			a.MaxLat[k] = maxSinkLat(a.Arrive[k], sinks)
-			csp.End()
-		})
-	}
-	sp.End()
-	putFlatScratch(sc)
-	return a
-}
-
-// analyzeFlatDriverMajor propagates all corners driver by driver, timing
-// each (driver, net) pair at every corner before the next. Timing corner
-// k writes only corner k's rows, so the result is bit-identical to the
-// corner-major order; the serial default takes this path for locality.
-func (tm *Timer) analyzeFlatDriverMajor(tr *ctree.Tree, sc *flatScratch, a *Analysis, sp *obs.Span) {
-	K := a.K
-	for k := 0; k < K; k++ {
-		tm.initCorner(tr, a, k)
-	}
-	for i := range sc.drivers {
-		for k := 0; k < K; k++ {
-			tm.timeNetFlat(&sc.drivers[i], sc.evals[i], a, k)
-		}
-	}
-	for k := 0; k < K; k++ {
-		var csp *obs.Span
-		if sp != nil {
-			csp = sp.StartChild("sta.corner", obs.I("corner", k))
-		}
-		a.MaxLat[k] = maxSinkLat(a.Arrive[k], sc.sinks)
-		csp.End()
-	}
-}
-
-// analyzeIncrementalFlat is AnalyzeIncremental: a baseline copy, then per
-// corner a full or arrival-offset pass over each driver's net. Dirty nets
-// hash to new values and miss; clean nets hit their existing views.
-func (tm *Timer) analyzeIncrementalFlat(tr *ctree.Tree, base *Analysis, dirty []ctree.NodeID) *Analysis {
-	K := tm.Tech.NumCorners()
-	n := len(tr.Nodes)
-	recompute := make(map[ctree.NodeID]bool, 2*len(dirty))
 	for _, d := range dirty {
 		node := tr.Node(d)
 		if node == nil {
@@ -503,89 +456,73 @@ func (tm *Timer) analyzeIncrementalFlat(tr *ctree.Tree, base *Analysis, dirty []
 	sc := getFlatScratch()
 	drivers := tm.appendDrivingNodes(tr, sc)
 	sc.sinks = appendSinks(tr, sc.sinks[:0])
-	sinks := sc.sinks
 	cache := tm.flatcache()
 	a := getAnalysis(K, n)
 	var sp *obs.Span
 	if tm.Obs != nil {
-		sp = tm.Obs.StartSpan("sta.analyze_inc", obs.I("corners", K), obs.I("dirty", len(dirty)))
-		tm.Obs.Counter("sta.analyses_incremental").Inc()
+		if base == nil {
+			sp = tm.Obs.StartSpan("sta.analyze", obs.I("corners", K), obs.I("drivers", len(drivers)))
+			tm.Obs.Counter("sta.analyses").Inc()
+		} else {
+			sp = tm.Obs.StartSpan("sta.analyze_inc", obs.I("corners", K), obs.I("dirty", len(dirty)))
+			tm.Obs.Counter("sta.analyses_incremental").Inc()
+		}
 	}
-	tm.forEachCorner(K, func(k int) {
+	for k := 0; k < K; k++ {
+		arr, slw := a.Arrive[k], a.Slew[k]
+		copied := 0
+		if base != nil && k < base.K {
+			copied = copy(arr, base.Arrive[k])
+			copy(slw, base.Slew[k][:copied])
+		}
+		for i := copied; i < n; i++ {
+			arr[i] = math.NaN()
+			slw[i] = math.NaN()
+		}
+		arr[tr.Source] = 0
+		slw[tr.Source] = DefaultSourceSlew
+	}
+
+	for di := range drivers {
+		dr := &drivers[di]
+		id := dr.id
+		forced := base == nil || recompute[id]
+		var ev *flatNetEval
+		listed := false
+		for k := 0; k < K; k++ {
+			full := forced
+			if !full {
+				bA, bS, ok := baseAt(base, k, id)
+				if !ok || math.Abs(a.Slew[k][id]-bS) > slewConvergedEps {
+					full = true
+				} else if delta := a.Arrive[k][id] - bA; delta != 0 {
+					// Arrival-offset path: the driver's input slew is
+					// unchanged, so every stage delay in its net is the
+					// baseline's and the net shifts by the arrival delta.
+					if !listed {
+						sc.nets, sc.nstack = appendNetNodes(tr, id, sc.nets[:0], sc.nstack[:0])
+						listed = true
+					}
+					full = !shiftNet(sc.nets, base, a, k, delta)
+				}
+			}
+			if full {
+				if ev == nil {
+					ev = tm.resolveFlatEval(cache, tr, id, sc)
+				}
+				tm.timeNetFlat(dr, ev, a, k)
+			}
+		}
+	}
+
+	for k := 0; k < K; k++ {
 		var csp *obs.Span
 		if sp != nil {
 			csp = sp.StartChild("sta.corner", obs.I("corner", k))
 		}
-		defer csp.End()
-		// Per-corner scratch: the corner workers race, so each takes its
-		// own pooled hash stack and walk buffers.
-		ls := getFlatScratch()
-		defer putFlatScratch(ls)
-		arr, slw := a.Arrive[k], a.Slew[k]
-		var bArr, bSlw []float64
-		if k < base.K {
-			bArr, bSlw = base.Arrive[k], base.Slew[k]
-		}
-		for i := 0; i < n; i++ {
-			if bArr != nil && i < len(bArr) {
-				arr[i], slw[i] = bArr[i], bSlw[i]
-			} else {
-				arr[i], slw[i] = math.NaN(), math.NaN()
-			}
-		}
-		arr[tr.Source] = 0
-		slw[tr.Source] = tm.SourceSlew
-
-		baseAt := func(id ctree.NodeID) (arrB, slewB float64, ok bool) {
-			if bArr == nil || int(id) >= len(bArr) {
-				return 0, 0, false
-			}
-			arrB, slewB = bArr[id], bSlw[id]
-			return arrB, slewB, !math.IsNaN(arrB)
-		}
-
-		for di := range drivers {
-			dr := &drivers[di]
-			id := dr.id
-			needFull := recompute[id]
-			var delta float64
-			if !needFull {
-				bA, bS, ok := baseAt(id)
-				switch {
-				case !ok, math.Abs(slw[id]-bS) > slewConvergedEps:
-					needFull = true
-				default:
-					delta = arr[id] - bA
-				}
-			}
-			if needFull {
-				tm.timeNetFlat(dr, tm.resolveFlatEval(cache, tr, id, ls), a, k)
-				continue
-			}
-			// Arrival-offset fast path: the driver's input slew is unchanged,
-			// so every stage delay in this net is identical to the baseline;
-			// net arrivals shift by the driver's arrival delta.
-			if delta == 0 {
-				continue
-			}
-			ok := true
-			ls.nets, ls.nstack = appendNetNodes(tr, id, ls.nets[:0], ls.nstack[:0])
-			for _, nid := range ls.nets {
-				bA, bS, present := baseAt(nid)
-				if !present {
-					// A net node is new relative to the baseline: fall back.
-					ok = false
-					break
-				}
-				arr[nid] = bA + delta
-				slw[nid] = bS
-			}
-			if !ok {
-				tm.timeNetFlat(dr, tm.resolveFlatEval(cache, tr, id, ls), a, k)
-			}
-		}
-		a.MaxLat[k] = maxSinkLat(arr, sinks)
-	})
+		a.MaxLat[k] = maxSinkLat(a.Arrive[k], sc.sinks)
+		csp.End()
+	}
 	sp.End()
 	putFlatScratch(sc)
 	return a

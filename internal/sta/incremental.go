@@ -12,20 +12,21 @@ const slewConvergedEps = 0.01
 // baseline analysis of the pre-edit tree. dirty lists the nodes whose
 // electrical context changed (moved/resized/re-parented nodes); their
 // drivers are pulled in automatically. Nets whose driver input slew is
-// unchanged propagate as pure arrival offsets without rebuilding RC or
-// re-interpolating tables, so the cost of a leaf-level move is proportional
-// to the affected subtree, not the design.
+// unchanged shift by the driver's arrival delta without rebuilding RC or
+// re-interpolating tables; the baseline copy and the driver walk still
+// cost O(design) per call.
 //
-// Like Analyze, corners propagate independently across the timer's worker
-// pool, and dirty-net recomputation goes through the hash-keyed net cache:
-// clean nets hash to the baseline tree's views and hit them untouched,
-// dirty nets hash to new keys and are rebuilt, so exactly the dirty nets
-// miss. The full/offset decision is made per corner
-// (a net can have converged slews at one corner and not another), which
-// stays within the same slew-convergence tolerance as the joint decision.
+// It is Analyze's serial pass (analyze in flat.go) started from a copy of
+// the baseline. Re-timed nets go through the same hash-keyed net cache,
+// one lookup per net for all corners: clean nets hash to the baseline
+// tree's views and hit them untouched, dirty nets hash to new keys and
+// are rebuilt, so exactly the dirty nets miss. The full/offset decision is
+// made per corner (a net can have converged slews at one corner and not
+// another), which stays within the same slew-convergence tolerance as the
+// joint decision.
 //
 // The result is equivalent to Analyze within slew-convergence tolerance
 // (picoseconds-e-3); see the equivalence tests.
 func (tm *Timer) AnalyzeIncremental(tr *ctree.Tree, base *Analysis, dirty []ctree.NodeID) *Analysis {
-	return tm.analyzeIncrementalFlat(tr, base, dirty)
+	return tm.analyze(tr, base, dirty)
 }

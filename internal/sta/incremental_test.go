@@ -141,6 +141,45 @@ func TestIncrementalHandlesNewNodes(t *testing.T) {
 	}
 }
 
+// TestIncrementalOneLookupPerRetimedNet: AnalyzeIncremental resolves a
+// net it re-times through the net cache once for all corners. After one
+// buffer moves, the cache lookups must equal the drivers re-timed in full
+// at some corner: the buffer, its driver, and every driver whose input
+// slew left the baseline's by more than slewConvergedEps.
+func TestIncrementalOneLookupPerRetimedNet(t *testing.T) {
+	th := tech.Default28nm()
+	tm := New(th)
+	tr := buildDeepTree(rand.New(rand.NewSource(13)))
+	base := tm.Analyze(tr)
+	b := tr.Buffers()[1]
+	tr.Node(b).Loc = tr.Node(b).Loc.Add(geom.Pt(10, -10))
+	pre := tm.CacheStats()
+	got := tm.AnalyzeIncremental(tr, base, []ctree.NodeID{b})
+	post := tm.CacheStats()
+	lookups := post.Hits - pre.Hits + post.Misses - pre.Misses
+
+	var retimed int64
+	for _, id := range tr.Topo() {
+		if k := tr.Node(id).Kind; k != ctree.KindSource && k != ctree.KindBuffer {
+			continue
+		}
+		full := id == b || id == tr.Driver(b)
+		for k := 0; k < got.K && !full; k++ {
+			full = math.Abs(got.Slew[k][id]-base.Slew[k][id]) > slewConvergedEps
+		}
+		if full {
+			retimed++
+		}
+	}
+	if retimed < 3 {
+		t.Fatalf("only %d drivers re-timed; the edit should reach past its own net", retimed)
+	}
+	if lookups != retimed {
+		t.Fatalf("%d net-cache lookups for %d re-timed nets over %d corners; want one per net",
+			lookups, retimed, got.K)
+	}
+}
+
 func BenchmarkIncrementalVsFull(b *testing.B) {
 	th := tech.Default28nm()
 	tm := New(th)

@@ -1,33 +1,42 @@
-// Equivalence harness for the parallel multi-corner timer: every worker
-// count must produce bit-identical analyses — not merely close, identical —
-// because flow results, checkpoints and the local optimizer's accept
-// decisions all hang off these floats. The tests live in package sta_test so
-// they can build real designs through testgen (which imports sta).
+// Concurrent-caller harness for the timer. An analysis runs serially on
+// the goroutine that calls it, but callers share timers: the local
+// optimizer's golden trials run Analyze/AnalyzeIncremental on one timer
+// from its worker pool, and skewd's jobs run separate timers over one
+// SharedCache. Every concurrent result must be bit-identical — not merely
+// close — to a fresh serial timer's, because flow results, checkpoints and
+// the accept decisions all hang off these floats. The tests live in package
+// sta_test so they can build real designs through testgen (which imports
+// sta); "Parallel" in their names puts them in make race's repeated pass.
 package sta_test
 
 import (
 	"math"
 	"math/rand"
-	"runtime"
+	"sync"
 	"testing"
 
 	"skewvar/internal/ctree"
 	"skewvar/internal/exp"
-	"skewvar/internal/geom"
 	"skewvar/internal/route"
 	"skewvar/internal/sta"
 	"skewvar/internal/tech"
 	"skewvar/internal/testgen"
 )
 
-// workerSweep is the set of worker counts every equivalence test compares:
-// the exact serial path, a small pool, and whatever the host offers.
-func workerSweep() []int {
-	sweep := []int{1, 2, runtime.GOMAXPROCS(0)}
-	if sweep[2] <= 2 {
-		sweep[2] = 4 // still exercise a pool wider than the corner count
+// callers is the number of goroutines each test drives one timer from.
+const callers = 4
+
+// concurrently runs fn(0), …, fn(n-1) on n goroutines and waits for all.
+func concurrently(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
 	}
-	return sweep
+	wg.Wait()
 }
 
 // mustBitEqual fails unless the two analyses are bitwise identical,
@@ -58,13 +67,10 @@ func mustBitEqual(t *testing.T, label string, a, b *sta.Analysis) {
 }
 
 // timerLike returns a fresh timer with the same configuration as tm but its
-// own (cold) net cache, at the given worker count.
-func timerLike(tm *sta.Timer, workers int) *sta.Timer {
+// own (cold) net cache.
+func timerLike(tm *sta.Timer) *sta.Timer {
 	nt := sta.New(tm.Tech)
 	nt.Cong = tm.Cong
-	nt.Wire = tm.Wire
-	nt.SourceSlew = tm.SourceSlew
-	nt.Workers = workers
 	return nt
 }
 
@@ -78,28 +84,40 @@ func buildCase(t *testing.T, v testgen.Variant) (*ctree.Design, *sta.Timer) {
 	return d, tm
 }
 
-// TestAnalyzeParallelBitIdentical checks full analyses of every testgen
-// design class at worker counts {1, 2, GOMAXPROCS}, cold cache and warm.
+// analyzeConcurrently runs two back-to-back Analyze calls of tr on each of
+// callers goroutines sharing tm — the first ones race on tm's cold cache,
+// the later ones hit it — and checks every result against want.
+func analyzeConcurrently(t *testing.T, label string, tm *sta.Timer, tr *ctree.Tree, want *sta.Analysis) {
+	t.Helper()
+	got := make([][2]*sta.Analysis, callers)
+	concurrently(callers, func(i int) {
+		got[i][0] = tm.Analyze(tr)
+		got[i][1] = tm.Analyze(tr)
+	})
+	for i := range got {
+		mustBitEqual(t, label+"/first", want, got[i][0])
+		mustBitEqual(t, label+"/second", want, got[i][1])
+		got[i][0].Release()
+		got[i][1].Release()
+	}
+}
+
+// TestAnalyzeParallelBitIdentical runs concurrent full analyses of every
+// testgen design class on one cold timer.
 func TestAnalyzeParallelBitIdentical(t *testing.T) {
 	variants := []testgen.Variant{
 		testgen.CLS1v1(140), testgen.CLS1v2(140), testgen.CLS2v1(180),
 	}
 	for _, v := range variants {
 		d, tm := buildCase(t, v)
-		ref := timerLike(tm, 1).Analyze(d.Tree)
-		for _, j := range workerSweep() {
-			pt := timerLike(tm, j)
-			cold := pt.Analyze(d.Tree)
-			mustBitEqual(t, v.Name+"/cold", ref, cold)
-			warm := pt.Analyze(d.Tree)
-			mustBitEqual(t, v.Name+"/warm", ref, warm)
-		}
+		want := timerLike(tm).Analyze(d.Tree)
+		analyzeConcurrently(t, v.Name, timerLike(tm), d.Tree, want)
 	}
 }
 
-// TestAnalyzeParallelFourCornersBitIdentical runs the sweep against the full
-// four-corner technology (the testgen variants each select three corners),
-// so corner counts above and below the pool width are both covered.
+// TestAnalyzeParallelFourCornersBitIdentical repeats the check on the full
+// four-corner technology (the testgen variants each select three corners)
+// with a congested timer.
 func TestAnalyzeParallelFourCornersBitIdentical(t *testing.T) {
 	th := tech.Default28nm()
 	if th.NumCorners() != 4 {
@@ -109,82 +127,118 @@ func TestAnalyzeParallelFourCornersBitIdentical(t *testing.T) {
 	tc := testgen.NewTrainingCase(th, rng)
 	ref := sta.New(th)
 	ref.Cong = route.NewCongestion(tc.Die, 8, 8, 0.18, 9)
-	ref.Workers = 1
 	want := ref.Analyze(tc.Tree)
-	for _, j := range append(workerSweep(), 3, 8) {
-		pt := timerLike(ref, j)
-		mustBitEqual(t, "4-corner", want, pt.Analyze(tc.Tree))
-	}
+	analyzeConcurrently(t, "4-corner", timerLike(ref), tc.Tree, want)
 }
 
-// TestAnalyzeIncrementalParallelBitIdentical applies ECO-style edits and
-// checks that incremental re-analysis is bit-identical across worker counts
-// — with both cold caches and caches warmed by the baseline analysis, so the
-// dirty-net invalidation path is exercised.
+// editedClones makes callers clones of tr, each with its own ECO edit from
+// diffEdit, and the dirty sets to hand AnalyzeIncremental: the shape of
+// one batch of the local optimizer's golden trials.
+func editedClones(tr *ctree.Tree, seed int64) ([]*ctree.Tree, [][]ctree.NodeID) {
+	rng := rand.New(rand.NewSource(seed))
+	var trees []*ctree.Tree
+	var dirty [][]ctree.NodeID
+	for trial := 0; len(trees) < callers; trial++ {
+		c := tr.Clone()
+		if d := diffEdit(c, rng, trial); d != nil {
+			trees = append(trees, c)
+			dirty = append(dirty, d)
+		}
+	}
+	return trees, dirty
+}
+
+// TestAnalyzeIncrementalParallelBitIdentical is a batch of trials on one
+// timer: each goroutine edits its own clone and runs AnalyzeIncremental
+// from the shared baseline, then Analyze of its clone. The timer's cache
+// is warm on the pre-edit topology, so dirty nets must miss on their new
+// hashes while clean nets hit, with the misses racing across goroutines.
 func TestAnalyzeIncrementalParallelBitIdentical(t *testing.T) {
 	d, tm := buildCase(t, testgen.CLS1v1(140))
-	rng := rand.New(rand.NewSource(17))
-	ref := timerLike(tm, 1)
-
-	tr := d.Tree.Clone()
-	base := ref.Analyze(tr)
-	for trial := 0; trial < 8; trial++ {
-		var dirty []ctree.NodeID
-		bufs := tr.Buffers()
-		switch trial % 3 {
-		case 0: // displacement
-			b := bufs[rng.Intn(len(bufs))]
-			tr.Node(b).Loc = tr.Node(b).Loc.Add(geom.Pt(12, -8))
-			dirty = []ctree.NodeID{b}
-		case 1: // detour
-			s := tr.Sinks()[rng.Intn(len(tr.Sinks()))]
-			tr.Node(s).Detour += 40
-			dirty = []ctree.NodeID{s}
-		default: // surgery
-			s := tr.Sinks()[rng.Intn(len(tr.Sinks()))]
-			old := tr.Driver(s)
-			var target ctree.NodeID = ctree.NoNode
-			for _, b := range bufs {
-				if b != old && len(tr.FanoutPins(b)) > 0 {
-					target = b
-					break
-				}
-			}
-			if target == ctree.NoNode || tr.ReassignParent(s, target) != nil {
-				continue
-			}
-			dirty = []ctree.NodeID{s, old, target}
+	shared := timerLike(tm)
+	base := shared.Analyze(d.Tree)
+	for round := int64(0); round < 3; round++ {
+		trees, dirty := editedClones(d.Tree, 17+round)
+		wantInc := make([]*sta.Analysis, callers)
+		wantFull := make([]*sta.Analysis, callers)
+		for i := range trees {
+			wantInc[i] = timerLike(tm).AnalyzeIncremental(trees[i], base, dirty[i])
+			wantFull[i] = timerLike(tm).Analyze(trees[i])
 		}
-		want := ref.AnalyzeIncremental(tr, base, dirty)
-		for _, j := range workerSweep()[1:] {
-			// Warm path: a full analysis populates the cache with the
-			// pre-edit topology; dirty nets must miss on their new hashes.
-			warm := timerLike(tm, j)
-			warm.Analyze(d.Tree)
-			got := warm.AnalyzeIncremental(tr, base, dirty)
-			mustBitEqual(t, "incremental/warm", want, got)
-			// Cold path.
-			cold := timerLike(tm, j)
-			mustBitEqual(t, "incremental/cold", want, cold.AnalyzeIncremental(tr, base, dirty))
+		gotInc := make([]*sta.Analysis, callers)
+		gotFull := make([]*sta.Analysis, callers)
+		concurrently(callers, func(i int) {
+			gotInc[i] = shared.AnalyzeIncremental(trees[i], base, dirty[i])
+			gotFull[i] = shared.Analyze(trees[i])
+		})
+		for i := range trees {
+			mustBitEqual(t, "incremental", wantInc[i], gotInc[i])
+			mustBitEqual(t, "full", wantFull[i], gotFull[i])
 		}
-		base = want
 	}
 }
 
-// TestNetLoadParallelConsistent pins the cache-backed load query against the
-// analysis results at several worker counts.
+// TestSharedCacheParallelBitIdentical is skewd's pattern: two timers over
+// one technology view share a NetCache, and each is called from its own
+// goroutines at once, with full analyses of the design and incremental
+// analyses of edited clones.
+func TestSharedCacheParallelBitIdentical(t *testing.T) {
+	d, tm := buildCase(t, testgen.CLS1v2(120))
+	base := timerLike(tm).Analyze(d.Tree)
+	trees, dirty := editedClones(d.Tree, 29)
+	wantFull := timerLike(tm).Analyze(d.Tree)
+	wantInc := make([]*sta.Analysis, callers)
+	for i := range trees {
+		wantInc[i] = timerLike(tm).AnalyzeIncremental(trees[i], base, dirty[i])
+	}
+	cache := sta.NewNetCache()
+	timers := [2]*sta.Timer{timerLike(tm), timerLike(tm)}
+	for _, st := range timers {
+		st.SharedCache = cache
+	}
+	gotFull := make([]*sta.Analysis, callers)
+	gotInc := make([]*sta.Analysis, callers)
+	concurrently(callers, func(i int) {
+		st := timers[i%2]
+		gotFull[i] = st.Analyze(d.Tree)
+		gotInc[i] = st.AnalyzeIncremental(trees[i], base, dirty[i])
+	})
+	for i := range gotFull {
+		mustBitEqual(t, "shared/full", wantFull, gotFull[i])
+		mustBitEqual(t, "shared/incremental", wantInc[i], gotInc[i])
+	}
+}
+
+// TestNetLoadParallelConsistent pins the cache-backed load query, called
+// from several goroutines while they also analyze the tree, against a
+// fresh serial timer's.
 func TestNetLoadParallelConsistent(t *testing.T) {
 	d, tm := buildCase(t, testgen.CLS2v1(160))
-	ref := timerLike(tm, 1)
-	for _, j := range workerSweep() {
-		pt := timerLike(tm, j)
-		pt.Analyze(d.Tree) // warm the cache through the parallel path
-		for _, dr := range []ctree.NodeID{d.Tree.Source, d.Tree.Buffers()[0]} {
-			for k := 0; k < tm.Tech.NumCorners(); k++ {
-				a, b := ref.NetLoad(d.Tree, dr, k), pt.NetLoad(d.Tree, dr, k)
-				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("j=%d: NetLoad(%d, corner %d) = %v, serial %v", j, dr, k, b, a)
-				}
+	ref := timerLike(tm)
+	drivers := []ctree.NodeID{d.Tree.Source, d.Tree.Buffers()[0]}
+	K := tm.Tech.NumCorners()
+	want := make([]float64, len(drivers)*K)
+	for i, dr := range drivers {
+		for k := 0; k < K; k++ {
+			want[i*K+k] = ref.NetLoad(d.Tree, dr, k)
+		}
+	}
+	shared := timerLike(tm)
+	got := make([][]float64, callers)
+	concurrently(callers, func(c int) {
+		shared.Analyze(d.Tree).Release()
+		got[c] = make([]float64, len(want))
+		for i, dr := range drivers {
+			for k := 0; k < K; k++ {
+				got[c][i*K+k] = shared.NetLoad(d.Tree, dr, k)
+			}
+		}
+	})
+	for c := range got {
+		for i := range want {
+			if math.Float64bits(got[c][i]) != math.Float64bits(want[i]) {
+				t.Fatalf("caller %d: NetLoad(%d, corner %d) = %v, serial %v",
+					c, drivers[i/K], i%K, got[c][i], want[i])
 			}
 		}
 	}

@@ -7,8 +7,7 @@ package sta
 // Tree.Topo order. It keeps no cache, pools no memory, starts no
 // goroutines and emits no spans, and it calls none of the kernel's walk,
 // hash or cache helpers — only PairDelay and the rctree metrics, which
-// define the timing model. Of the Timer it reads Tech, Cong, Wire and
-// SourceSlew.
+// define the timing model. Of the Timer it reads Tech and Cong.
 
 import (
 	"fmt"
@@ -26,7 +25,7 @@ func ReferenceAnalyze(tm *Timer, tr *ctree.Tree) *Analysis {
 	a := refAnalysis(tm.Tech.NumCorners(), len(tr.Nodes))
 	for k := 0; k < a.K; k++ {
 		a.Arrive[k][tr.Source] = 0
-		a.Slew[k][tr.Source] = tm.SourceSlew
+		a.Slew[k][tr.Source] = DefaultSourceSlew
 		for _, d := range refDrivers(tr) {
 			refTimeNet(tm, tr, d, a, k)
 		}
@@ -65,7 +64,7 @@ func ReferenceAnalyzeIncremental(tm *Timer, tr *ctree.Tree, base *Analysis, dirt
 		copy(arr, bArr)
 		copy(slw, bSlw)
 		arr[tr.Source] = 0
-		slw[tr.Source] = tm.SourceSlew
+		slw[tr.Source] = DefaultSourceSlew
 		baseAt := func(id ctree.NodeID) (arrB, slewB float64, ok bool) {
 			if int(id) >= len(bArr) {
 				return 0, 0, false
@@ -202,11 +201,7 @@ func refTimeNet(tm *Timer, tr *ctree.Tree, d ctree.NodeID, a *Analysis, k int) {
 	dly, outSlew := PairDelay(tm.Tech, refCell(tm, tr.Node(d)), k, a.Slew[k][d], load)
 	arrIn := a.Arrive[k][d]
 	for i, id := range ids {
-		wire := rctree.D2M(m1[i], m2[i])
-		if tm.Wire == WireElmore {
-			wire = m1[i]
-		}
-		a.Arrive[k][id] = arrIn + dly + wire
+		a.Arrive[k][id] = arrIn + dly + rctree.D2M(m1[i], m2[i])
 		a.Slew[k][id] = rctree.PERISlew(outSlew, rctree.StepSlew(m1[i], m2[i]))
 	}
 }

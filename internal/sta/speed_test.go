@@ -24,7 +24,7 @@ func TestColdAnalyzeSpeedVsReference(t *testing.T) {
 		t.Skip("race-detector instrumentation distorts the timing ratio")
 	}
 	d, tm := buildCase(t, testgen.CLS1v1(280))
-	ft := timerLike(tm, 1)
+	ft := timerLike(tm)
 	ft.Analyze(d.Tree).Release() // warm the scratch and analysis pools
 	const rounds = 60
 	kernel := make([]time.Duration, rounds)

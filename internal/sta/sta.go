@@ -1,8 +1,8 @@
 // Package sta is the golden timer of the reproduction: a multi-corner
 // static timing analyzer for clock trees. It combines NLDM table
 // interpolation for gate delays/slews (see internal/tech), distributed RC
-// wire models with Elmore and D2M delay metrics (see internal/rctree), and
-// PERI slew propagation. It also computes the paper's objective: normalized
+// wire models with the D2M delay metric (see internal/rctree), and PERI slew
+// propagation. It also computes the paper's objective: normalized
 // clock-skew variation across corners between sequentially adjacent sink
 // pairs (§3, Eqs. (1)–(3)).
 //
@@ -21,15 +21,6 @@ import (
 	"skewvar/internal/tech"
 )
 
-// WireModel selects the wire delay metric used by the timer.
-type WireModel int
-
-// Wire models.
-const (
-	WireD2M    WireModel = iota // golden default: two-moment metric
-	WireElmore                  // first moment (pessimistic far from driver)
-)
-
 // InternalPairWireUM is the wire length between the two inverters of a pair.
 const InternalPairWireUM = 2.0
 
@@ -41,19 +32,18 @@ const DefaultSourceSlew = 30.0
 //
 // A timer memoizes each driven net's all-corner electrical view across
 // analyses in a NetCache keyed by the net's topology hash (see flat.go),
-// so trees may be edited freely between calls. All methods are safe for
-// concurrent use as long as Tech/Cong/Wire/SourceSlew/Workers are not
-// reassigned mid-analysis.
+// so trees may be edited freely between calls. Each analysis is one serial
+// pass on the calling goroutine. All methods are safe for concurrent use —
+// concurrent move trials and serve jobs call one timer, or timers sharing
+// one SharedCache — as long as Tech, Cong, Obs and SharedCache are not
+// reassigned mid-analysis. Wires are timed with the D2M metric, and the
+// source is driven with DefaultSourceSlew.
 type Timer struct {
-	Tech       *tech.Tech
-	Cong       *route.Congestion // nil → ideal (uncongested) routes
-	Wire       WireModel
-	SourceSlew float64
+	Tech *tech.Tech
+	Cong *route.Congestion // nil → ideal (uncongested) routes
 
-	// Workers bounds the per-corner fan-out of Analyze and
-	// AnalyzeIncremental: corners are timed on min(Workers, corners)
-	// goroutines. 0 or 1 selects the exact serial path. Results are
-	// bit-identical at any setting — corners never share state.
+	// Workers has no effect: every analysis runs serially on its caller's
+	// goroutine. The field remains for code that still assigns it.
 	Workers int
 
 	// Obs, when non-nil, receives analysis spans (sta.analyze /
@@ -80,9 +70,10 @@ type Timer struct {
 	fcache  *NetCache // lazily created net cache when SharedCache is nil
 }
 
-// New returns a timer over the given technology with golden defaults.
+// New returns a timer over the given technology: ideal routes, no
+// recorder, and a timer-owned net cache.
 func New(t *tech.Tech) *Timer {
-	return &Timer{Tech: t, Wire: WireD2M, SourceSlew: DefaultSourceSlew}
+	return &Timer{Tech: t}
 }
 
 // Analysis holds per-corner arrival times and slews for every live node of
@@ -127,9 +118,9 @@ func PairDelayTable(t *tech.Tech, cell *tech.Cell, k int, slewIn, loadFF float64
 	return d1 + d2, s2
 }
 
-// drivingNode is one source/buffer node with its cell pre-resolved, so the
-// per-corner workers never touch the cell map and an unknown cell panics on
-// the calling goroutine, before any corner is timed.
+// drivingNode is one source/buffer node with its cell pre-resolved, so
+// propagation never touches the cell map and an unknown cell panics before
+// any net is timed.
 type drivingNode struct {
 	id   ctree.NodeID
 	cell *tech.Cell
@@ -140,10 +131,9 @@ type drivingNode struct {
 // net's all-corner electrical view is resolved through the hash-keyed net
 // cache and propagated from pooled storage — call Release on the result
 // when done to keep the warm path allocation-free (optional; unreleased
-// analyses are ordinary garbage). Results are bit-identical at every
-// Workers setting.
+// analyses are ordinary garbage).
 func (tm *Timer) Analyze(tr *ctree.Tree) *Analysis {
-	return tm.analyzeFlat(tr)
+	return tm.analyze(tr, nil, nil)
 }
 
 // Latency returns the arrival time of a sink at corner k.

@@ -88,20 +88,6 @@ func TestSkewSignAndMagnitude(t *testing.T) {
 	}
 }
 
-func TestWireModelDifference(t *testing.T) {
-	th := tech.Default28nm()
-	tr, _, far := func() (*ctree.Tree, ctree.NodeID, ctree.NodeID) { return skewedTree() }()
-	d2m := New(th)
-	elm := New(th)
-	elm.Wire = WireElmore
-	ad := d2m.Analyze(tr)
-	ae := elm.Analyze(tr)
-	// Elmore is an upper bound on D2M per net, so total latency must be ≥.
-	if ae.Latency(0, far) < ad.Latency(0, far) {
-		t.Errorf("Elmore latency %v < D2M latency %v", ae.Latency(0, far), ad.Latency(0, far))
-	}
-}
-
 func TestCongestionIncreasesLatency(t *testing.T) {
 	th := tech.Default28nm()
 	tr, _, far := skewedTree()
