@@ -113,15 +113,21 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/skewlint -dir bench ./... skewvar/internal/...
 
-# 30-second fuzz passes: the design reader's validation layer, the LP
-# solver against its dense reference solver, the scratch-built route
-# builders against their allocating reference, and the Algorithm-1 search
-# against its per-candidate reference (all three bit-identical).
+# 30-second fuzz passes over every fuzz target: the design reader's
+# validation layer, the journal frame decoder on bytes read back from
+# disk, the LP solver against its dense reference solver, the
+# scratch-built route builders against their allocating reference, the
+# Algorithm-1 search against its per-candidate reference, the flat RC
+# layout against rctree.Builder (the last four bit-identical), and
+# skewlint's CFG builder on arbitrary function bodies.
 fuzz:
 	$(GO) test ./internal/edaio/ -run '^$$' -fuzz FuzzReadDesign -fuzztime 30s
+	$(GO) test ./internal/edaio/atomicio/ -run '^$$' -fuzz FuzzReadFrame -fuzztime 30s
 	$(GO) test ./internal/lp/ -run '^$$' -fuzz FuzzSolveMatchesReference -fuzztime 30s
 	$(GO) test ./internal/route/ -run '^$$' -fuzz FuzzRouteMatchesReference -fuzztime 30s
 	$(GO) test ./internal/eco/ -run '^$$' -fuzz FuzzSelectMatchesReference -fuzztime 30s
+	$(GO) test ./internal/rctree/ -run '^$$' -fuzz FuzzBuildFlatTree -fuzztime 30s
+	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzBuildCFG -fuzztime 30s
 
 help:
 	@echo "tier1            lint + cover + build + test + race (the merge gate)"
@@ -137,4 +143,4 @@ help:
 	@echo "load-e2e         skewload load/durability end-to-end (group commit vs per-line fsync)"
 	@echo "journal-e2e      storage-fault end-to-end (compaction crash boundaries, disk-fault matrix, scrub)"
 	@echo "bench-check      vet + test + skewlint the bench/ pipeline-benchmark module"
-	@echo "fuzz             30s fuzz each: design reader, LP solver, route builders, Algorithm-1 search vs references"
+	@echo "fuzz             30s fuzz each: design reader, journal frames, LP solver, route builders, Algorithm-1 search, flat RC trees, CFG builder"

@@ -668,9 +668,9 @@ func BenchmarkExtensionFixCostBenefit(b *testing.B) {
 		if i == 0 {
 			aN := env.Timer.Analyze(res.Tree)
 			before := power.EstimateFixCost(env.Design.Tree, pairs, a0.K,
-				func(k int, s ctree.NodeID) float64 { return a0.Latency(k, s) }, scale, power.FixCostParams{})
+				func(k int, s ctree.NodeID) float64 { return a0.Latency(k, s) }, scale)
 			after := power.EstimateFixCost(res.Tree, pairs, aN.K,
-				func(k int, s ctree.NodeID) float64 { return aN.Latency(k, s) }, scale, power.FixCostParams{})
+				func(k int, s ctree.NodeID) float64 { return aN.Latency(k, s) }, scale)
 			b.Logf("fix cost before: %d hold + %d setup violations → %d buffers (%.0f ps total)",
 				before.HoldViolations, before.SetupViolations, before.FixBuffers, before.HoldPS+before.SetupPS)
 			b.Logf("fix cost after:  %d hold + %d setup violations → %d buffers (%.0f ps total)",

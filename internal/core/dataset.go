@@ -214,9 +214,9 @@ func TrainOnDataset(ctx context.Context, t *tech.Tech, ds *Dataset, cfg TrainCon
 			var err error
 			switch cfg.Kind {
 			case "ann":
-				m, err = ml.TrainANN(X, Y, ml.ANNConfig{Seed: cfg.Seed + int64(kk)})
+				m, err = ml.TrainANN(X, Y, cfg.Seed+int64(kk))
 			case "svr":
-				m, err = ml.TrainSVR(X, Y, ml.SVRConfig{Seed: cfg.Seed + int64(kk)})
+				m, err = ml.TrainSVR(X, Y, cfg.Seed+int64(kk))
 			case "hsm":
 				m, err = ml.TrainHSM(X, Y, ml.HSMConfig{Seed: cfg.Seed + int64(kk), Ridge: ridgeLambda(len(X))})
 			case "ridge":

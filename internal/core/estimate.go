@@ -234,11 +234,7 @@ func (sc *estScratch) layout(t *tech.Tech, tr *ctree.Tree, rt *route.Tree, pins 
 // node d's input to the given fanout pin at corner k, out of an analysis of
 // the same tree.
 func GoldenStageDelay(a *sta.Analysis, d, pin ctree.NodeID, k int) float64 {
-	top := a.Arrive[k][d]
-	if math.IsNaN(top) {
-		top = 0
-	}
-	return a.Arrive[k][pin] - top
+	return a.Delay(k, d, pin)
 }
 
 // stageEstimator computes the delta-latency model features of stages

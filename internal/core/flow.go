@@ -29,10 +29,7 @@ type Metrics struct {
 // Snapshot measures a tree against the design's pair set.
 func Snapshot(tm *sta.Timer, tr *ctree.Tree, pairs []ctree.SinkPair, alphas []float64) Metrics {
 	a := tm.Analyze(tr)
-	m := Metrics{SumVarPS: sta.SumVariation(a, alphas, pairs)}
-	for k := 0; k < a.K; k++ {
-		m.SkewPS = append(m.SkewPS, sta.MaxAbsSkew(a, k, pairs))
-	}
+	m := Metrics{SumVarPS: sta.SumVariation(a, alphas, pairs), SkewPS: localSkews(a, pairs)}
 	pr := power.Analyze(tm.Tech, tr)
 	m.NumCells = pr.NumCells
 	m.PowerMW = pr.PowerMW

@@ -131,7 +131,7 @@ func TestFlowDigest(t *testing.T) {
 	for k, a := range res.Alphas {
 		scale[k] = 1 / a
 	}
-	fc := power.EstimateFixCost(tr, d.TopPairs(60), aGL.K, aGL.Latency, scale, power.FixCostParams{})
+	fc := power.EstimateFixCost(tr, d.TopPairs(60), aGL.K, aGL.Latency, scale)
 	h = fnv.New64a()
 	hashFloats(h, float64(fc.HoldViolations), float64(fc.SetupViolations),
 		fc.HoldPS, fc.SetupPS, float64(fc.FixBuffers))

@@ -33,7 +33,7 @@ const (
 // GlobalConfig tunes the LP-based global optimization. Zero values select
 // defaults.
 type GlobalConfig struct {
-	TopPairs      int       // pairs optimized (default 240)
+	TopPairs      int       // pairs optimized (default 240); RunFlows overwrites it with FlowConfig.TopPairs
 	MaxPairsPerLP int       // block size (default 250 — usually one block; arcs shared with out-of-block pairs are frozen, so prefer a single block when the LP fits)
 	MaxArcsPerLP  int       // arc cap per block (default 1200)
 	USweep        []float64 // ΣV upper-bound fractions swept (default {0.9, 0.8, 0.6})
@@ -219,10 +219,7 @@ func emitLPStat(obsr *obs.Recorder, sp *obs.Span, stat LPStat) {
 func globalSweep(ctx context.Context, tm *sta.Timer, reb *eco.Rebuilder, d *ctree.Design, alphas []float64, pairs []ctree.SinkPair, envs map[[2]int]*lut.Envelope, cfg GlobalConfig, gsp *obs.Span) (*GlobalResult, error) {
 	a0 := tm.Analyze(d.Tree)
 	res := &GlobalResult{SumVar0: sta.SumVariation(a0, alphas, pairs)}
-	skew0 := make([]float64, a0.K)
-	for k := range skew0 {
-		skew0[k] = sta.MaxAbsSkew(a0, k, pairs)
-	}
+	skew0 := localSkews(a0, pairs)
 	blocks := partitionPairs(d.Tree, pairs, cfg.MaxPairsPerLP)
 
 	best := d.Tree
@@ -297,13 +294,7 @@ func globalSweep(ctx context.Context, tm *sta.Timer, reb *eco.Rebuilder, d *ctre
 				// degraded any corner's local skew.
 				aB := tm.Analyze(tree)
 				vB := sta.SumVariation(aB, alphas, pairs)
-				degraded := vB >= prevVar-1e-9
-				for k := 0; k < aB.K && !degraded; k++ {
-					if sta.MaxAbsSkew(aB, k, pairs) > sta.SkewGuard(skew0[k]) {
-						degraded = true
-					}
-				}
-				if degraded {
+				if vB >= prevVar-1e-9 || !skewWithin(aB, pairs, skew0) {
 					tree = pre
 					stat.Reverted = true
 					n, es, en = 0, 0, 0
@@ -331,14 +322,7 @@ func globalSweep(ctx context.Context, tm *sta.Timer, reb *eco.Rebuilder, d *ctre
 		}
 		aU := tm.Analyze(tree)
 		vU := sta.SumVariation(aU, alphas, pairs)
-		ok := true
-		for k := 0; k < aU.K; k++ {
-			if sta.MaxAbsSkew(aU, k, pairs) > sta.SkewGuard(skew0[k]) {
-				ok = false
-				break
-			}
-		}
-		if ok && vU < bestVar-1e-6 {
+		if skewWithin(aU, pairs, skew0) && vU < bestVar-1e-6 {
 			best, bestVar, bestU = tree, vU, frac
 			res.ArcsRebuilt = rebuilt
 			if selErrN > 0 {
@@ -348,6 +332,26 @@ func globalSweep(ctx context.Context, tm *sta.Timer, reb *eco.Rebuilder, d *ctre
 	}
 	finalize()
 	return res, nil
+}
+
+// localSkews returns each corner's local skew: the max |skew| over pairs.
+func localSkews(a *sta.Analysis, pairs []ctree.SinkPair) []float64 {
+	out := make([]float64, a.K)
+	for k := range out {
+		out[k] = sta.MaxAbsSkew(a, k, pairs)
+	}
+	return out
+}
+
+// skewWithin reports whether every corner's local skew over pairs stays
+// within the no-degradation guard of its baseline skew0[k].
+func skewWithin(a *sta.Analysis, pairs []ctree.SinkPair, skew0 []float64) bool {
+	for k := 0; k < a.K; k++ {
+		if sta.MaxAbsSkew(a, k, pairs) > sta.SkewGuard(skew0[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // partitionPairs splits the pair list into geometry-coherent blocks of at
@@ -998,11 +1002,7 @@ func realizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, bl *block
 		arc := seg.Arcs[ai]
 		// Live arc delay (anchors persist across earlier realizations).
 		for k := 0; k < K; k++ {
-			top := aLive.Arrive[k][arc.Top]
-			if math.IsNaN(top) {
-				top = 0
-			}
-			live[k] = aLive.Arrive[k][arc.Bottom] - top
+			live[k] = aLive.Delay(k, arc.Top, arc.Bottom)
 		}
 		var doNothing float64
 		for k := 0; k < K; k++ {
@@ -1062,18 +1062,10 @@ func realizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, bl *block
 		// placement/interpolation noise the selection cannot see).
 		var errAfter float64
 		for k := 0; k < K; k++ {
-			top := aNew.Arrive[k][arc.Top]
-			if math.IsNaN(top) {
-				top = 0
-			}
-			l := aNew.Arrive[k][arc.Bottom] - top
+			l := aNew.Delay(k, arc.Top, arc.Bottom)
 			errAfter += math.Abs(l - target[k])
 			for k2 := k + 1; k2 < K; k2++ {
-				top2 := aNew.Arrive[k2][arc.Top]
-				if math.IsNaN(top2) {
-					top2 = 0
-				}
-				l2 := aNew.Arrive[k2][arc.Bottom] - top2
+				l2 := aNew.Delay(k2, arc.Top, arc.Bottom)
 				errAfter += math.Abs((l - l2) - (target[k] - target[k2]))
 			}
 		}
@@ -1102,11 +1094,7 @@ func realizeBlock(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, bl *block
 				target[k] = arcD[ai][k] + vars[ai].delta(sol, k)
 			}
 			for k := 0; k < K; k++ {
-				top := aLive.Arrive[k][arc.Top]
-				if math.IsNaN(top) {
-					top = 0
-				}
-				live[k] = aLive.Arrive[k][arc.Bottom] - top
+				live[k] = aLive.Delay(k, arc.Top, arc.Bottom)
 			}
 			trimCap := 0.0
 			if drv := tree.Driver(arc.Bottom); drv != ctree.NoNode {

@@ -35,7 +35,7 @@ const (
 type LocalConfig struct {
 	Model    StageModel
 	MaxIters int  // iteration cap (default 25)
-	TopPairs int  // pairs in the objective (0 = all design pairs)
+	TopPairs int  // pairs in the objective (0 = all design pairs); RunFlows overwrites it with FlowConfig.TopPairs
 	MaxMoves int  // enumeration cap per iteration (default 4000)
 	Random   bool // random-move baseline (Figure 8's comparison)
 	Seed     int64
@@ -131,10 +131,7 @@ func LocalOpt(ctx context.Context, tm *sta.Timer, d *ctree.Design, alphas []floa
 	res := &LocalResult{SumVar0: sta.SumVariation(a0, alphas, pairs)}
 	curVar := res.SumVar0
 	// Local-skew guard: never degrade the per-corner local skew.
-	skew0 := make([]float64, a0.K)
-	for k := range skew0 {
-		skew0[k] = sta.MaxAbsSkew(a0, k, pairs)
-	}
+	skew0 := localSkews(a0, pairs)
 
 	// The span tree (and every counter below) is schedule-independent: the
 	// set of iterations, enumerated moves, and accepted moves is identical
@@ -249,10 +246,8 @@ func LocalOpt(ctx context.Context, tm *sta.Timer, d *ctree.Design, alphas []floa
 						return fmt.Errorf("%w: NaN ΣV evaluating move %s",
 							resilience.ErrTimer, cands[i].move)
 					}
-					for k := 0; k < a2.K; k++ {
-						if sta.MaxAbsSkew(a2, k, pairs) > sta.SkewGuard(skew0[k]) {
-							return nil // local-skew degradation
-						}
+					if !skewWithin(a2, pairs, skew0) {
+						return nil // local-skew degradation
 					}
 					trials[i] = trial{tree: t2, v: v2, ok: true}
 					return nil
@@ -405,14 +400,10 @@ func NewMoveScorer(tm *sta.Timer, tr *ctree.Tree, die geom.Rect, alphas []float6
 
 // newMoveScorer prepares a scorer over tree tr and its golden analysis a.
 func newMoveScorer(t *tech.Tech, tr *ctree.Tree, a *sta.Analysis, lg *legalize.Legalizer, alphas []float64, pairs []ctree.SinkPair, model StageModel) *MoveScorer {
-	caps := make([]float64, a.K)
-	for k := range caps {
-		caps[k] = sta.MaxAbsSkew(a, k, pairs)
-	}
 	s := &MoveScorer{
 		est:    newStageEstimator(t, tr, a),
 		alphas: alphas, pairs: pairs, model: model,
-		lg: lg, skewCap: caps,
+		lg: lg, skewCap: localSkews(a, pairs),
 	}
 	s.indexPairs(len(tr.Nodes))
 	s.posts.New = func() interface{} {

@@ -427,25 +427,6 @@ func (t *Tree) AppendFanoutPins(dst []NodeID, id NodeID) []NodeID {
 	return dst
 }
 
-// SubtreeSinks returns every sink at or below the given node.
-func (t *Tree) SubtreeSinks(id NodeID) []NodeID {
-	var out []NodeID
-	stack := []NodeID{id}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := t.Node(cur)
-		if n == nil {
-			continue
-		}
-		if n.Kind == KindSink {
-			out = append(out, cur)
-		}
-		stack = append(stack, n.Children...)
-	}
-	return out
-}
-
 // Validate checks structural invariants: one source at the recorded id,
 // parent/child cross-consistency, acyclicity, sinks as leaves, every live
 // node reachable from the source, and buffer/source nodes carrying a cell.

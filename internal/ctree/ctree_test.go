@@ -121,16 +121,6 @@ func TestLevel(t *testing.T) {
 	}
 }
 
-func TestSubtreeSinks(t *testing.T) {
-	tr, ids := buildSmall(t)
-	if s := tr.SubtreeSinks(ids["b3"]); len(s) != 2 {
-		t.Errorf("SubtreeSinks(b3) = %v", s)
-	}
-	if s := tr.SubtreeSinks(tr.Source); len(s) != 3 {
-		t.Errorf("SubtreeSinks(source) = %v", s)
-	}
-}
-
 func TestRemoveNode(t *testing.T) {
 	tr, ids := buildSmall(t)
 	tr.Node(ids["b2"]).Detour = 5

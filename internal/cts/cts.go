@@ -32,27 +32,21 @@ import (
 
 // Fixed parameters of the synthesis recipe.
 const (
-	sourceCell         = "CKINVX16" // cell of the root driver
-	leafCell           = "CKINVX4"  // cell for leaf-cluster drivers
-	repeatDist float64 = 130        // max unbuffered edge length, µm
+	sourceCell            = "CKINVX16" // cell of the root driver
+	bufferCell            = "CKINVX8"  // cell for topology/repeater buffers
+	leafCell              = "CKINVX4"  // cell for leaf-cluster drivers
+	maxLeafFanout         = 20         // sinks per leaf cluster
+	repeatDist    float64 = 130        // max unbuffered edge length, µm
 )
 
 // Options tunes synthesis. Zero values select documented defaults.
 type Options struct {
-	BufferCell    string  // cell for topology/repeater buffers (default CKINVX8)
-	MaxLeafFanout int     // sinks per leaf cluster (default 20)
-	TargetSkewPS  float64 // balancing skew target (default 0, per paper §5.1)
-	MCMM          bool    // balance across all corners instead of nominal
-	BalanceIters  int     // balancing passes (default 7)
+	TargetSkewPS float64 // balancing skew target (default 0, per paper §5.1)
+	MCMM         bool    // balance across all corners instead of nominal
+	BalanceIters int     // balancing passes (default 7)
 }
 
 func (o *Options) setDefaults() {
-	if o.BufferCell == "" {
-		o.BufferCell = "CKINVX8"
-	}
-	if o.MaxLeafFanout == 0 {
-		o.MaxLeafFanout = 20
-	}
 	if o.BalanceIters == 0 {
 		o.BalanceIters = 7
 	}
@@ -66,7 +60,7 @@ func Synthesize(tm *sta.Timer, die geom.Rect, src geom.Point, sinks []geom.Point
 		return nil, fmt.Errorf("cts: no sinks")
 	}
 	opt.setDefaults()
-	for _, cn := range []string{sourceCell, opt.BufferCell, leafCell} {
+	for _, cn := range []string{sourceCell, bufferCell, leafCell} {
 		if tm.Tech.CellByName(cn) == nil {
 			return nil, fmt.Errorf("cts: unknown cell %q", cn)
 		}
@@ -78,7 +72,7 @@ func Synthesize(tm *sta.Timer, die geom.Rect, src geom.Point, sinks []geom.Point
 	for i := range idx {
 		idx[i] = i
 	}
-	clusters := clusterSinks(tm, sinks, idx, opt.MaxLeafFanout)
+	clusters := clusterSinks(tm, sinks, idx)
 
 	// 2. Topology above the leaves by recursive bisection.
 	centers := make([]geom.Point, len(clusters))
@@ -93,12 +87,12 @@ func Synthesize(tm *sta.Timer, die geom.Rect, src geom.Point, sinks []geom.Point
 	for i := range order {
 		order[i] = i
 	}
-	buildTop(tr, tr.Source, clusters, centers, order, sinks, opt)
+	buildTop(tr, tr.Source, clusters, centers, order, sinks)
 
 	// 3. Steiner-route multi-fanout nets (tap insertion) and break long
 	// edges with repeaters.
 	SteinerizeNets(tr)
-	insertRepeaters(tr, opt)
+	insertRepeaters(tr)
 
 	// 4. Skew balancing by snaking, a greedy per-buffer sizing pass (as a
 	// commercial CTS would size drivers), then a balancing touch-up.
@@ -120,12 +114,12 @@ func Synthesize(tm *sta.Timer, die geom.Rect, src geom.Point, sinks []geom.Point
 
 // clusterSinks recursively bisects the sink set until each cluster satisfies
 // the fanout bound and an estimated-load bound.
-func clusterSinks(tm *sta.Timer, sinks []geom.Point, idx []int, maxFanout int) [][]int {
+func clusterSinks(tm *sta.Timer, sinks []geom.Point, idx []int) [][]int {
 	if len(idx) == 0 {
 		return nil
 	}
 	loadOK := func(ids []int) bool {
-		if len(ids) > maxFanout {
+		if len(ids) > maxLeafFanout {
 			return false
 		}
 		pts := make([]geom.Point, len(ids))
@@ -156,13 +150,13 @@ func clusterSinks(tm *sta.Timer, sinks []geom.Point, idx []int, maxFanout int) [
 		return sinks[sorted[a]].Y < sinks[sorted[b]].Y
 	})
 	mid := len(sorted) / 2
-	out := clusterSinks(tm, sinks, sorted[:mid], maxFanout)
-	return append(out, clusterSinks(tm, sinks, sorted[mid:], maxFanout)...)
+	out := clusterSinks(tm, sinks, sorted[:mid])
+	return append(out, clusterSinks(tm, sinks, sorted[mid:])...)
 }
 
 // buildTop creates the buffer hierarchy over the leaf clusters by recursive
 // geometric bisection, attaching leaf drivers and their sinks at the bottom.
-func buildTop(tr *ctree.Tree, parent ctree.NodeID, clusters [][]int, centers []geom.Point, subset []int, sinks []geom.Point, opt Options) {
+func buildTop(tr *ctree.Tree, parent ctree.NodeID, clusters [][]int, centers []geom.Point, subset []int, sinks []geom.Point) {
 	if len(subset) == 1 {
 		ci := subset[0]
 		leaf := tr.AddNode(ctree.KindBuffer, centers[ci], leafCell, parent)
@@ -177,7 +171,7 @@ func buildTop(tr *ctree.Tree, parent ctree.NodeID, clusters [][]int, centers []g
 		pts[i] = centers[ci]
 	}
 	med := geom.MedianPoint(pts)
-	buf := tr.AddNode(ctree.KindBuffer, med, opt.BufferCell, parent)
+	buf := tr.AddNode(ctree.KindBuffer, med, bufferCell, parent)
 	bb := geom.BBox(pts)
 	byX := bb.W() >= bb.H()
 	sorted := append([]int(nil), subset...)
@@ -188,8 +182,8 @@ func buildTop(tr *ctree.Tree, parent ctree.NodeID, clusters [][]int, centers []g
 		return centers[sorted[a]].Y < centers[sorted[b]].Y
 	})
 	mid := len(sorted) / 2
-	buildTop(tr, buf.ID, clusters, centers, sorted[:mid], sinks, opt)
-	buildTop(tr, buf.ID, clusters, centers, sorted[mid:], sinks, opt)
+	buildTop(tr, buf.ID, clusters, centers, sorted[:mid], sinks)
+	buildTop(tr, buf.ID, clusters, centers, sorted[mid:], sinks)
 }
 
 // SteinerizeNets replaces the star connection of every node with three or
@@ -253,7 +247,7 @@ func steinerize(tr *ctree.Tree, d ctree.NodeID) {
 
 // insertRepeaters breaks driving edges longer than repeatDist with evenly
 // spaced inverter pairs.
-func insertRepeaters(tr *ctree.Tree, opt Options) {
+func insertRepeaters(tr *ctree.Tree) {
 	// Snapshot IDs first: we mutate the tree while walking.
 	var edges []ctree.NodeID // child end of each candidate edge
 	for _, id := range tr.Topo() {
@@ -285,7 +279,7 @@ func insertRepeaters(tr *ctree.Tree, opt Options) {
 		for i := 1; i <= k; i++ {
 			f := float64(i) / float64(k+1)
 			loc := geom.Pt(p.Loc.X+(n.Loc.X-p.Loc.X)*f, p.Loc.Y+(n.Loc.Y-p.Loc.Y)*f)
-			r := tr.AddNode(ctree.KindBuffer, loc, opt.BufferCell, cur)
+			r := tr.AddNode(ctree.KindBuffer, loc, bufferCell, cur)
 			cur = r.ID
 		}
 		n.Parent = cur

@@ -3,6 +3,7 @@ package cts
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"skewvar/internal/ctree"
@@ -30,8 +31,17 @@ func TestSynthesizeErrors(t *testing.T) {
 	if _, err := Synthesize(tm, die, geom.Pt(0, 0), nil, Options{}); err == nil {
 		t.Error("no sinks accepted")
 	}
-	if _, err := Synthesize(tm, die, geom.Pt(0, 0), []geom.Point{geom.Pt(1, 1)}, Options{BufferCell: "NOPE"}); err == nil {
-		t.Error("unknown cell accepted")
+	// A technology without the recipe's buffer cell.
+	th := *tm.Tech
+	th.Cells = nil
+	for _, c := range tm.Tech.Cells {
+		if c.Name != bufferCell {
+			th.Cells = append(th.Cells, c)
+		}
+	}
+	_, err := Synthesize(sta.New(&th), die, geom.Pt(0, 0), []geom.Point{geom.Pt(1, 1)}, Options{})
+	if err == nil || !strings.Contains(err.Error(), bufferCell) {
+		t.Errorf("missing buffer cell: err = %v", err)
 	}
 }
 
@@ -210,7 +220,7 @@ func TestClusterLoadRespected(t *testing.T) {
 	die := geom.NewRect(geom.Pt(0, 0), geom.Pt(400, 400))
 	rng := rand.New(rand.NewSource(13))
 	sinks := randomSinks(rng, 200, die)
-	tr, err := Synthesize(tm, die, geom.Pt(0, 0), sinks, Options{MaxLeafFanout: 30})
+	tr, err := Synthesize(tm, die, geom.Pt(0, 0), sinks, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ func flowConfig(cfg Config) core.FlowConfig {
 	return core.FlowConfig{
 		TopPairs: cfg.TopPairs,
 		Global: core.GlobalConfig{
-			TopPairs: cfg.TopPairs,
 			// A single LP block covering every optimized pair: blocks freeze
 			// arcs shared with out-of-block pairs, so one block maximizes
 			// the usable leverage.

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -187,6 +190,29 @@ func TestSubmitAndSpread(t *testing.T) {
 	}
 	if len(owners) < 2 {
 		t.Errorf("6 jobs all landed on one replica: %v", owners)
+	}
+}
+
+// TestSubmitBodyCap pins the fleet's POST /jobs body cap to skewd's: a
+// valid request padded with trailing whitespace to one byte over
+// serve.MaxJobBytes is an invalid design.
+func TestSubmitBodyCap(t *testing.T) {
+	c := testCluster(t, t.TempDir(), nil)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	big := jobSpec(t, nil)
+	big = append(big, bytes.Repeat([]byte(" "), serve.MaxJobBytes+1-len(big))...)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || body.Class != "invalid-design" || !strings.Contains(body.Error, "too large") {
+		t.Errorf("oversized body: HTTP %d class %q error %q (want 400 invalid-design, too large)", resp.StatusCode, body.Class, body.Error)
 	}
 }
 

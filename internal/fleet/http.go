@@ -14,10 +14,6 @@ import (
 	"skewvar/internal/serve"
 )
 
-// maxJobBytes caps the POST /jobs request body, matching skewd's
-// default.
-const maxJobBytes = 32 << 20
-
 type errorBody struct {
 	Error string `json:"error"`
 	Class string `json:"class,omitempty"`
@@ -60,7 +56,7 @@ func writeError(w http.ResponseWriter, status int, class, format string, args ..
 }
 
 func (c *Cluster) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJobBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxJobBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid-design", "reading request body: %v", err)
 		return

@@ -74,19 +74,6 @@ func (c *Cluster) startReplica(r *replica) error {
 	return nil
 }
 
-// fence crash-stops the replica's server in place. Idempotent; after it
-// returns the spool is quiescent — no worker or journal write of the old
-// incarnation can land — so a peer may read and mark its journal. This
-// is the in-process analogue of STONITH: the coordinator never steals
-// from a journal whose owner might still be appending.
-func (r *replica) fence() {
-	if r.srv != nil {
-		r.srv.Crash()
-		r.srv = nil
-	}
-	r.fenced = true
-}
-
 // copyArtifact copies one per-job spool artifact (ckpt, out.json,
 // trace.jsonl, metrics.json) from a victim's spool to a thief's,
 // skipping silently when the source does not exist (e.g. a job that

@@ -17,9 +17,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Sub(q); !got.Eq(Pt(-2, 6)) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := p.Scale(2); !got.Eq(Pt(2, 4)) {
-		t.Errorf("Scale = %v", got)
-	}
 }
 
 func TestManhattanAndEuclid(t *testing.T) {

@@ -6,28 +6,16 @@ import (
 	"math/rand"
 )
 
-// Fixed Adam settings of the neural-network trainer.
+// Fixed architecture and Adam settings of the neural-network trainer.
 const (
-	annLR    float64 = 0.01 // learning rate
-	annBatch         = 32   // minibatch size
-	annL2    float64 = 1e-4 // weight decay
+	annEpochs         = 400  // training epochs
+	annLR     float64 = 0.01 // learning rate
+	annBatch          = 32   // minibatch size
+	annL2     float64 = 1e-4 // weight decay
 )
 
-// ANNConfig tunes the neural-network trainer. Zero values select defaults.
-type ANNConfig struct {
-	Hidden []int // hidden layer widths (default [24, 12])
-	Epochs int   // training epochs (default 400)
-	Seed   int64
-}
-
-func (c *ANNConfig) setDefaults() {
-	if len(c.Hidden) == 0 {
-		c.Hidden = []int{24, 12}
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 400
-	}
-}
+// annHidden holds the hidden layer widths.
+var annHidden = [...]int{24, 12}
 
 // ANN is a feed-forward network with tanh hidden units and a linear output,
 // trained by backpropagation with Adam on mean-squared error.
@@ -39,15 +27,15 @@ type ANN struct {
 	b      [][]float64
 }
 
-// TrainANN fits the network to (X, y).
-func TrainANN(X [][]float64, y []float64, cfg ANNConfig) (*ANN, error) {
+// TrainANN fits the network to (X, y); seed fixes the initial weights and
+// the minibatch order.
+func TrainANN(X [][]float64, y []float64, seed int64) (*ANN, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("ml: bad ANN training set (%d×%d)", len(X), len(y))
 	}
-	cfg.setDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	a := &ANN{scaler: FitScaler(X), ys: fitYScale(y)}
-	a.sizes = append([]int{len(X[0])}, cfg.Hidden...)
+	a.sizes = append([]int{len(X[0])}, annHidden[:]...)
 	a.sizes = append(a.sizes, 1)
 	for l := 1; l < len(a.sizes); l++ {
 		in, out := a.sizes[l-1], a.sizes[l]
@@ -90,7 +78,7 @@ func TrainANN(X [][]float64, y []float64, cfg ANNConfig) (*ANN, error) {
 	acts := a.allocActs()
 	deltas := a.allocActs()
 
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < annEpochs; epoch++ {
 		// Fisher-Yates reshuffle each epoch.
 		for i := n - 1; i > 0; i-- {
 			j := rng.Intn(i + 1)

@@ -17,11 +17,11 @@ const wantTrainingDigest = 0xcd2c31e86d318009
 
 func TestDefaultTrainingDigest(t *testing.T) {
 	X, y := synth(rand.New(rand.NewSource(17)), 120, 8, 0.05)
-	ann, err := TrainANN(X, y, ANNConfig{Seed: 1})
+	ann, err := TrainANN(X, y, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svr, err := TrainSVR(X, y, SVRConfig{Seed: 2})
+	svr, err := TrainSVR(X, y, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ const hsmFolds = 4
 // HSMConfig tunes Hybrid Surrogate Modeling. Zero values select defaults.
 type HSMConfig struct {
 	Seed  int64
-	ANN   ANNConfig
 	Ridge float64 // ridge lambda (default 1e-3)
 }
 
@@ -33,12 +32,10 @@ func TrainHSM(X [][]float64, y []float64, cfg HSMConfig) (*HSM, error) {
 	}
 	trainers := []func(X [][]float64, y []float64) (Model, error){
 		func(X [][]float64, y []float64) (Model, error) {
-			c := cfg.ANN
-			c.Seed = cfg.Seed
-			return TrainANN(X, y, c)
+			return TrainANN(X, y, cfg.Seed)
 		},
 		func(X [][]float64, y []float64) (Model, error) {
-			return TrainSVR(X, y, SVRConfig{Seed: cfg.Seed})
+			return TrainSVR(X, y, cfg.Seed)
 		},
 		func(X [][]float64, y []float64) (Model, error) {
 			return TrainRidge(X, y, cfg.Ridge)

@@ -140,7 +140,7 @@ func TestRidgePredictZeroAlloc(t *testing.T) {
 func TestANNGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	X, y := synth(rng, 40, 3, 0)
-	a, err := TrainANN(X, y, ANNConfig{Hidden: []int{6, 4}, Epochs: 5, Seed: 3})
+	a, err := TrainANN(X, y, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestANNGradientCheck(t *testing.T) {
 func TestANNLearnsNonlinearFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	X, y := synth(rng, 600, 2, 0.02)
-	a, err := TrainANN(X, y, ANNConfig{Epochs: 250, Seed: 4})
+	a, err := TrainANN(X, y, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +174,8 @@ func TestANNLearnsNonlinearFunction(t *testing.T) {
 func TestANNDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	X, y := synth(rng, 100, 2, 0.05)
-	a1, _ := TrainANN(X, y, ANNConfig{Epochs: 30, Seed: 9})
-	a2, _ := TrainANN(X, y, ANNConfig{Epochs: 30, Seed: 9})
+	a1, _ := TrainANN(X, y, 9)
+	a2, _ := TrainANN(X, y, 9)
 	for i := 0; i < 10; i++ {
 		if a1.Predict(X[i]) != a2.Predict(X[i]) {
 			t.Fatal("same seed, different model")
@@ -184,10 +184,10 @@ func TestANNDeterministic(t *testing.T) {
 }
 
 func TestANNErrors(t *testing.T) {
-	if _, err := TrainANN(nil, nil, ANNConfig{}); err == nil {
+	if _, err := TrainANN(nil, nil, 0); err == nil {
 		t.Error("empty train accepted")
 	}
-	if _, err := TrainANN([][]float64{{1}}, []float64{1, 2}, ANNConfig{}); err == nil {
+	if _, err := TrainANN([][]float64{{1}}, []float64{1, 2}, 0); err == nil {
 		t.Error("mismatched train accepted")
 	}
 }
@@ -195,7 +195,7 @@ func TestANNErrors(t *testing.T) {
 func TestSVRLearnsNonlinearFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	X, y := synth(rng, 500, 2, 0.02)
-	s, err := TrainSVR(X, y, SVRConfig{Seed: 6})
+	s, err := TrainSVR(X, y, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSVRLearnsNonlinearFunction(t *testing.T) {
 	if rmse > 0.25*std {
 		t.Errorf("SVR test RMSE %v vs std %v", rmse, std)
 	}
-	if len(s.sv) > 500 {
+	if len(s.sv) > svrMaxPts {
 		t.Errorf("support set %d exceeds cap", len(s.sv))
 	}
 }
@@ -213,14 +213,14 @@ func TestSVRLearnsNonlinearFunction(t *testing.T) {
 func TestSVRSubsampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	X, y := synth(rng, 900, 2, 0.05)
-	s, err := TrainSVR(X, y, SVRConfig{MaxPts: 200, Seed: 7})
+	s, err := TrainSVR(X, y, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.sv) != 200 {
-		t.Errorf("support = %d, want 200", len(s.sv))
+	if len(s.sv) != svrMaxPts {
+		t.Errorf("support = %d, want %d", len(s.sv), svrMaxPts)
 	}
-	if _, err := TrainSVR(nil, nil, SVRConfig{}); err == nil {
+	if _, err := TrainSVR(nil, nil, 0); err == nil {
 		t.Error("empty train accepted")
 	}
 }
@@ -245,7 +245,7 @@ func TestKFoldRMSE(t *testing.T) {
 func TestHSMBlendsAndBeatsWorstComponent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	X, y := synth(rng, 400, 2, 0.03)
-	h, err := TrainHSM(X, y, HSMConfig{Seed: 9, ANN: ANNConfig{Epochs: 120}})
+	h, err := TrainHSM(X, y, HSMConfig{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // Model persistence: every trained regressor round-trips through a tagged
-// JSON envelope, so trained predictors can be saved by cmd/trainml and
-// reloaded by cmd/skewopt (the paper's "one-time per-technology training").
+// JSON envelope inside a model bundle, so trained predictors can be saved by
+// cmd/trainml and reloaded by cmd/skewopt (the paper's "one-time
+// per-technology training").
 
 type scalerJSON struct {
 	Mean []float64 `json:"mean"`
@@ -132,25 +133,6 @@ func fromEnvelope(e envelope) (Model, error) {
 		return h, nil
 	}
 	return nil, fmt.Errorf("ml: unknown model kind %q", e.Kind)
-}
-
-// SaveModel writes a trained model as JSON.
-func SaveModel(w io.Writer, m Model) error {
-	env, err := toEnvelope(m)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&env)
-}
-
-// LoadModel reads a model written by SaveModel.
-func LoadModel(r io.Reader) (Model, error) {
-	var env envelope
-	if err := json.NewDecoder(r).Decode(&env); err != nil {
-		return nil, fmt.Errorf("ml: decoding model: %w", err)
-	}
-	return fromEnvelope(env)
 }
 
 // SaveModels writes a named bundle of models (e.g. one per corner).

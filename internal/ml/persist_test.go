@@ -7,17 +7,22 @@ import (
 	"testing"
 )
 
+// roundTrip saves m as a bundle of one and loads it back, the path a
+// persisted stage model takes.
 func roundTrip(t *testing.T, m Model) Model {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, m); err != nil {
+	if err := SaveModels(&buf, "one", []Model{m}); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := LoadModel(&buf)
+	kind, loaded, err := LoadModels(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m2
+	if kind != "one" || len(loaded) != 1 {
+		t.Fatalf("bundle kind=%q n=%d", kind, len(loaded))
+	}
+	return loaded[0]
 }
 
 func checkSamePredictions(t *testing.T, a, b Model, X [][]float64) {
@@ -32,7 +37,7 @@ func checkSamePredictions(t *testing.T, a, b Model, X [][]float64) {
 func TestPersistANN(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	X, y := synth(rng, 120, 3, 0.05)
-	m, err := TrainANN(X, y, ANNConfig{Epochs: 20, Seed: 1})
+	m, err := TrainANN(X, y, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +47,7 @@ func TestPersistANN(t *testing.T) {
 func TestPersistSVR(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	X, y := synth(rng, 120, 3, 0.05)
-	m, err := TrainSVR(X, y, SVRConfig{Seed: 1})
+	m, err := TrainSVR(X, y, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +67,7 @@ func TestPersistRidge(t *testing.T) {
 func TestPersistHSM(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	X, y := synth(rng, 150, 2, 0.05)
-	m, err := TrainHSM(X, y, HSMConfig{Seed: 2, ANN: ANNConfig{Epochs: 15}})
+	m, err := TrainHSM(X, y, HSMConfig{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,29 +104,21 @@ func TestPersistBundle(t *testing.T) {
 }
 
 func TestPersistErrors(t *testing.T) {
-	if _, err := LoadModel(strings.NewReader("{not json")); err == nil {
-		t.Error("bad JSON accepted")
-	}
-	if _, err := LoadModel(strings.NewReader(`{"kind":"alien"}`)); err == nil {
-		t.Error("unknown kind accepted")
-	}
-	if _, err := LoadModel(strings.NewReader(`{"kind":"ann"}`)); err == nil {
-		t.Error("malformed ANN accepted")
-	}
-	if _, err := LoadModel(strings.NewReader(`{"kind":"svr"}`)); err == nil {
-		t.Error("malformed SVR accepted")
-	}
-	if _, err := LoadModel(strings.NewReader(`{"kind":"ridge"}`)); err == nil {
-		t.Error("malformed ridge accepted")
-	}
-	if _, err := LoadModel(strings.NewReader(`{"kind":"hsm"}`)); err == nil {
-		t.Error("malformed HSM accepted")
-	}
-	if _, _, err := LoadModels(strings.NewReader("zzz")); err == nil {
-		t.Error("bad bundle accepted")
+	for _, tc := range []struct{ what, doc string }{
+		{"bad JSON", "{not json"},
+		{"unknown kind", `{"models":[{"kind":"alien"}]}`},
+		{"malformed ANN", `{"models":[{"kind":"ann"}]}`},
+		{"malformed SVR", `{"models":[{"kind":"svr"}]}`},
+		{"malformed ridge", `{"models":[{"kind":"ridge"}]}`},
+		{"malformed HSM", `{"models":[{"kind":"hsm"}]}`},
+		{"bad bundle", "zzz"},
+	} {
+		if _, _, err := LoadModels(strings.NewReader(tc.doc)); err == nil {
+			t.Errorf("%s accepted", tc.what)
+		}
 	}
 	type fake struct{ Model }
-	if err := SaveModel(&bytes.Buffer{}, fake{}); err == nil {
+	if err := SaveModels(&bytes.Buffer{}, "fake", []Model{fake{}}); err == nil {
 		t.Error("foreign model type accepted")
 	}
 }

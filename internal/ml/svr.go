@@ -8,16 +8,12 @@ import (
 	"skewvar/internal/fit"
 )
 
-// svrC is the regressor's fixed regularization; the RBF width is the 1/d
-// heuristic on scaled features.
-const svrC float64 = 10
-
-// SVRConfig tunes the RBF-kernel support-vector regressor. Zero values
-// select defaults.
-type SVRConfig struct {
-	MaxPts int // support-set subsample cap (default 500)
-	Seed   int64
-}
+// Fixed settings of the regressor; the RBF width is the 1/d heuristic on
+// scaled features.
+const (
+	svrC      float64 = 10  // regularization
+	svrMaxPts         = 500 // support-set subsample cap
+)
 
 // SVR is a support-vector regressor with an RBF kernel, trained in exact
 // least-squares-SVM form (Suykens): the dual linear system
@@ -27,7 +23,7 @@ type SVRConfig struct {
 //
 // is solved directly, which is the ε→0 limit of ε-SVR with quadratic slack.
 // This keeps the RBF-SVM model class of the paper while avoiding an
-// iterative SMO solver; large training sets are subsampled to MaxPts
+// iterative SMO solver; large training sets are subsampled to svrMaxPts
 // support points.
 type SVR struct {
 	scaler *Scaler
@@ -38,13 +34,10 @@ type SVR struct {
 	gamma  float64
 }
 
-// TrainSVR fits the regressor.
-func TrainSVR(X [][]float64, y []float64, cfg SVRConfig) (*SVR, error) {
+// TrainSVR fits the regressor; seed fixes the support-set subsample.
+func TrainSVR(X [][]float64, y []float64, seed int64) (*SVR, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("ml: bad SVR training set (%d×%d)", len(X), len(y))
-	}
-	if cfg.MaxPts == 0 {
-		cfg.MaxPts = 500
 	}
 	s := &SVR{scaler: FitScaler(X), ys: fitYScale(y)}
 	xs := s.scaler.TransformAll(X)
@@ -53,10 +46,10 @@ func TrainSVR(X [][]float64, y []float64, cfg SVRConfig) (*SVR, error) {
 		ts[i] = s.ys.fwd(v)
 	}
 	// Subsample the support set if needed.
-	if len(xs) > cfg.MaxPts {
-		perm := rand.New(rand.NewSource(cfg.Seed)).Perm(len(xs))[:cfg.MaxPts]
-		nx := make([][]float64, cfg.MaxPts)
-		nt := make([]float64, cfg.MaxPts)
+	if len(xs) > svrMaxPts {
+		perm := rand.New(rand.NewSource(seed)).Perm(len(xs))[:svrMaxPts]
+		nx := make([][]float64, svrMaxPts)
+		nt := make([]float64, svrMaxPts)
 		for i, pi := range perm {
 			nx[i], nt[i] = xs[pi], ts[pi]
 		}

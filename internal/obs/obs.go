@@ -168,10 +168,9 @@ func (r *Recorder) Histogram(name string) *Histogram {
 }
 
 // Span is one timed region of the trace. Spans form a tree via StartChild.
-// A span is owned by the goroutine that started it: SetAttrs and End must
-// not race with each other, but children may be started and ended from
-// worker goroutines (each child then owned by its worker). Nil *Span
-// receivers are no-ops throughout.
+// A span is owned by the goroutine that started it, which ends it, but
+// children may be started and ended from worker goroutines (each child then
+// owned by its worker). Nil *Span receivers are no-ops throughout.
 type Span struct {
 	r      *Recorder
 	id     uint64
@@ -203,15 +202,6 @@ func (s *Span) Event(name string, attrs ...Attr) {
 		return
 	}
 	s.r.append(Record{Kind: KindEvent, Parent: s.id, Name: name, At: s.r.clock.Now(), Attrs: attrs})
-}
-
-// SetAttrs appends attributes to the span (visible once the span ends).
-// Call only from the goroutine that owns the span. Nil-safe.
-func (s *Span) SetAttrs(attrs ...Attr) {
-	if s == nil || s.ended.Load() {
-		return
-	}
-	s.attrs = append(s.attrs, attrs...)
 }
 
 // End closes the span, records it, and observes its duration into the

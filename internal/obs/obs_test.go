@@ -22,7 +22,6 @@ func TestNilRecorderIsFree(t *testing.T) {
 		c := sp.StartChild("y")
 		c.Event("e")
 		c.End()
-		sp.SetAttrs()
 		sp.End()
 		r.Event("e")
 		r.Counter("c").Inc()
@@ -46,12 +45,11 @@ func TestNilRecorderIsFree(t *testing.T) {
 
 func TestSpanTreeBasics(t *testing.T) {
 	r := NewWithClock(NewFakeClock(10))
-	root := r.StartSpan("root", S("case", "t"))
+	root := r.StartSpan("root", S("case", "t"), I("n", 2))
 	child := root.StartChild("child", I("i", 3))
 	child.Event("hit", F("v", 1.5))
 	child.End()
 	child.End() // idempotent
-	root.SetAttrs(I("n", 2))
 	root.End()
 	r.Event("loose")
 

@@ -65,15 +65,11 @@ type FixCost struct {
 
 // Fixed parameters of the synthetic datapath model.
 const (
-	holdTimePS  float64 = 15 // FF hold requirement
-	setupTimePS float64 = 35 // FF setup requirement
-	bufDelayPS  float64 = 25 // delay of one fixing buffer
+	periodPS    float64 = 1000 // clock period
+	holdTimePS  float64 = 15   // FF hold requirement
+	setupTimePS float64 = 35   // FF setup requirement
+	bufDelayPS  float64 = 25   // delay of one fixing buffer
 )
-
-// FixCostParams configures the synthetic datapath model.
-type FixCostParams struct {
-	PeriodPS float64 // clock period (default 1000)
-}
 
 // EstimateFixCost evaluates the synthetic datapaths against per-corner sink
 // latencies. latency(k, sink) must return the clock arrival of a sink at
@@ -81,10 +77,7 @@ type FixCostParams struct {
 // cycle). Corner scaling of datapath delays follows the per-corner scale
 // factors (e.g. the measured αk⁻¹).
 func EstimateFixCost(tr *ctree.Tree, pairs []ctree.SinkPair, corners int,
-	latency func(k int, sink ctree.NodeID) float64, cornerScale []float64, p FixCostParams) FixCost {
-	if p.PeriodPS == 0 {
-		p.PeriodPS = 1000
-	}
+	latency func(k int, sink ctree.NodeID) float64, cornerScale []float64) FixCost {
 	var out FixCost
 	for _, pr := range pairs {
 		a, b := tr.Node(pr.A), tr.Node(pr.B)
@@ -102,7 +95,7 @@ func EstimateFixCost(tr *ctree.Tree, pairs []ctree.SinkPair, corners int,
 			}
 			skew := latency(k, pr.B) - latency(k, pr.A) // capture − launch
 			holdSlack := dpMin*scale - skew - holdTimePS
-			setupSlack := p.PeriodPS - dpMax*scale + skew - setupTimePS
+			setupSlack := periodPS - dpMax*scale + skew - setupTimePS
 			if -holdSlack > holdWorst {
 				holdWorst = -holdSlack
 			}

@@ -62,7 +62,7 @@ func TestEstimateFixCost(t *testing.T) {
 	pairs := []ctree.SinkPair{{A: s1.ID, B: s2.ID}}
 	// Balanced clock: no violations.
 	balanced := func(k int, sink ctree.NodeID) float64 { return 500 }
-	fc := EstimateFixCost(tr, pairs, 2, balanced, nil, FixCostParams{})
+	fc := EstimateFixCost(tr, pairs, 2, balanced, nil)
 	if fc.HoldViolations != 0 || fc.SetupViolations != 0 || fc.FixBuffers != 0 {
 		t.Errorf("balanced clock has violations: %+v", fc)
 	}
@@ -73,24 +73,24 @@ func TestEstimateFixCost(t *testing.T) {
 		}
 		return 500
 	}
-	fc2 := EstimateFixCost(tr, pairs, 2, skewed, nil, FixCostParams{})
+	fc2 := EstimateFixCost(tr, pairs, 2, skewed, nil)
 	if fc2.HoldViolations != 1 || fc2.FixBuffers == 0 || fc2.HoldPS <= 0 {
 		t.Errorf("hold violation not detected: %+v", fc2)
 	}
-	// Opposite skew at scale → setup violation.
+	// Opposite skew at scale → setup violation at the fixed period.
 	late := func(k int, sink ctree.NodeID) float64 {
 		if sink == s1.ID && k == 1 {
 			return 1400
 		}
 		return 500
 	}
-	fc3 := EstimateFixCost(tr, pairs, 2, late, []float64{1, 1}, FixCostParams{PeriodPS: 600})
+	fc3 := EstimateFixCost(tr, pairs, 2, late, []float64{1, 1})
 	if fc3.SetupViolations != 1 || fc3.SetupPS <= 0 {
 		t.Errorf("setup violation not detected: %+v", fc3)
 	}
 	// Missing nodes are skipped.
 	ghost := []ctree.SinkPair{{A: 99, B: 98}}
-	fc4 := EstimateFixCost(tr, ghost, 2, balanced, nil, FixCostParams{})
+	fc4 := EstimateFixCost(tr, ghost, 2, balanced, nil)
 	if fc4.FixBuffers != 0 {
 		t.Errorf("ghost pair produced cost: %+v", fc4)
 	}

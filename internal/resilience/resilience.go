@@ -84,11 +84,13 @@ func Safely(name string, fn func() error) (err error) {
 	return fn()
 }
 
+// maxRetryDelay caps Retry's exponential backoff.
+const maxRetryDelay = 500 * time.Millisecond
+
 // RetryConfig tunes Retry. Zero values select defaults.
 type RetryConfig struct {
 	Attempts  int           // total attempts (default 3)
 	BaseDelay time.Duration // delay before the 2nd attempt (default 5ms)
-	MaxDelay  time.Duration // backoff ceiling (default 500ms)
 
 	// Rand, when non-nil, jitters each backoff sleep: the wait before
 	// attempt n is drawn uniformly from [d/2, d] where d is the
@@ -122,9 +124,6 @@ func (c *RetryConfig) setDefaults() {
 	if c.BaseDelay == 0 {
 		c.BaseDelay = 5 * time.Millisecond
 	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 500 * time.Millisecond
-	}
 }
 
 // Retry runs op up to cfg.Attempts times with exponential backoff, stopping
@@ -156,8 +155,8 @@ func Retry(ctx context.Context, cfg RetryConfig, op func() error) error {
 		case <-time.After(cfg.sleepFor(delay)):
 		}
 		delay *= 2
-		if delay > cfg.MaxDelay {
-			delay = cfg.MaxDelay
+		if delay > maxRetryDelay {
+			delay = maxRetryDelay
 		}
 	}
 	return fmt.Errorf("after %d attempts: %w", cfg.Attempts, last)

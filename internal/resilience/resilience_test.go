@@ -186,7 +186,6 @@ func TestRetryWithJitterStillRetries(t *testing.T) {
 	cfg := RetryConfig{
 		Attempts:  3,
 		BaseDelay: time.Millisecond,
-		MaxDelay:  2 * time.Millisecond,
 		Rand:      rand.New(rand.NewSource(1)),
 	}
 	calls := 0

@@ -72,7 +72,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxJobBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxJobBytes))
 	if err != nil {
 		s.counter("serve.jobs.rejected.invalid").Add(1)
 		writeError(w, http.StatusBadRequest, "invalid-design", "reading request body: %v", err)

@@ -64,6 +64,10 @@ const (
 	StateSuspended = "suspended" // drain checkpointed it; resumes on restart
 )
 
+// MaxJobBytes caps the POST /jobs request body; a larger body is rejected
+// as an invalid design.
+const MaxJobBytes = 32 << 20
+
 // Config tunes a Server. Zero values select the documented defaults;
 // SpoolDir, Tech, Char, and Model are required.
 type Config struct {
@@ -75,7 +79,6 @@ type Config struct {
 	QueueDepth   int           // max queued (not yet running) jobs (default 8)
 	JobTimeout   time.Duration // per-job deadline ceiling (default 10m)
 	DrainTimeout time.Duration // budget for jobs to finish on drain (default 30s)
-	MaxJobBytes  int64         // request body cap for POST /jobs (default 32MiB)
 
 	// JournalBatch and JournalWindow tune journal group commit: up to
 	// JournalBatch records share one write+fsync, and a record waits at
@@ -163,9 +166,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.MaxJobBytes <= 0 {
-		c.MaxJobBytes = 32 << 20
 	}
 	if c.JournalBatch <= 0 {
 		c.JournalBatch = 1

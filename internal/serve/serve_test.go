@@ -224,7 +224,7 @@ func TestAdmissionValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flow execution in -short mode")
 	}
-	_, url := testServer(t, t.TempDir(), nil)
+	s, url := testServer(t, t.TempDir(), nil)
 
 	// Not JSON at all.
 	if code, _, _ := post(t, url, []byte("not json")); code != http.StatusBadRequest {
@@ -241,6 +241,19 @@ func TestAdmissionValidation(t *testing.T) {
 	// Corrupt design document.
 	if code, _, _ := post(t, url, []byte(`{"design":{"bogus":true},"flow":"local"}`)); code != http.StatusBadRequest {
 		t.Errorf("invalid design: HTTP %d (want 400)", code)
+	}
+	// A valid request padded with trailing whitespace to one byte over
+	// the body cap.
+	invalid := func() int64 { return s.Metrics().Counters["serve.jobs.rejected.invalid"] }
+	before := invalid()
+	big := jobBody(t, nil)
+	big = append(big, bytes.Repeat([]byte(" "), MaxJobBytes+1-len(big))...)
+	code, m, _ := post(t, url, big)
+	if code != http.StatusBadRequest || m["class"] != "invalid-design" || !strings.Contains(m["error"], "too large") {
+		t.Errorf("oversized body: HTTP %d class %q error %q (want 400 invalid-design, too large)", code, m["class"], m["error"])
+	}
+	if got := invalid() - before; got != 1 {
+		t.Errorf("oversized body counted %d invalid rejections, want 1", got)
 	}
 }
 

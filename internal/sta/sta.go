@@ -144,6 +144,17 @@ func (a *Analysis) Skew(k int, x, y ctree.NodeID) float64 {
 	return a.Arrive[k][x] - a.Arrive[k][y]
 }
 
+// Delay returns the delay from node from's input to node to's at corner k,
+// arrival(to) − arrival(from), with a NaN arrival at from (a node this
+// analysis did not time) read as 0.
+func (a *Analysis) Delay(k int, from, to ctree.NodeID) float64 {
+	top := a.Arrive[k][from]
+	if math.IsNaN(top) {
+		top = 0
+	}
+	return a.Arrive[k][to] - top
+}
+
 // MaxAbsSkew returns the local skew at corner k: the maximum |skew| over the
 // given sequentially adjacent pairs.
 func MaxAbsSkew(a *Analysis, k int, pairs []ctree.SinkPair) float64 {
@@ -228,11 +239,7 @@ func ArcDelays(a *Analysis, seg *ctree.Segmentation) [][]float64 {
 	for i, arc := range seg.Arcs {
 		row := make([]float64, a.K)
 		for k := 0; k < a.K; k++ {
-			top := a.Arrive[k][arc.Top]
-			if math.IsNaN(top) {
-				top = 0
-			}
-			row[k] = a.Arrive[k][arc.Bottom] - top
+			row[k] = a.Delay(k, arc.Top, arc.Bottom)
 		}
 		out[i] = row
 	}
