@@ -69,7 +69,7 @@ race:
 
 # skewd end-to-end: submit, kill -9 mid-job, restart, verify the resumed
 # output is byte-identical to an uninterrupted run; plus the fault matrix
-# (dead journal -> 500, worker panic -> isolated failure, wedged job ->
+# (dead journal -> 507 storage, worker panic -> isolated failure, wedged job ->
 # deadline cancel) and the SIGTERM backpressure/drain/resume cycle; plus
 # the warm-net-cache cycle (resubmit -> zero misses + identical bytes,
 # restart -> cold cache + identical bytes).

@@ -798,7 +798,7 @@ func BenchmarkJournalReplayParallel(b *testing.B) {
 		buf = append(buf, '\n')
 	}
 	for i := 0; i < jobs; i++ {
-		id := fmt.Sprintf("j%06d", i)
+		id := serve.JobID(i)
 		add(`"kind":"submit","job":%q,"spec":{"flow":"local","pairs":40}`, id)
 		add(`"kind":"start","job":%q`, id)
 		add(`"kind":"finish","job":%q,"state":"done"`, id)

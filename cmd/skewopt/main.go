@@ -33,6 +33,7 @@ import (
 	"skewvar/internal/core"
 	"skewvar/internal/ctree"
 	"skewvar/internal/edaio"
+	"skewvar/internal/edaio/atomicio"
 	"skewvar/internal/exp"
 	"skewvar/internal/faults"
 	"skewvar/internal/obs"
@@ -225,7 +226,7 @@ func main() {
 	if *out != "" && final != nil {
 		od := d.Clone()
 		od.Tree = final
-		if err := edaio.AtomicWriteFile(*out, func(w io.Writer) error {
+		if err := atomicio.WriteFile(*out, func(w io.Writer) error {
 			return edaio.WriteDesign(w, od)
 		}); err != nil {
 			fatalf("writing optimized design: %v", err)

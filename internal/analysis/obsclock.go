@@ -16,7 +16,7 @@ var obsclockScope = []string{
 }
 
 // obsclockExemptFile is the one file allowed to touch package time: it
-// defines the Clock interface and the production wallClock behind it.
+// defines the Clock interface and the production WallClock behind it.
 const obsclockExemptFile = "clock.go"
 
 // Obsclock forbids direct package-time timestamp reads (time.Now, Since,

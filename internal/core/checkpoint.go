@@ -11,6 +11,7 @@ import (
 
 	"skewvar/internal/ctree"
 	"skewvar/internal/edaio"
+	"skewvar/internal/edaio/atomicio"
 	"skewvar/internal/faults"
 	"skewvar/internal/resilience"
 )
@@ -74,7 +75,7 @@ func SaveCheckpoint(ctx context.Context, path string, d *ctree.Design, cp *Check
 		if inj.Fire(faults.CheckpointWrite) {
 			return fmt.Errorf("core: injected checkpoint write failure")
 		}
-		return edaio.AtomicWriteFile(path, func(w io.Writer) error {
+		return atomicio.WriteFile(path, func(w io.Writer) error {
 			return json.NewEncoder(w).Encode(&cf)
 		})
 	}

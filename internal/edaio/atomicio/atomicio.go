@@ -1,7 +1,10 @@
-// Package atomicio holds the torn-write-proof file primitive shared by the
-// checkpoint layer (via edaio.AtomicWriteFile) and the observability sinks
-// (internal/obs), which cannot import edaio itself: edaio depends on sta
-// for its exports, and sta carries the obs recorder.
+// Package atomicio holds the crash-safe file primitives: WriteFile, the
+// torn-write-proof writer behind flow checkpoints, served results, stolen
+// job artifacts, skewopt's -o and the observability sinks; the
+// checksummed frames and the group-commit appender of the skewd job
+// journal; and the FS seam storage-fault tests drive. It sits below edaio
+// so that internal/obs can use it: edaio depends on sta for its exports,
+// and sta carries the obs recorder.
 package atomicio
 
 import (

@@ -3,10 +3,6 @@ package edaio
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -109,36 +105,6 @@ func TestReadDesignWithCells(t *testing.T) {
 	_, err := ReadDesign(strings.NewReader(src), WithCells(func(string) bool { return false }))
 	if !errors.Is(err, resilience.ErrInvalidDesign) {
 		t.Fatalf("unknown cell: err = %v", err)
-	}
-}
-
-func TestAtomicWriteFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "out.json")
-	if err := AtomicWriteFile(path, func(w io.Writer) error {
-		_, err := io.WriteString(w, "v1")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := os.ReadFile(path); string(b) != "v1" {
-		t.Fatalf("content = %q", b)
-	}
-	// A failing write leaves the previous contents intact and no temp litter.
-	sentinel := fmt.Errorf("disk on fire")
-	err := AtomicWriteFile(path, func(w io.Writer) error {
-		io.WriteString(w, "partial")
-		return sentinel
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v", err)
-	}
-	if b, _ := os.ReadFile(path); string(b) != "v1" {
-		t.Fatalf("content after failed write = %q", b)
-	}
-	ents, _ := os.ReadDir(dir)
-	if len(ents) != 1 {
-		t.Fatalf("temp file leaked: %v", ents)
 	}
 }
 

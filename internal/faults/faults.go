@@ -40,7 +40,7 @@ const (
 	// JobJournalWrite fails one append attempt of the skewd job journal
 	// (all retry attempts consult the same armed hook, so First=n controls
 	// how many attempts fail; an always-armed hook exhausts the retries and
-	// the submission is rejected with HTTP 500).
+	// the submission is rejected with HTTP 507, class "storage").
 	JobJournalWrite = "job-journal-write"
 
 	// JournalGroupFlush crashes a group-commit journal flush at a batch

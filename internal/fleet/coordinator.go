@@ -123,7 +123,7 @@ func (c *Cluster) rebuild() error {
 		present[name] = make(map[string]bool, len(jobs))
 		for _, j := range jobs {
 			present[name][j.ID] = true
-			if n := jobSeq(j.ID); n > c.submits {
+			if n := serve.JobSeq(j.ID); n > c.submits {
 				c.submits = n
 			}
 		}
@@ -160,15 +160,6 @@ func (c *Cluster) rebuild() error {
 	return nil
 }
 
-// jobSeq extracts the numeric suffix of a fleet job id ("j%06d"), or 0.
-func jobSeq(id string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, "j%06d", &n); err != nil {
-		return 0
-	}
-	return n
-}
-
 // Submit assigns the job an id and dispatches it along the id's ring
 // failover sequence. Candidates that are dead or quarantined are
 // skipped; a queue-bound rejection (serve.ErrBusy) moves on without a
@@ -189,7 +180,7 @@ func (c *Cluster) Submit(ctx context.Context, spec []byte) (serve.JobStatus, str
 		return serve.JobStatus{}, "", fmt.Errorf("fleet: draining: %w", ErrNoReplica)
 	}
 	c.submits++
-	id := fmt.Sprintf("j%06d", c.submits)
+	id := serve.JobID(c.submits)
 	c.mu.Unlock()
 
 	for _, name := range c.ring.Sequence(id) {

@@ -122,15 +122,6 @@ func (c *Config) setDefaults() error {
 	if c.Replicas <= 0 {
 		c.Replicas = 3
 	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 8
-	}
-	if c.JobTimeout <= 0 {
-		c.JobTimeout = 10 * time.Minute
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}

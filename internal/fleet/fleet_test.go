@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -143,7 +142,7 @@ func TestRingDeterminism(t *testing.T) {
 	r1, r2 := newRing(names), newRing(names)
 	counts := map[string]int{}
 	for i := 0; i < 500; i++ {
-		id := fmt.Sprintf("j%06d", i)
+		id := serve.JobID(i)
 		a, b := r1.Sequence(id), r2.Sequence(id)
 		if len(a) != len(names) {
 			t.Fatalf("sequence for %s has %d entries, want %d", id, len(a), len(names))
@@ -207,12 +206,33 @@ func TestSubmitBodyCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body errorBody
+	var body serve.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusBadRequest || body.Class != "invalid-design" || !strings.Contains(body.Error, "too large") {
 		t.Errorf("oversized body: HTTP %d class %q error %q (want 400 invalid-design, too large)", resp.StatusCode, body.Class, body.Error)
+	}
+}
+
+// TestHandlerUnknownJob pins the fleet's answer for an id it never
+// assigned: 404 with the job API's error body, for the status and the
+// result endpoint alike.
+func TestHandlerUnknownJob(t *testing.T) {
+	c := testCluster(t, t.TempDir(), nil)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	for _, path := range []string{"/jobs/j999999", "/jobs/j999999/result"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body serve.ErrorBody
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || derr != nil || !strings.Contains(body.Error, "j999999") {
+			t.Errorf("GET %s: HTTP %d body %+v (decode error %v), want 404 naming the id", path, resp.StatusCode, body, derr)
+		}
 	}
 }
 

@@ -2,22 +2,14 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"os"
 
 	"skewvar/internal/resilience"
 	"skewvar/internal/serve"
 )
-
-type errorBody struct {
-	Error string `json:"error"`
-	Class string `json:"class,omitempty"`
-}
 
 // Handler wires the fleet API. It is skewd's API plus fleet-level
 // introspection and chaos-admin endpoints:
@@ -45,38 +37,28 @@ func (c *Cluster) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, class, format string, args ...interface{}) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...), Class: class})
-}
-
 func (c *Cluster) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxJobBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid-design", "reading request body: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, "invalid-design", "reading request body: %v", err)
 		return
 	}
 	st, replicaName, err := c.Submit(r.Context(), body)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusAccepted, map[string]string{
+		serve.WriteJSON(w, http.StatusAccepted, map[string]string{
 			"id": st.ID, "state": st.State, "replica": replicaName})
 	case errors.Is(err, resilience.ErrInvalidDesign):
-		writeError(w, http.StatusBadRequest, "invalid-design", "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "invalid-design", "%v", err)
 	case errors.Is(err, ErrAmbiguous):
 		// The job may be durable on the (now suspect) replica; the steal
 		// pipeline resolves it. 503 tells the client the dispatch did not
 		// complete; Retry-After invites a fresh submission if it cares.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "ambiguous", "%v", err)
+		serve.WriteError(w, http.StatusServiceUnavailable, "ambiguous", "%v", err)
 	default:
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "unavailable", "%v", err)
+		serve.WriteError(w, http.StatusServiceUnavailable, "unavailable", "%v", err)
 	}
 }
 
@@ -89,74 +71,52 @@ func (c *Cluster) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, replicaName, ok := c.Status(r.Context(), id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "", "no such job %q", id)
+		serve.WriteError(w, http.StatusNotFound, "", "no such job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, fleetStatus{JobStatus: st, Replica: replicaName})
+	serve.WriteJSON(w, http.StatusOK, fleetStatus{JobStatus: st, Replica: replicaName})
 }
 
-// handleResult mirrors skewd's result endpoint, streaming the artifact
-// from whichever spool currently owns the job.
+// handleResult answers as skewd's result endpoint does, streaming the
+// artifact from whichever spool currently owns the job.
 func (c *Cluster) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, _, ok := c.Status(r.Context(), id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "", "no such job %q", id)
+	path, owned := c.ResultPath(id)
+	if !ok || !owned {
+		serve.WriteError(w, http.StatusNotFound, "", "no such job %q", id)
 		return
 	}
-	switch st.State {
-	case serve.StateDone:
-		path, ok := c.ResultPath(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, "", "no such job %q", id)
-			return
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "internal",
-				"result missing for done job %s: %v", id, err)
-			return
-		}
-		defer f.Close()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		io.Copy(w, f)
-	case serve.StateFailed:
-		writeError(w, http.StatusInternalServerError, st.Class, "job failed: %s", st.Error)
-	case serve.StateCanceled:
-		writeError(w, http.StatusGatewayTimeout, st.Class, "job exceeded its deadline: %s", st.Error)
-	default: // queued, running, suspended (including mid-recovery)
-		writeError(w, http.StatusConflict, "", "job %s is %s", id, st.State)
-	}
+	serve.WriteResult(w, st, path)
 }
 
 func (c *Cluster) handleReplicas(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.Replicas())
+	serve.WriteJSON(w, http.StatusOK, c.Replicas())
 }
 
 func (c *Cluster) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.Metrics())
+	serve.WriteJSON(w, http.StatusOK, c.Metrics())
 }
 
 func (c *Cluster) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	serve.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 func (c *Cluster) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !c.Ready() {
-		writeError(w, http.StatusServiceUnavailable, "unavailable", "fleet not ready")
+		serve.WriteError(w, http.StatusServiceUnavailable, "unavailable", "fleet not ready")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ready": true})
+	serve.WriteJSON(w, http.StatusOK, map[string]bool{"ready": true})
 }
 
 func (c *Cluster) handleCrash(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("replica")
 	if err := c.CrashReplica(name); err != nil {
-		writeError(w, http.StatusNotFound, "", "%v", err)
+		serve.WriteError(w, http.StatusNotFound, "", "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"replica": name, "state": "crashed"})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"replica": name, "state": "crashed"})
 }
 
 func (c *Cluster) handleRestart(w http.ResponseWriter, r *http.Request) {
@@ -166,10 +126,10 @@ func (c *Cluster) handleRestart(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrNoSuchReplica) {
 			code = http.StatusNotFound
 		}
-		writeError(w, code, "", "%v", err)
+		serve.WriteError(w, code, "", "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"replica": name, "state": "alive"})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"replica": name, "state": "alive"})
 }
 
 // StartHTTP serves the fleet API on the listener; the serve goroutine's

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"skewvar/internal/edaio/atomicio"
 	"skewvar/internal/obs"
 	"skewvar/internal/resilience"
 	"skewvar/internal/serve"
@@ -77,10 +78,13 @@ func (c *Cluster) startReplica(r *replica) error {
 // copyArtifact copies one per-job spool artifact (ckpt, out.json,
 // trace.jsonl, metrics.json) from a victim's spool to a thief's,
 // skipping silently when the source does not exist (e.g. a job that
-// crashed before its first checkpoint).
+// crashed before its first checkpoint). The copy goes through
+// atomicio.WriteFile like every other spool artifact: a crash or power
+// loss never leaves a torn or unsynced artifact under the real name (a
+// torn checkpoint would poison the resume, a torn result would be served
+// for a job the thief's journal records as done).
 func copyArtifact(fromSpool, toSpool, id, suffix string) error {
-	src := serve.SpoolArtifact(fromSpool, id, suffix)
-	in, err := os.Open(src)
+	in, err := os.Open(serve.SpoolArtifact(fromSpool, id, suffix))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
@@ -88,22 +92,8 @@ func copyArtifact(fromSpool, toSpool, id, suffix string) error {
 		return err
 	}
 	defer in.Close()
-	dst := serve.SpoolArtifact(toSpool, id, suffix)
-	tmp := dst + ".steal"
-	out, err := os.Create(tmp)
-	if err != nil {
+	return atomicio.WriteFile(serve.SpoolArtifact(toSpool, id, suffix), func(w io.Writer) error {
+		_, err := io.Copy(w, in)
 		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := out.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Rename-into-place so a crash mid-copy never leaves a torn artifact
-	// under the real name (a torn checkpoint would poison the resume).
-	return os.Rename(tmp, dst)
+	})
 }

@@ -22,9 +22,13 @@ type Clock interface {
 // raw UnixNano under NTP steps).
 var wallEpoch = time.Now()
 
-type wallClock struct{}
+// WallClock is the process-monotonic wall clock: nanoseconds since a
+// process-local epoch. It is the production Clock of New, and of every
+// other package that times something through an injectable Clock.
+type WallClock struct{}
 
-func (wallClock) Now() int64 { return int64(time.Since(wallEpoch)) }
+// Now returns the nanoseconds elapsed since the process epoch.
+func (WallClock) Now() int64 { return int64(time.Since(wallEpoch)) }
 
 // FakeClock is a deterministic Clock for tests and golden traces: each Now
 // call advances an atomic counter by a fixed step, so concurrent readers

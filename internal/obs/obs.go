@@ -62,13 +62,13 @@ type Recorder struct {
 }
 
 // New returns a Recorder stamping spans with the process monotonic clock.
-func New() *Recorder { return NewWithClock(wallClock{}) }
+func New() *Recorder { return NewWithClock(WallClock{}) }
 
 // NewWithClock returns a Recorder using the given clock (wall clock when
 // nil). Inject a FakeClock for deterministic traces.
 func NewWithClock(c Clock) *Recorder {
 	if c == nil {
-		c = wallClock{}
+		c = WallClock{}
 	}
 	return &Recorder{
 		clock:    c,

@@ -393,7 +393,7 @@ func TestFakeClockMonotonic(t *testing.T) {
 		}
 		prev = n
 	}
-	w := wallClock{}
+	w := WallClock{}
 	a, b := w.Now(), w.Now()
 	if b < a {
 		t.Fatalf("wall clock went backwards: %d after %d", b, a)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -63,7 +62,7 @@ func (s *Server) Stats() Stats {
 		Running: s.running,
 		Workers: s.active,
 		Jobs:    len(s.order),
-		Ready:   !s.draining.Load() && !s.crashed.Load() && s.jl.healthy(),
+		Ready:   s.Ready(),
 	}
 }
 
@@ -101,39 +100,18 @@ func (s *Server) Admit(ctx context.Context, id string, spec []byte) (JobStatus, 
 		return JobStatus{}, fmt.Errorf("serve: not ready (draining or crashed): %w", ErrNotReady)
 	}
 	// Fast idempotency path: a known id never re-validates (its spec was
-	// validated when first admitted, possibly by another replica). An id
-	// whose first admission is still journaling is waited out in
-	// admitValidated so only durable jobs are ever reported.
+	// validated when first admitted, possibly by another replica).
 	s.mu.Lock()
-	if j, ok := s.jobs[id]; ok && j.admitted == nil {
-		st := s.statusLocked(j)
-		s.mu.Unlock()
-		return st, nil
-	}
+	st, known, err := s.awaitLocked(id)
 	s.mu.Unlock()
-
-	var req JobRequest
-	if err := json.Unmarshal(spec, &req); err != nil {
-		return JobStatus{}, fmt.Errorf("serve: decoding job spec: %v: %w", err, resilience.ErrInvalidDesign)
+	if known {
+		return st, err
 	}
-	if _, err := flowStages(req.Flow); err != nil {
+	req, err := s.validate(spec)
+	if err != nil {
 		return JobStatus{}, err
 	}
-	if _, _, err := s.parseDesign(req.Design); err != nil {
-		return JobStatus{}, err
-	}
-
-	var resume *core.Checkpoint
-	if _, err := os.Stat(s.jobPath(id, "ckpt")); err == nil {
-		cp, lerr := core.LoadCheckpoint(s.jobPath(id, "ckpt"))
-		if lerr != nil {
-			s.logf("admit: job %s checkpoint unusable (%v); falling back to fresh run", id, lerr)
-			s.counter("serve.jobs.checkpoint_fallback").Add(1)
-		} else {
-			resume = cp
-		}
-	}
-	return s.admitValidated(ctx, id, spec, req, resume)
+	return s.admitValidated(ctx, id, spec, req, s.resumePoint(id))
 }
 
 // AdoptFinished registers a job that already ran to a terminal state on
@@ -141,31 +119,14 @@ func (s *Server) Admit(ctx context.Context, id string, spec []byte) (JobStatus, 
 // Both the submission and the terminal record are journaled, so the
 // adoption survives restarts. Idempotent on the job id.
 func (s *Server) AdoptFinished(ctx context.Context, id string, spec []byte, st JobStatus) error {
-	switch st.State {
-	case StateDone, StateFailed, StateCanceled:
-	default:
+	if !terminal(st.State) {
 		return fmt.Errorf("serve: AdoptFinished: state %q is not terminal: %w",
 			st.State, resilience.ErrInvalidDesign)
 	}
 	s.mu.Lock()
-	if j, ok := s.jobs[id]; ok {
-		ch := j.admitted
+	if _, known, err := s.awaitLocked(id); known {
 		s.mu.Unlock()
-		if ch == nil {
-			return nil
-		}
-		// A concurrent admission or adoption of this id is mid-journal:
-		// wait for its durability verdict rather than reporting an
-		// adoption whose records might still vanish in a crash.
-		<-ch
-		s.mu.Lock()
-		_, ok := s.jobs[id]
-		s.mu.Unlock()
-		if ok {
-			return nil
-		}
-		return fmt.Errorf("serve: adopting job %s: concurrent admission failed: %w",
-			id, resilience.ErrCheckpoint)
+		return err
 	}
 	// Reserve the id, then journal outside s.mu — the admitValidated
 	// discipline: two fsyncs under the server mutex would serialize every
@@ -192,21 +153,12 @@ func (s *Server) AdoptFinished(ctx context.Context, id string, spec []byte, st J
 	}
 
 	s.mu.Lock()
-	close(j.admitted)
-	j.admitted = nil
+	s.settleLocked(j, err)
+	s.mu.Unlock()
 	if err != nil {
-		delete(s.jobs, id)
-		for i := len(s.order) - 1; i >= 0; i-- {
-			if s.order[i] == id {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-		s.mu.Unlock()
 		s.counter("serve.journal.write_failures").Add(1)
 		return err
 	}
-	s.mu.Unlock()
 	s.counter("serve.jobs.adopted").Add(1)
 	return nil
 }
@@ -252,18 +204,21 @@ func ReadJournalJobs(spoolDir string) ([]JournalJob, error) {
 	if err != nil {
 		return nil, err
 	}
+	return journalJobs(st), nil
+}
+
+// journalJobs lists a loaded spool's folded per-job states.
+func journalJobs(st *spoolState) []JournalJob {
 	var out []JournalJob
 	for _, e := range st.entries {
-		terminal := e.state == StateDone || e.state == StateFailed || e.state == StateCanceled
-		jj := JournalJob{
-			ID: e.id, Spec: e.spec, State: e.state, Terminal: terminal,
+		out = append(out, JournalJob{
+			ID: e.id, Spec: e.spec, State: e.state, Terminal: terminal(e.state),
 			Stolen: e.stolen, Thief: e.thief,
 			Status: JobStatus{ID: e.id, State: e.state, Attempts: e.attempts,
 				Degraded: e.degraded, Faults: e.faults, Class: e.class, Error: e.errMsg},
-		}
-		out = append(out, jj)
+		})
 	}
-	return out, nil
+	return out
 }
 
 // MarkStolen appends steal records for the given jobs to the journal in
@@ -330,7 +285,7 @@ func spoolReport(st *spoolState) SpoolReport {
 		StaleHealed: st.scrub.staleHealed,
 	}
 	for _, e := range st.entries {
-		if !e.stolen && e.state != StateDone && e.state != StateFailed && e.state != StateCanceled {
+		if !e.stolen && !terminal(e.state) {
 			r.Pending++
 		}
 	}
@@ -344,11 +299,7 @@ func InspectSpool(spoolDir string) (SpoolReport, []JournalJob, error) {
 	if err != nil {
 		return SpoolReport{}, nil, err
 	}
-	jobs, err := ReadJournalJobs(spoolDir)
-	if err != nil {
-		return SpoolReport{}, nil, err
-	}
-	return spoolReport(st), jobs, nil
+	return spoolReport(st), journalJobs(st), nil
 }
 
 // VerifySpool checks every snapshot and journal frame without mutating
@@ -381,9 +332,5 @@ func CompactSpool(spoolDir string) (SpoolReport, error) {
 	if err := compactSpool(atomicio.OS, spoolDir, nil); err != nil {
 		return SpoolReport{}, err
 	}
-	st, err := loadSpool(atomicio.OS, spoolDir, false)
-	if err != nil {
-		return SpoolReport{}, err
-	}
-	return spoolReport(st), nil
+	return VerifySpool(spoolDir)
 }

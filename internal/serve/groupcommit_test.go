@@ -101,7 +101,7 @@ func TestGroupCommitReplayEquivalence(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					id := fmt.Sprintf("j%06d", 100+i)
+					id := JobID(100 + i)
 					st, err := s.Admit(context.Background(), id, spec)
 					if err != nil {
 						t.Errorf("admit %s: %v", id, err)
@@ -206,7 +206,7 @@ func TestGroupCommitCrashMidBatchNeverLosesAcked(t *testing.T) {
 			submitted := map[string]bool{}
 			var wg sync.WaitGroup
 			for i := 0; i < N; i++ {
-				id := fmt.Sprintf("j%06d", 200+i)
+				id := JobID(200 + i)
 				submitted[id] = true
 				wg.Add(1)
 				go func(id string) {

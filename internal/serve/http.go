@@ -11,8 +11,9 @@ import (
 	"skewvar/internal/resilience"
 )
 
-// errorBody is the JSON shape of every non-2xx response.
-type errorBody struct {
+// ErrorBody is the JSON shape of every non-2xx response of the job API,
+// skewd's and skewfleet's alike.
+type ErrorBody struct {
 	Error string `json:"error"`
 	Class string `json:"class,omitempty"`
 }
@@ -36,24 +37,57 @@ func (s *Server) handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// WriteJSON answers with status and v encoded as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, class, format string, args ...interface{}) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...), Class: class})
+// WriteError answers with status and an ErrorBody of the given taxonomy
+// class and formatted message.
+func WriteError(w http.ResponseWriter, status int, class, format string, args ...interface{}) {
+	WriteJSON(w, status, ErrorBody{Error: fmt.Sprintf(format, args...), Class: class})
+}
+
+// WriteResult answers GET /jobs/{id}/result for a job in status st whose
+// result design is the file at path: 200 with the design once done (500
+// if that file is missing), 500 with the failure's class for a failed
+// job, 504 for a deadline-canceled one, and 409 while the job is queued,
+// running or suspended awaiting a restart.
+func WriteResult(w http.ResponseWriter, st JobStatus, path string) {
+	switch st.State {
+	case StateDone:
+		f, err := os.Open(path)
+		if err != nil {
+			WriteError(w, http.StatusInternalServerError, "internal",
+				"result missing for done job %s: %v", st.ID, err)
+			return
+		}
+		defer f.Close()
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		io.Copy(w, f)
+	case StateFailed:
+		WriteError(w, http.StatusInternalServerError, st.Class, "job failed: %s", st.Error)
+	case StateCanceled:
+		WriteError(w, http.StatusGatewayTimeout, st.Class, "job exceeded its deadline: %s", st.Error)
+	default: // queued, running, suspended
+		WriteError(w, http.StatusConflict, "", "job %s is %s", st.ID, st.State)
+	}
 }
 
 // handleSubmit is the admission path. Order matters: the drain gate and
-// the queue bound are checked before any expensive validation, and the
+// the rate limit are checked before any expensive validation, and the
 // job is journaled before the 202 leaves — a crash after the response
-// replays the job, never loses it.
+// replays the job, never loses it. Unlike Admit it does not refuse a
+// poisoned journal up front: the append it attempts is how a standalone
+// skewd finds out that its disk has room again (a landed append clears
+// the poison).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.counter("serve.jobs.rejected.draining").Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
+		WriteError(w, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
 	// Rate limiting sits before body parsing: a throttled tenant must be
@@ -67,7 +101,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if ok, wait := s.limiter.allow(tenant); !ok {
 			s.counter("serve.jobs.rejected.ratelimited").Add(1)
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(wait)))
-			writeError(w, http.StatusTooManyRequests, "rate-limit",
+			WriteError(w, http.StatusTooManyRequests, "rate-limit",
 				"tenant %q exceeded %.3g jobs/s (burst %d)", tenant, s.cfg.RatePerTenant, s.cfg.RateBurst)
 			return
 		}
@@ -75,25 +109,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxJobBytes))
 	if err != nil {
 		s.counter("serve.jobs.rejected.invalid").Add(1)
-		writeError(w, http.StatusBadRequest, "invalid-design", "reading request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid-design", "reading request body: %v", err)
 		return
 	}
-	var req JobRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := s.validate(body)
+	if err != nil {
 		s.counter("serve.jobs.rejected.invalid").Add(1)
-		writeError(w, http.StatusBadRequest, "invalid-design", "decoding job request: %v", err)
-		return
-	}
-	if _, err := flowStages(req.Flow); err != nil {
-		s.counter("serve.jobs.rejected.invalid").Add(1)
-		writeError(w, http.StatusBadRequest, "invalid-design", "%v", err)
-		return
-	}
-	// Full design validation at the door: a job that cannot parse must
-	// cost a 400 now, not a worker later.
-	if _, _, err := s.parseDesign(req.Design); err != nil {
-		s.counter("serve.jobs.rejected.invalid").Add(1)
-		writeError(w, http.StatusBadRequest, "invalid-design", "%v", err)
+		WriteError(w, http.StatusBadRequest, "invalid-design", "%v", err)
 		return
 	}
 
@@ -101,77 +123,57 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "backpressure", "%v", err)
+		WriteError(w, http.StatusTooManyRequests, "backpressure", "%v", err)
 	case errors.Is(err, resilience.ErrStorage):
 		// The disk, not the request, is the problem: a journal append that
 		// exhausted its retries (ENOSPC, EIO) or a poisoned journal. 507
 		// tells the client — and the fleet dispatcher — to go elsewhere;
 		// the job was never acknowledged and never runs here.
-		writeError(w, http.StatusInsufficientStorage, "storage", "%v", err)
+		WriteError(w, http.StatusInsufficientStorage, "storage", "%v", err)
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "checkpoint", "%v", err)
+		WriteError(w, http.StatusInternalServerError, "checkpoint", "%v", err)
 	default:
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": st.ID, "state": st.State})
+		WriteJSON(w, http.StatusAccepted, map[string]string{"id": st.ID, "state": st.State})
 	}
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.Status(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "", "no such job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "", "no such job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // handleResult streams the optimized design of a finished job, or maps
-// the job's state onto the documented status code: 409 while the job is
-// still in flight (or suspended awaiting restart), 500 for failures,
-// 504 for deadline-canceled jobs.
+// the job's state onto the documented status code (WriteResult).
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.Status(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "", "no such job %q", id)
+		WriteError(w, http.StatusNotFound, "", "no such job %q", id)
 		return
 	}
-	switch st.State {
-	case StateDone:
-		f, err := os.Open(s.jobPath(id, "out.json"))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "internal",
-				"result missing for done job %s: %v", id, err)
-			return
-		}
-		defer f.Close()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		io.Copy(w, f)
-	case StateFailed:
-		writeError(w, http.StatusInternalServerError, st.Class, "job failed: %s", st.Error)
-	case StateCanceled:
-		writeError(w, http.StatusGatewayTimeout, st.Class, "job exceeded its deadline: %s", st.Error)
-	default: // queued, running, suspended
-		writeError(w, http.StatusConflict, "", "job %s is %s", id, st.State)
-	}
+	WriteResult(w, st, s.jobPath(id, "out.json"))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !s.jl.healthy() {
-		writeError(w, http.StatusServiceUnavailable, "storage", "journal cannot acknowledge writes")
+		WriteError(w, http.StatusServiceUnavailable, "storage", "journal cannot acknowledge writes")
 		return
 	}
 	if !s.Ready() {
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
+		WriteError(w, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ready": true})
+	WriteJSON(w, http.StatusOK, map[string]bool{"ready": true})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.cfg.Obs.Snapshot())
+	WriteJSON(w, http.StatusOK, s.cfg.Obs.Snapshot())
 }

@@ -231,19 +231,6 @@ func (jl *journal) unpause() {
 	jl.mu.Unlock()
 }
 
-// closeAppender flushes and closes the current appender (nil-safe, for
-// the compaction swap; the journal must be paused).
-func (jl *journal) closeAppender() error {
-	jl.mu.Lock()
-	app := jl.app
-	jl.app = nil
-	jl.mu.Unlock()
-	if app == nil {
-		return nil
-	}
-	return app.Close()
-}
-
 // reopenAppender opens a fresh appender on the (possibly swapped)
 // journal file. Failure leaves the journal poisoned: appends return
 // typed storage errors until a later reopen succeeds.
@@ -291,7 +278,9 @@ func (jl *journal) kill() {
 	}
 }
 
-// Close flushes pending batches and closes the journal file.
+// Close flushes pending batches and closes the journal file (nil-safe).
+// The compaction swap closes a paused journal this way and reopens it
+// with reopenAppender.
 func (jl *journal) Close() error {
 	jl.mu.Lock()
 	app := jl.app
@@ -321,10 +310,7 @@ type ledgerEntry struct {
 // replay rebuilds the in-memory job table from the recovered spool
 // state and returns the jobs needing (re-)execution, in original
 // submission order. Jobs a fleet peer stole are dropped entirely — they
-// are owned elsewhere. For each pending job a usable flow checkpoint is
-// loaded when present; a corrupt one falls back to a fresh run, counted
-// and logged but not fatal — the flows are deterministic, so a fresh
-// run converges to the same result.
+// are owned elsewhere. Each pending job resumes from its resumePoint.
 func (s *Server) replay(entries []*ledgerEntry) []*job {
 	var pending []*job
 	for _, e := range entries {
@@ -348,17 +334,27 @@ func (s *Server) replay(entries []*ledgerEntry) []*job {
 		if j.state != StateQueued {
 			continue
 		}
-		ckpt := s.jobPath(j.id, "ckpt")
-		if _, err := os.Stat(ckpt); err == nil {
-			cp, lerr := core.LoadCheckpoint(ckpt)
-			if lerr != nil {
-				s.logf("replay: job %s checkpoint unusable (%v); falling back to fresh run", j.id, lerr)
-				s.counter("serve.jobs.checkpoint_fallback").Add(1)
-			} else {
-				j.resume = cp
-			}
-		}
+		j.resume = s.resumePoint(j.id)
 		pending = append(pending, j)
 	}
 	return pending
+}
+
+// resumePoint loads the flow checkpoint in the spool under a job's id —
+// left by an earlier run of the job, or copied there by a stealing peer —
+// or returns nil when there is none. A checkpoint that does not load is
+// logged and counted, and the job runs fresh: the flows are
+// deterministic, so a fresh run converges to the same result.
+func (s *Server) resumePoint(id string) *core.Checkpoint {
+	path := s.jobPath(id, "ckpt")
+	if _, err := os.Stat(path); err != nil {
+		return nil
+	}
+	cp, err := core.LoadCheckpoint(path)
+	if err != nil {
+		s.logf("job %s checkpoint unusable (%v); falling back to fresh run", id, err)
+		s.counter("serve.jobs.checkpoint_fallback").Add(1)
+		return nil
+	}
+	return cp
 }

@@ -25,7 +25,7 @@ func genJournal(rng *rand.Rand) []record {
 	var recs []record
 	n := 1 + rng.Intn(5)
 	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("j%06d", i+1)
+		id := JobID(i + 1)
 		spec := json.RawMessage(fmt.Sprintf(`{"flow":"local","pairs":%d}`, 10+i))
 		recs = append(recs, record{Kind: recSubmit, Job: id, Spec: spec})
 		switch rng.Intn(5) {

@@ -31,25 +31,14 @@ type bucket struct {
 	last   int64 // clock reading of the previous refill, ns
 }
 
-type wallClockNS struct{}
-
-func (wallClockNS) Now() int64 { return int64(time.Since(limiterEpoch)) }
-
-// limiterEpoch anchors the default clock so readings ride Go's monotonic
-// clock (immune to wall-clock steps), mirroring obs's internal wall clock.
-// Rate limiting is admission policy, not job computation — the replay
-// surface (same design+seed+config ⇒ same artifacts) is untouched by when
-// tokens refill, and deterministic tests inject a FakeClock instead.
-//
-//lint:ignore detsource epoch anchor for the default clock; job results never read it
-var limiterEpoch = time.Now()
-
 // newTenantLimiter builds a limiter admitting rate jobs/second with the
 // given burst per tenant. A nil clock selects the process-monotonic wall
-// clock. Callers gate on rate > 0; burst has been defaulted by the config.
+// clock (obs.WallClock): rate limiting is admission policy, not job
+// computation, so when tokens refill never reaches a job's artifacts.
+// Callers gate on rate > 0; burst has been defaulted by the config.
 func newTenantLimiter(rate float64, burst int, clock obs.Clock) *tenantLimiter {
 	if clock == nil {
-		clock = wallClockNS{}
+		clock = obs.WallClock{}
 	}
 	return &tenantLimiter{rate: rate, burst: float64(burst), clock: clock, buckets: map[string]*bucket{}}
 }

@@ -64,6 +64,12 @@ const (
 	StateSuspended = "suspended" // drain checkpointed it; resumes on restart
 )
 
+// terminal reports whether a job in state has finished for good: done,
+// failed or canceled.
+func terminal(state string) bool {
+	return state == StateDone || state == StateFailed || state == StateCanceled
+}
+
 // MaxJobBytes caps the POST /jobs request body; a larger body is rejected
 // as an invalid design.
 const MaxJobBytes = 32 << 20
@@ -189,7 +195,7 @@ func (c *Config) setDefaults() error {
 		}
 	}
 	if c.Clock == nil {
-		c.Clock = wallClockNS{}
+		c.Clock = obs.WallClock{}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...interface{}) {}
@@ -502,9 +508,14 @@ func flowLabel(flow string) string {
 	return flow
 }
 
-// jobSeq extracts the sequence number from an id in the server's own
-// "j%06d" format (0 for any other shape).
-func jobSeq(id string) int {
+// JobID formats the n-th job id. skewd and the fleet coordinator both
+// mint ids through it, so an id one of them assigned and a later one the
+// other assigns never collide.
+func JobID(n int) string { return fmt.Sprintf("j%06d", n) }
+
+// JobSeq parses an id minted by JobID back to its sequence number (0 for
+// any other shape).
+func JobSeq(id string) int {
 	var n int
 	if _, err := fmt.Sscanf(id, "j%06d", &n); err != nil {
 		return 0
@@ -526,6 +537,25 @@ func flowStages(flow string) ([]string, error) {
 		return nil, fmt.Errorf("unknown flow %q (want global, local, global-local or all): %w",
 			flow, resilience.ErrInvalidDesign)
 	}
+}
+
+// validate decodes a job spec and checks it the way a worker will run it:
+// a known flow and a design that parses against the serving technology.
+// Every failure wraps resilience.ErrInvalidDesign. HTTP submission and
+// fleet Admit both validate here; a job that cannot parse costs a
+// rejection now, not a worker later.
+func (s *Server) validate(spec []byte) (JobRequest, error) {
+	var req JobRequest
+	if err := json.Unmarshal(spec, &req); err != nil {
+		return JobRequest{}, fmt.Errorf("serve: decoding job request: %v: %w", err, resilience.ErrInvalidDesign)
+	}
+	if _, err := flowStages(req.Flow); err != nil {
+		return JobRequest{}, err
+	}
+	if _, _, err := s.parseDesign(req.Design); err != nil {
+		return JobRequest{}, err
+	}
+	return req, nil
 }
 
 // parseDesign validates the request's design document against the serving
@@ -577,27 +607,9 @@ func (s *Server) jobPath(id, suffix string) string {
 func (s *Server) admitValidated(ctx context.Context, id string, spec []byte, req JobRequest, resume *core.Checkpoint) (JobStatus, error) {
 	s.mu.Lock()
 	if id != "" {
-		if j, ok := s.jobs[id]; ok {
-			ch := j.admitted
-			if ch == nil {
-				st := s.statusLocked(j)
-				s.mu.Unlock()
-				return st, nil
-			}
-			// A first admission of this id is mid-journal-append. Wait for
-			// its durability verdict rather than reporting a job whose
-			// submit might still vanish in a crash.
+		if st, known, err := s.awaitLocked(id); known {
 			s.mu.Unlock()
-			<-ch
-			s.mu.Lock()
-			if j, ok := s.jobs[id]; ok {
-				st := s.statusLocked(j)
-				s.mu.Unlock()
-				return st, nil
-			}
-			s.mu.Unlock()
-			return JobStatus{}, fmt.Errorf("serve: journaling job %s: concurrent admission failed: %w",
-				id, resilience.ErrCheckpoint)
+			return st, err
 		}
 	}
 	if s.queued >= s.cfg.QueueDepth {
@@ -607,8 +619,8 @@ func (s *Server) admitValidated(ctx context.Context, id string, spec []byte, req
 	}
 	if id == "" {
 		s.submits++
-		id = fmt.Sprintf("j%06d", s.submits)
-	} else if n := jobSeq(id); n > s.submits {
+		id = JobID(s.submits)
+	} else if n := JobSeq(id); n > s.submits {
 		// A supplied id in the server's own format advances the local
 		// sequence so a later HTTP-assigned id can never collide with it.
 		s.submits = n
@@ -623,16 +635,8 @@ func (s *Server) admitValidated(ctx context.Context, id string, spec []byte, req
 	err := s.jl.append(ctx, record{Kind: recSubmit, Job: id, Spec: spec})
 
 	s.mu.Lock()
-	close(j.admitted)
-	j.admitted = nil
+	s.settleLocked(j, err)
 	if err != nil {
-		delete(s.jobs, id)
-		for i := len(s.order) - 1; i >= 0; i-- {
-			if s.order[i] == id {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
 		s.queued--
 		s.mu.Unlock()
 		s.counter("serve.journal.write_failures").Add(1)
@@ -645,6 +649,50 @@ func (s *Server) admitValidated(ctx context.Context, id string, spec []byte, req
 	s.counter("serve.jobs.submitted").Add(1)
 	s.setQueueGauges()
 	return JobStatus{ID: id, State: StateQueued, Flow: flowLabel(req.Flow)}, nil
+}
+
+// awaitLocked reports the durable status of a known job id. When the id's
+// first admission (or adoption) is still journaling, it waits for that
+// admission's durability verdict rather than report a job whose submit
+// might still vanish in a crash; a withdrawn admission is an error. known
+// is false, and nothing waited, when the id is not in the job table.
+// Called with s.mu held; it releases s.mu while it waits and returns
+// with it held.
+func (s *Server) awaitLocked(id string) (st JobStatus, known bool, err error) {
+	j, ok := s.jobs[id]
+	if !ok {
+		return JobStatus{}, false, nil
+	}
+	if ch := j.admitted; ch != nil {
+		s.mu.Unlock()
+		<-ch
+		s.mu.Lock()
+		if j, ok = s.jobs[id]; !ok {
+			return JobStatus{}, true, fmt.Errorf("serve: job %s: concurrent admission failed: %w",
+				id, resilience.ErrCheckpoint)
+		}
+	}
+	return s.statusLocked(j), true, nil
+}
+
+// settleLocked publishes the durability verdict of j's admission: it
+// wakes every caller parked in awaitLocked and, when the journal append
+// failed (err != nil), withdraws j from the job table. A withdrawn id stays
+// burned: a concurrent admission may already hold a later one. Called
+// with s.mu held.
+func (s *Server) settleLocked(j *job, err error) {
+	close(j.admitted)
+	j.admitted = nil
+	if err == nil {
+		return
+	}
+	delete(s.jobs, j.id)
+	for i := len(s.order) - 1; i >= 0; i-- {
+		if s.order[i] == j.id {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
+	}
 }
 
 // errClass maps a flow error onto the taxonomy label reported in job
@@ -697,7 +745,7 @@ func (s *Server) writeResult(j *job, d *ctree.Design, res *core.FlowResult) erro
 	}
 	od := d.Clone()
 	od.Tree = final
-	return edaio.AtomicWriteFile(s.jobPath(j.id, "out.json"), func(w io.Writer) error {
+	return atomicio.WriteFile(s.jobPath(j.id, "out.json"), func(w io.Writer) error {
 		return edaio.WriteDesign(w, od)
 	})
 }

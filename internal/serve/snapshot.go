@@ -401,20 +401,29 @@ func rewriteJournal(fsys atomicio.FS, dir string, keep []journalLine) error {
 	return nil
 }
 
-// writeFreshJournal atomically installs a truncated journal holding only
-// a genesis record for generation gen, continuing at seq.
-func writeFreshJournal(fsys atomicio.FS, dir string, gen, seq int) error {
-	rec := record{Seq: seq, Kind: recGenesis, Gen: gen}
-	b, err := json.Marshal(&rec)
+// genesisLine encodes the framed, newline-terminated genesis record that
+// opens a truncated journal of generation gen, continuing at seq.
+func genesisLine(gen, seq int) ([]byte, error) {
+	b, err := json.Marshal(&record{Seq: seq, Kind: recGenesis, Gen: gen})
 	if err != nil {
-		return fmt.Errorf("serve: encoding genesis record: %v: %w", err, resilience.ErrStorage)
+		return nil, fmt.Errorf("serve: encoding genesis record: %v: %w", err, resilience.ErrStorage)
 	}
 	frame, err := atomicio.EncodeFrame(b)
 	if err != nil {
-		return fmt.Errorf("serve: framing genesis record: %v: %w", err, resilience.ErrStorage)
+		return nil, fmt.Errorf("serve: framing genesis record: %v: %w", err, resilience.ErrStorage)
+	}
+	return append(frame, '\n'), nil
+}
+
+// writeFreshJournal atomically installs a truncated journal holding only
+// a genesis record for generation gen, continuing at seq.
+func writeFreshJournal(fsys atomicio.FS, dir string, gen, seq int) error {
+	line, err := genesisLine(gen, seq)
+	if err != nil {
+		return err
 	}
 	werr := atomicio.WriteFileFS(fsys, filepath.Join(dir, journalName), func(w io.Writer) error {
-		_, e := w.Write(append(frame, '\n'))
+		_, e := w.Write(line)
 		return e
 	})
 	if werr != nil {
@@ -464,16 +473,11 @@ func compactSpool(fsys atomicio.FS, dir string, crash func(boundary string) bool
 	// seq filter and stale-heal recover from.
 	jPath := filepath.Join(dir, journalName)
 	tmpJournal := jPath + ".swap"
-	rec := record{Seq: st.seq, Kind: recGenesis, Gen: newGen}
-	b, err := json.Marshal(&rec)
+	line, err := genesisLine(newGen, st.seq)
 	if err != nil {
-		return fmt.Errorf("serve: encoding genesis record: %v: %w", err, resilience.ErrStorage)
+		return err
 	}
-	frame, err := atomicio.EncodeFrame(b)
-	if err != nil {
-		return fmt.Errorf("serve: framing genesis record: %v: %w", err, resilience.ErrStorage)
-	}
-	if err := writeFileTo(fsys, tmpJournal, append(frame, '\n')); err != nil {
+	if err := writeFileTo(fsys, tmpJournal, line); err != nil {
 		return err
 	}
 	if at(compactJournalWritten) {
@@ -580,7 +584,7 @@ func (s *Server) maybeCompact() {
 func (s *Server) compactNow() {
 	s.jl.pause()
 	defer s.jl.unpause()
-	if err := s.jl.closeAppender(); err != nil {
+	if err := s.jl.Close(); err != nil {
 		s.logf("compact: closing appender: %v", err)
 	}
 	err := compactSpool(s.cfg.FS, s.cfg.SpoolDir, s.compactCrash)
