@@ -60,9 +60,11 @@ test:
 
 # The race pass runs -short (skips the multi-minute matrices but still
 # drives a real optimization flow), then hammers the parallel-equivalence
-# tests three extra times: the move pool's bit-identical reduction and the
-# timer's concurrent callers (one timer, or timers sharing a net cache) are
-# the invariants most worth catching a data race in.
+# tests three extra times: the move pool's bit-identical reduction, the
+# move scorer's read-only pre-order sink index shared by concurrent Gain
+# calls (TestSinkRangesMatchWalkParallel) and the timer's concurrent
+# callers (one timer, or timers sharing a net cache) are the invariants
+# most worth catching a data race in.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=3 -run 'Parallel' ./internal/sta/ ./internal/core/ ./internal/obs/ ./internal/faults/ ./internal/serve/

@@ -90,7 +90,9 @@ const numStageFeatures = 9
 //
 // The RSMT and single-trunk routes are corner- and pin-independent, so
 // each is built and laid out as an RC tree once, replayed per corner, and
-// one moment computation per corner serves every pin.
+// one moment computation per corner serves every pin. The driver's first
+// inverter sees only its input slew, so its table lookups are made once
+// per corner and serve both routes.
 //
 // The estimators deliberately see less than the golden timer: they route
 // the net fresh with RSMT / single-trunk topologies over pin locations
@@ -105,8 +107,9 @@ func StageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID, pins []ctree.No
 
 // estScratch is the pooled working set of one net estimate: the two
 // routes and their builders' scratch, the route child lists and BFS queue,
-// the RC layout, and the post-move estimator's slew and stage-row buffers.
-// Nothing in it outlives the call that took it from the pool.
+// the RC layout, the first inverter's per-corner delay and slew, and the
+// post-move estimator's slew and stage-row buffers. Nothing in it outlives
+// the call that took it from the pool.
 type estScratch struct {
 	locs        []geom.Point
 	routes      [2]route.Tree // RSMT, single trunk
@@ -115,6 +118,7 @@ type estScratch struct {
 	queue, rcOf []int32 // BFS queue; RC node of each route node
 	pinRC       []int32 // RC node of each route pin i+1
 	rc          rctree.Flat
+	d1, s1      []float64 // per corner: the first inverter's delay and output slew
 	slews       []float64
 	stage       []float64
 }
@@ -143,6 +147,11 @@ func (sc *estScratch) stageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID
 	sc.rs.RSMT(&sc.routes[0], sc.locs)
 	sc.rs.SingleTrunk(&sc.routes[1], sc.locs)
 	bb := geom.BBox(sc.locs)
+	sc.d1 = slices.Grow(sc.d1[:0], K)[:K]
+	sc.s1 = slices.Grow(sc.s1[:0], K)[:K]
+	for k := range sc.d1 {
+		sc.d1[k], sc.s1[k] = sta.PairFirstStageTable(t, cell, k, slews[k])
+	}
 	for topo := range sc.routes {
 		rt := &sc.routes[topo]
 		// Estimator knows intended snaking detours (they are in the design
@@ -155,7 +164,7 @@ func (sc *estScratch) stageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID
 			if k > 0 {
 				sc.rc.Replay(t.WireR(k), t.WireC(k))
 			}
-			gate, _ := sta.PairDelayTable(t, cell, k, slews[k], sc.rc.TotalCap())
+			gate := sc.d1[k] + cell.TableDelayPS(k, sc.s1[k], sc.rc.TotalCap())
 			m1, m2 := sc.rc.Moments()
 			for i, ri := range sc.pinRC {
 				f := out[(i*K+k)*numStageFeatures:]

@@ -48,7 +48,7 @@ func referenceStageFeatures(t *tech.Tech, tr *ctree.Tree, d, pin ctree.NodeID, s
 	for k, f := range feats {
 		for topo, rt := range routes {
 			rc, pinNode := referenceRouteToRC(t, tr, rt, pins, k)
-			gate, _ := sta.PairDelayTable(t, cell, k, slews[k], rc.TotalCap())
+			gate := referencePairDelay(t, cell, k, slews[k], rc.TotalCap())
 			m1, m2 := rc.Moments()
 			ri := pinNode[pinIdx]
 			f[2*topo] = gate + m1[ri]                       // Elmore
@@ -61,6 +61,17 @@ func referenceStageFeatures(t *tech.Tech, tr *ctree.Tree, d, pin ctree.NodeID, s
 		f[8] = cell.InCap // proxy for drive strength
 	}
 	return feats
+}
+
+// referencePairDelay is the table-model inverter-pair delay at a net load:
+// the first inverter into the internal wire, then the second at the load,
+// every lookup made per call.
+func referencePairDelay(t *tech.Tech, cell *tech.Cell, k int, slewIn, loadFF float64) float64 {
+	internalC := sta.InternalPairWireUM * t.WireC(k)
+	load1 := cell.InCap + internalC
+	d1 := cell.TableDelayPS(k, slewIn, load1)
+	s1 := cell.TableOutSlewPS(k, slewIn, load1)
+	return d1 + cell.TableDelayPS(k, s1, loadFF)
 }
 
 // zeroRows returns n zeroed rows of the given width over one backing array;

@@ -363,7 +363,7 @@ func enumerateCandidates(tm *sta.Timer, cur *ctree.Tree, d *ctree.Design, a *sta
 	sort.Slice(bufs, func(i, j int) bool { return bufs[i] < bufs[j] })
 	var moves []eco.Move
 	for _, b := range bufs {
-		moves = append(moves, eco.Enumerate(cur, tm.Tech, b, d.Die)...)
+		moves = eco.AppendMoves(moves, cur, tm.Tech, b, d.Die)
 	}
 	if len(moves) > cfg.MaxMoves {
 		rng.Shuffle(len(moves), func(i, j int) { moves[i], moves[j] = moves[j], moves[i] })
@@ -387,6 +387,7 @@ type MoveScorer struct {
 	// The pairs of sink id are pairIdx[pairOff[id]:pairOff[id+1]], in
 	// ascending pair order.
 	pairOff, pairIdx []int32
+	index            sinkIndex // the pre-move tree in pre-order
 	model            StageModel
 	lg               *legalize.Legalizer
 	skewCap          []float64 // per-corner local-skew ceiling (pre-move max |skew|)
@@ -403,7 +404,8 @@ func newMoveScorer(t *tech.Tech, tr *ctree.Tree, a *sta.Analysis, lg *legalize.L
 	s := &MoveScorer{
 		est:    newStageEstimator(t, tr, a),
 		alphas: alphas, pairs: pairs, model: model,
-		lg: lg, skewCap: localSkews(a, pairs),
+		index: newSinkIndex(tr),
+		lg:    lg, skewCap: localSkews(a, pairs),
 	}
 	s.indexPairs(len(tr.Nodes))
 	s.posts.New = func() interface{} {
@@ -434,6 +436,71 @@ func (s *MoveScorer) indexPairs(nodes int) {
 		fill[p.B]++
 	}
 	s.pairOff, s.pairIdx = off, idx
+}
+
+// sinkIndex numbers a tree's nodes in pre-order, so that every subtree is
+// a run of positions and the sinks below a node are a run of the
+// pre-ordered sinks.
+type sinkIndex struct {
+	span  []nodeSpan     // by node id; zero for a node the source does not reach
+	sinks []ctree.NodeID // the sinks in pre-order
+}
+
+// nodeSpan is one node's place in the pre-order: its subtree holds the
+// positions [pos, end) and the sinks sinks[sinkLo:sinkHi].
+type nodeSpan struct{ pos, end, sinkLo, sinkHi int32 }
+
+func newSinkIndex(tr *ctree.Tree) sinkIndex {
+	x := sinkIndex{span: make([]nodeSpan, len(tr.Nodes))}
+	x.number(tr, tr.Source, 0)
+	return x
+}
+
+// number numbers id's subtree from position pos on and returns the
+// position after it.
+func (x *sinkIndex) number(tr *ctree.Tree, id ctree.NodeID, pos int32) int32 {
+	n := tr.Node(id)
+	if n == nil {
+		return pos
+	}
+	sp := nodeSpan{pos: pos, sinkLo: int32(len(x.sinks))}
+	if n.Kind == ctree.KindSink {
+		x.sinks = append(x.sinks, id)
+	}
+	pos++
+	for _, c := range n.Children {
+		pos = x.number(tr, c, pos)
+	}
+	sp.end, sp.sinkHi = pos, int32(len(x.sinks))
+	x.span[id] = sp
+	return pos
+}
+
+// contains reports whether id lies in root's subtree.
+func (x *sinkIndex) contains(root, id ctree.NodeID) bool {
+	r, p := x.span[root], x.span[id].pos
+	return r.pos <= p && p < r.end
+}
+
+// keepsSinks reports whether head's subtree holds the same sinks after the
+// move as before it. Type I and II moves change no topology. Surgery moves
+// the child's subtree, itself unchanged, from under its old parent to
+// under the new driver, so of the other heads only one whose subtree
+// contains the child or the new driver changes.
+func (x *sinkIndex) keepsSinks(mv eco.Move, head ctree.NodeID) bool {
+	if x.span[head].end == 0 {
+		return false // not numbered: only a walk finds its sinks
+	}
+	if mv.Type != eco.TypeIII || head == mv.Child {
+		return true
+	}
+	return !x.contains(head, mv.Child) && !x.contains(head, mv.NewDrv)
+}
+
+// sinksBelow returns the sinks of id's subtree, in pre-order.
+func (x *sinkIndex) sinksBelow(id ctree.NodeID) []ctree.NodeID {
+	sp := x.span[id]
+	return x.sinks[sp.sinkLo:sp.sinkHi]
 }
 
 // Analysis exposes the scorer's pre-move golden analysis.
@@ -482,7 +549,7 @@ func (s *MoveScorer) Gain(mv eco.Move) float64 {
 		g.nets, g.pins = appendAffectedStages(g.nets[:0], g.pins[:0], &post.Tree, mv)
 		if len(g.nets) > 0 {
 			g.prepare(len(post.Nodes), len(s.pairs))
-			gain = s.gain(&post.Tree, g.nets, g)
+			gain = s.gain(&post.Tree, mv, g.nets, g)
 			g.reset()
 		}
 	}
@@ -540,7 +607,7 @@ type gainScratch struct {
 	feats     []float64      // one net's feature rows
 	heads     []ctree.NodeID // pins whose stage delay the move changes
 	deltas    []float64      // per head, K predicted stage-delay changes
-	stack     []ctree.NodeID // subtree walk
+	stack     []ctree.NodeID // subtree walk of a head whose sinks the move changes
 	slot      []int32        // per node: sink-delta slot, or -1
 	sinks     []ctree.NodeID // sinks holding a slot, in slot order
 	sinkDelta []float64      // per slot, K accumulated deltas
@@ -582,11 +649,73 @@ func (g *gainScratch) sinkDeltaOf(id ctree.NodeID, K int) []float64 {
 	return g.sinkDelta[si*K : (si+1)*K]
 }
 
+// addSinkDelta adds one head's deltas to a sink's accumulated deltas,
+// giving the sink a slot on its first.
+func (g *gainScratch) addSinkDelta(id ctree.NodeID, delta []float64) {
+	if g.slot[id] < 0 {
+		g.slot[id] = int32(len(g.sinks))
+		g.sinks = append(g.sinks, id)
+		for range delta {
+			g.sinkDelta = append(g.sinkDelta, 0)
+		}
+	}
+	sd := g.sinkDeltaOf(id, len(delta))
+	for k := range sd {
+		sd[k] += delta[k]
+	}
+}
+
+// walkSinks adds a head's deltas to every sink of its subtree in the
+// post-move tree.
+func (g *gainScratch) walkSinks(post *ctree.Tree, head ctree.NodeID, delta []float64) {
+	g.stack = append(g.stack[:0], head)
+	for len(g.stack) > 0 {
+		id := g.stack[len(g.stack)-1]
+		g.stack = g.stack[:len(g.stack)-1]
+		n := post.Node(id)
+		if n == nil {
+			continue
+		}
+		g.stack = append(g.stack, n.Children...)
+		if n.Kind == ctree.KindSink {
+			g.addSinkDelta(id, delta)
+		}
+	}
+}
+
 // gain is Gain's body over pooled scratch.
-func (s *MoveScorer) gain(post *ctree.Tree, nets []netStages, g *gainScratch) float64 {
-	a, alphas, pairs := s.est.a, s.alphas, s.pairs
-	K := a.K
-	// Per-head per-corner arrival deltas, each net estimated once.
+func (s *MoveScorer) gain(post *ctree.Tree, mv eco.Move, nets []netStages, g *gainScratch) float64 {
+	if !s.predictHeads(post, nets, g) {
+		return 0
+	}
+	s.propagate(post, mv, g)
+	return s.touchedGain(g)
+}
+
+// propagate adds each head's deltas to every sink below it, heads in
+// order. A head whose sinks the move keeps reads them off the pre-move
+// index; any other walks its subtree in the post-move tree, where surgery
+// re-parenting is already in effect. Either way each sink sums the same
+// deltas in the same order.
+func (s *MoveScorer) propagate(post *ctree.Tree, mv eco.Move, g *gainScratch) {
+	K := s.est.a.K
+	for h, head := range g.heads {
+		delta := g.deltas[h*K : (h+1)*K]
+		if s.index.keepsSinks(mv, head) {
+			for _, id := range s.index.sinksBelow(head) {
+				g.addSinkDelta(id, delta)
+			}
+		} else {
+			g.walkSinks(post, head, delta)
+		}
+	}
+}
+
+// predictHeads estimates each affected net once and records in g the pins
+// whose predicted stage delay the move changes, with their K deltas. It
+// reports whether there are any.
+func (s *MoveScorer) predictHeads(post *ctree.Tree, nets []netStages, g *gainScratch) bool {
+	K := s.est.a.K
 	for _, net := range nets {
 		g.feats = s.est.features(post, net.d, net.pins, g.feats[:0])
 		for i, p := range net.pins {
@@ -606,45 +735,20 @@ func (s *MoveScorer) gain(post *ctree.Tree, nets []netStages, g *gainScratch) fl
 			}
 		}
 	}
-	if len(g.heads) == 0 {
-		return 0
-	}
-	// Propagate to sinks (on the post tree, where surgery re-parenting is
-	// already in effect): every sink below a head accumulates its delta,
-	// heads in order.
-	for h, head := range g.heads {
-		delta := g.deltas[h*K : (h+1)*K]
-		g.stack = append(g.stack[:0], head)
-		for len(g.stack) > 0 {
-			id := g.stack[len(g.stack)-1]
-			g.stack = g.stack[:len(g.stack)-1]
-			n := post.Node(id)
-			if n == nil {
-				continue
-			}
-			g.stack = append(g.stack, n.Children...)
-			if n.Kind != ctree.KindSink {
-				continue
-			}
-			if g.slot[id] < 0 {
-				g.slot[id] = int32(len(g.sinks))
-				g.sinks = append(g.sinks, id)
-				for k := 0; k < K; k++ {
-					g.sinkDelta = append(g.sinkDelta, 0)
-				}
-			}
-			sd := g.sinkDeltaOf(id, K)
-			for k := range sd {
-				sd[k] += delta[k]
-			}
-		}
-	}
+	return len(g.heads) > 0
+}
+
+// touchedGain returns the predicted variation reduction over the pairs
+// whose sinks hold a delta in g.
+func (s *MoveScorer) touchedGain(g *gainScratch) float64 {
+	a, alphas, pairs := s.est.a, s.alphas, s.pairs
+	K := a.K
 	// Surgery also changes the path itself: arrival(child) delta must be
 	// measured against the old path, which the head-delta of the new stage
 	// (predicted vs golden-pre fallback) already encodes.
 	// Touched pairs are summed in ascending pair-index order: float addition
 	// is not associative, so the order must follow from the pair set, not
-	// from the order the tree walk discovered the sinks in.
+	// from the order propagation reached the sinks in.
 	for _, sid := range g.sinks {
 		for _, pi := range s.pairIdx[s.pairOff[sid]:s.pairOff[sid+1]] {
 			if !g.seen[pi] {

@@ -136,6 +136,46 @@ func TestEnumerateTypeIII(t *testing.T) {
 	}
 }
 
+// TestAppendMovesAllocFree enumerates every buffer of a tree with a
+// hundred buffers into one reused slice. Once the slice has room, an
+// enumeration allocates nothing, so its cost cannot grow with the number
+// of buffers the Type III scan looks at.
+func TestAppendMovesAllocFree(t *testing.T) {
+	th, _, _ := env(t)
+	die := geom.NewRect(geom.Pt(0, 0), geom.Pt(2000, 2000))
+	tr := ctree.NewTree(geom.Pt(500, 0), "CKINVX16")
+	for i := 0; i < 25; i++ {
+		x := 400 + 8*float64(i)
+		mid := tr.AddNode(ctree.KindBuffer, geom.Pt(x, 100), "CKINVX8", tr.Source)
+		for j := 0; j < 3; j++ {
+			leaf := tr.AddNode(ctree.KindBuffer, geom.Pt(x+5*float64(j), 130), "CKINVX4", mid.ID)
+			tr.AddNode(ctree.KindSink, geom.Pt(x+5*float64(j), 150), "", leaf.ID)
+			tr.AddNode(ctree.KindSink, geom.Pt(x+5*float64(j)+2, 150), "", leaf.ID)
+		}
+	}
+	bufs := tr.Buffers()
+	var moves []Move
+	enumerate := func() {
+		moves = moves[:0]
+		for _, b := range bufs {
+			moves = AppendMoves(moves, tr, th, b, die)
+		}
+	}
+	enumerate()
+	surgery := 0
+	for _, m := range moves {
+		if m.Type == TypeIII {
+			surgery++
+		}
+	}
+	if surgery == 0 {
+		t.Fatalf("%d buffers enumerate %d moves, none of Type III", len(bufs), len(moves))
+	}
+	if allocs := testing.AllocsPerRun(5, enumerate); allocs != 0 {
+		t.Errorf("enumerating %d buffers into a slice with room makes %.0f allocations, want 0", len(bufs), allocs)
+	}
+}
+
 func TestApplyMoves(t *testing.T) {
 	th, _, lg := env(t)
 	tr, ids := chainTree()

@@ -70,7 +70,14 @@ var directions = [8][2]float64{
 	{1, 1}, {1, -1}, {-1, 1}, {-1, -1},
 }
 
-// Enumerate lists the Table-2 candidate moves for one buffer:
+// Enumerate lists the Table-2 candidate moves for one buffer (see
+// AppendMoves); it returns nil when there are none.
+func Enumerate(tr *ctree.Tree, t *tech.Tech, buf ctree.NodeID, die geom.Rect) []Move {
+	return AppendMoves(nil, tr, t, buf, die)
+}
+
+// AppendMoves appends the Table-2 candidate moves for one buffer to dst
+// and returns the extended slice:
 //
 //	Type I:   displace {N,S,E,W,NE,NW,SE,SW} by 10µm × one-step up/down/keep
 //	          sizing, plus pure sizing;
@@ -78,23 +85,21 @@ var directions = [8][2]float64{
 //	          buffer (first two buffer children considered);
 //	Type III: reassign one child to a same-level driver within the 50×50µm
 //	          window around the child.
-func Enumerate(tr *ctree.Tree, t *tech.Tech, buf ctree.NodeID, die geom.Rect) []Move {
+func AppendMoves(dst []Move, tr *ctree.Tree, t *tech.Tech, buf ctree.NodeID, die geom.Rect) []Move {
 	n := tr.Node(buf)
 	if n == nil || n.Kind != ctree.KindBuffer {
-		return nil
+		return dst
 	}
 	cell := t.CellByName(n.CellName)
 	if cell == nil {
-		return nil
+		return dst
 	}
-	var out []Move
-	canUp := t.UpSize(cell) != cell
-	canDown := t.DownSize(cell) != cell
-	steps := []int{0}
-	if canUp {
+	var stepBuf [3]int
+	steps := append(stepBuf[:0], 0)
+	if t.UpSize(cell) != cell {
 		steps = append(steps, 1)
 	}
-	if canDown {
+	if t.DownSize(cell) != cell {
 		steps = append(steps, -1)
 	}
 	// Type I.
@@ -104,17 +109,22 @@ func Enumerate(tr *ctree.Tree, t *tech.Tech, buf ctree.NodeID, die geom.Rect) []
 			continue
 		}
 		for _, s := range steps {
-			out = append(out, Move{Type: TypeI, Buffer: buf, DX: d[0] * DisplaceStep, DY: d[1] * DisplaceStep, SizeStep: s})
+			dst = append(dst, Move{Type: TypeI, Buffer: buf, DX: d[0] * DisplaceStep, DY: d[1] * DisplaceStep, SizeStep: s})
 		}
 	}
 	for _, s := range steps {
 		if s != 0 {
-			out = append(out, Move{Type: TypeI, Buffer: buf, SizeStep: s})
+			dst = append(dst, Move{Type: TypeI, Buffer: buf, SizeStep: s})
 		}
 	}
 	// Type II: displacement × child sizing, for up to two buffer children.
-	var bufKids []ctree.NodeID
-	for _, c := range tr.FanoutPins(buf) {
+	// The pin list stays on the stack unless the buffer drives more pins
+	// than pinBuf holds.
+	var pinBuf [24]ctree.NodeID
+	pins := tr.AppendFanoutPins(pinBuf[:0], buf)
+	var kidBuf [2]ctree.NodeID
+	bufKids := kidBuf[:0]
+	for _, c := range pins {
 		if tr.Node(c).Kind == ctree.KindBuffer {
 			bufKids = append(bufKids, c)
 			if len(bufKids) == 2 {
@@ -127,7 +137,8 @@ func Enumerate(tr *ctree.Tree, t *tech.Tech, buf ctree.NodeID, die geom.Rect) []
 		if ccell == nil {
 			continue
 		}
-		var csteps []int
+		var cstepBuf [2]int
+		csteps := cstepBuf[:0]
 		if t.UpSize(ccell) != ccell {
 			csteps = append(csteps, 1)
 		}
@@ -140,40 +151,39 @@ func Enumerate(tr *ctree.Tree, t *tech.Tech, buf ctree.NodeID, die geom.Rect) []
 				continue
 			}
 			for _, s := range csteps {
-				out = append(out, Move{Type: TypeII, Buffer: buf, DX: d[0] * DisplaceStep, DY: d[1] * DisplaceStep, Child: ck, SizeStep: s})
+				dst = append(dst, Move{Type: TypeII, Buffer: buf, DX: d[0] * DisplaceStep, DY: d[1] * DisplaceStep, Child: ck, SizeStep: s})
 			}
 		}
 	}
 	// Type III: reassign each child pin of this buffer to a same-level
-	// driver within the window.
-	bufs := tr.Buffers()
-	for _, ck := range tr.FanoutPins(buf) {
+	// driver within the window. Candidates are the tree's buffers in
+	// ascending id order.
+	for _, ck := range pins {
 		cn := tr.Node(ck)
 		lvl := tr.Level(ck)
 		win := geom.NewRect(
 			geom.Pt(cn.Loc.X-SurgeryWindow/2, cn.Loc.Y-SurgeryWindow/2),
 			geom.Pt(cn.Loc.X+SurgeryWindow/2, cn.Loc.Y+SurgeryWindow/2),
 		)
-		for _, cand := range bufs {
-			if cand == buf || cand == ck {
+		for _, cb := range tr.Nodes {
+			if cb == nil || cb.Kind != ctree.KindBuffer || cb.ID == buf || cb.ID == ck {
 				continue
 			}
-			cb := tr.Node(cand)
 			if !win.Contains(cb.Loc) {
 				continue
 			}
 			// Same level: the candidate drives nodes at the child's level.
-			if tr.Level(cand)+1 != lvl {
+			if tr.Level(cb.ID)+1 != lvl {
 				continue
 			}
 			// No cycles: candidate must not live under the child.
-			if inSubtree(tr, ck, cand) {
+			if inSubtree(tr, ck, cb.ID) {
 				continue
 			}
-			out = append(out, Move{Type: TypeIII, Buffer: buf, Child: ck, NewDrv: cand})
+			dst = append(dst, Move{Type: TypeIII, Buffer: buf, Child: ck, NewDrv: cb.ID})
 		}
 	}
-	return out
+	return dst
 }
 
 func inSubtree(tr *ctree.Tree, root, q ctree.NodeID) bool {

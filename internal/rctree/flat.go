@@ -2,16 +2,15 @@ package rctree
 
 // Flat is the struct-of-arrays counterpart of RC + Builder for the hot
 // analysis paths: one value per column, no per-node objects, and every
-// working array (topological order, depth/counting-sort scratch, moment
-// accumulators, the recorded program) retained across Reset so a pooled
-// Flat reaches a steady state with zero allocations per net.
+// working array (moment accumulators, the recorded program) retained
+// across Reset so a pooled Flat reaches a steady state with zero
+// allocations per net.
 //
 // The numerical contract is strict bit-identity with the pointer-based
 // implementation: AddWire/AddLoad perform the same floating-point
-// operations in the same order as Builder, Topo produces the identical
-// permutation as RC.topo (stable ascending depth), and Moments/TotalCap
-// replicate RC.Moments/RC.TotalCap operation for operation. The
-// differential fuzz test in flat_test.go enforces this.
+// operations in the same order as Builder, and Moments/TotalCap replicate
+// RC.Moments/RC.TotalCap operation for operation. The differential fuzz
+// test in flat_test.go enforces this.
 //
 // A Flat records what its Reset/AddWire/AddLoad calls did — the root cap,
 // each π section's length and each pin load, in call order — so Replay
@@ -21,7 +20,8 @@ package rctree
 //
 // A Flat is built front to back: node 0 is the driving point and every
 // AddWire appends segments whose parent index is strictly smaller than
-// their own, so depths can be derived in one forward sweep.
+// their own, so index order is already parents-first and the moment
+// sweeps run over it directly.
 type Flat struct {
 	Parent []int32
 	Res    []float64 // kΩ
@@ -33,14 +33,9 @@ type Flat struct {
 	seg     []float64
 	loads   []flatLoad
 
-	// Scratch, reused across Reset. order is valid while orderOK holds;
-	// AddWire and Reset invalidate it, Moments/Topo rebuild it on demand.
-	orderOK bool
-	order   []int32
-	depth   []int32
-	count   []int32
-	dc, b   []float64
-	m1, m2  []float64
+	// Moment scratch, reused across Reset.
+	dc, b  []float64
+	m1, m2 []float64
 }
 
 // flatLoad is one recorded AddLoad call: capFF lumped at node, made when
@@ -59,7 +54,6 @@ func (f *Flat) Reset(rootCap float64) {
 	f.rootCap = rootCap
 	f.seg = append(f.seg[:0], 0)
 	f.loads = f.loads[:0]
-	f.orderOK = false
 }
 
 // Len returns the number of RC nodes.
@@ -84,7 +78,6 @@ func (f *Flat) AddWire(parent int, lengthUM, rPerUM, cPerUM float64) int {
 		f.section(idx, rPerUM, cPerUM)
 		cur = idx
 	}
-	f.orderOK = false
 	return cur
 }
 
@@ -109,8 +102,8 @@ func (f *Flat) AddLoad(node int, capFF float64) {
 // Replay refills Res and Cap as if every recorded AddWire call had been
 // made with rPerUM and cPerUM instead: the root cap, then each π section
 // and each pin load in the order of the original calls, so the result is
-// bitwise what a fresh build at the new R/C produces. The topology, and
-// with it the cached Topo order, stays.
+// bitwise what a fresh build at the new R/C produces. The topology
+// stays.
 func (f *Flat) Replay(rPerUM, cPerUM float64) {
 	f.Cap[0] = f.rootCap
 	li := 0
@@ -134,104 +127,42 @@ func (f *Flat) TotalCap() float64 {
 	return t
 }
 
-// Topo returns node indices ordered parents-first: a stable ascending
-// sort by depth, the identical permutation RC.topo's stable insertion
-// sort produces, computed here with a counting sort over depths. The
-// order is cached until the topology changes; refilling Res/Cap in
-// place (the per-corner replay path) keeps it valid.
-func (f *Flat) Topo() []int32 {
-	if f.orderOK {
-		return f.order
-	}
-	n := len(f.Parent)
-	f.depth = growI32(f.depth, n)
-	depth := f.depth
-	depth[0] = 0
-	maxd := int32(0)
-	for i := 1; i < n; i++ {
-		d := depth[f.Parent[i]] + 1
-		depth[i] = d
-		if d > maxd {
-			maxd = d
-		}
-	}
-	f.count = growI32(f.count, int(maxd)+1)
-	count := f.count
-	for i := range count {
-		count[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		count[depth[i]]++
-	}
-	// Prefix sums → first slot per depth bucket.
-	var sum int32
-	for d := range count {
-		c := count[d]
-		count[d] = sum
-		sum += c
-	}
-	f.order = growI32(f.order, n)
-	order := f.order
-	for i := 0; i < n; i++ {
-		d := depth[i]
-		order[count[d]] = int32(i)
-		count[d]++
-	}
-	f.orderOK = true
-	return order
-}
-
 // Moments returns the first two impulse-response moments at every node,
-// exactly as RC.Moments computes them. The returned slices are owned by
-// the Flat and valid until the next Moments/Reset call.
+// exactly as RC.Moments computes them. Index order is parents-first, so
+// no sort is needed: a reverse index sweep adds each node's children in
+// descending index order, after their own subtrees — the order of
+// RC.Moments' reverse stable-depth sweep — and a forward sweep sets every
+// parent before its children. The returned slices are owned by the Flat
+// and valid until the next Moments/Reset call.
 func (f *Flat) Moments() (m1, m2 []float64) {
-	order := f.Topo()
 	n := len(f.Parent)
+	par := f.Parent
 	f.dc = growF64(f.dc, n)
 	dc := f.dc
 	copy(dc, f.Cap)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		if p := f.Parent[v]; p >= 0 {
-			dc[p] += dc[v]
-		}
+	for v := n - 1; v >= 1; v-- {
+		dc[par[v]] += dc[v]
 	}
+	// m1, and with it each node's own term of the downstream Σ C_k·m1_k.
 	f.m1 = growF64(f.m1, n)
-	m1 = f.m1
-	m1[0] = 0
-	for _, v := range order {
-		if p := f.Parent[v]; p >= 0 {
-			m1[v] = m1[p] + f.Res[v]*dc[v]
-		}
-	}
-	// Downstream Σ C_k·m1_k per node.
 	f.b = growF64(f.b, n)
-	b := f.b
-	for i := range b {
-		b[i] = f.Cap[i] * m1[i]
+	m1, b := f.m1, f.b
+	m1[0] = 0
+	b[0] = f.Cap[0] * m1[0]
+	for v := 1; v < n; v++ {
+		m1[v] = m1[par[v]] + f.Res[v]*dc[v]
+		b[v] = f.Cap[v] * m1[v]
 	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		if p := f.Parent[v]; p >= 0 {
-			b[p] += b[v]
-		}
+	for v := n - 1; v >= 1; v-- {
+		b[par[v]] += b[v]
 	}
 	f.m2 = growF64(f.m2, n)
 	m2 = f.m2
 	m2[0] = 0
-	for _, v := range order {
-		if p := f.Parent[v]; p >= 0 {
-			m2[v] = m2[p] + f.Res[v]*b[v]
-		}
+	for v := 1; v < n; v++ {
+		m2[v] = m2[par[v]] + f.Res[v]*b[v]
 	}
 	return m1, m2
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }
 
 func growF64(s []float64, n int) []float64 {

@@ -81,7 +81,9 @@ func bitsEq(a, b float64) bool {
 }
 
 // compareRC asserts the flat tree matches the legacy tree bit for bit:
-// structure, R/C columns, topological order, total cap, and both moments.
+// structure, R/C columns, total cap, and both moments. It also asserts
+// that every node's parent index is below its own, the invariant
+// Flat.Moments' index-order sweeps rely on.
 func compareRC(t *testing.T, rc *RC, f *Flat) {
 	t.Helper()
 	if len(rc.Parent) != f.Len() {
@@ -91,15 +93,11 @@ func compareRC(t *testing.T, rc *RC, f *Flat) {
 		if int32(rc.Parent[i]) != f.Parent[i] {
 			t.Fatalf("parent[%d]: legacy %d flat %d", i, rc.Parent[i], f.Parent[i])
 		}
+		if i > 0 && f.Parent[i] >= int32(i) {
+			t.Fatalf("parent[%d] = %d: a parent's index must be below its child's", i, f.Parent[i])
+		}
 		if !bitsEq(rc.Res[i], f.Res[i]) || !bitsEq(rc.Cap[i], f.Cap[i]) {
 			t.Fatalf("RC[%d]: legacy (%v,%v) flat (%v,%v)", i, rc.Res[i], rc.Cap[i], f.Res[i], f.Cap[i])
-		}
-	}
-	lo := rc.topo()
-	fo := f.Topo()
-	for i := range lo {
-		if int32(lo[i]) != fo[i] {
-			t.Fatalf("topo[%d]: legacy %d flat %d (stable depth order must match)", i, lo[i], fo[i])
 		}
 	}
 	if !bitsEq(rc.TotalCap(), f.TotalCap()) {

@@ -104,18 +104,19 @@ func PairDelay(t *tech.Tech, cell *tech.Cell, k int, slewIn, loadFF float64) (de
 	return d1 + d2, s2
 }
 
-// PairDelayTable is the estimator-side counterpart of PairDelay: it uses
-// NLDM bilinear interpolation, as a Liberty-consuming tool would, and so
-// carries the characterization-grid interpolation error relative to the
-// golden model.
-func PairDelayTable(t *tech.Tech, cell *tech.Cell, k int, slewIn, loadFF float64) (delay, outSlew float64) {
+// PairFirstStageTable returns the delay and output slew of an
+// inverter-pair buffer's first inverter, which drives the second through
+// the short internal wire. It is the estimator-side counterpart of
+// PairDelay's first stage: it uses NLDM bilinear interpolation, as a
+// Liberty-consuming tool would, and so carries the characterization-grid
+// interpolation error relative to the golden model. The stage sees neither
+// the net nor its load, so one lookup per (cell, corner, input slew)
+// serves every net load: the pair's delay adds the second inverter's,
+// cell.TableDelayPS(k, outSlew, load).
+func PairFirstStageTable(t *tech.Tech, cell *tech.Cell, k int, slewIn float64) (delay, outSlew float64) {
 	internalC := InternalPairWireUM * t.WireC(k)
 	load1 := cell.InCap + internalC
-	d1 := cell.TableDelayPS(k, slewIn, load1)
-	s1 := cell.TableOutSlewPS(k, slewIn, load1)
-	d2 := cell.TableDelayPS(k, s1, loadFF)
-	s2 := cell.TableOutSlewPS(k, s1, loadFF)
-	return d1 + d2, s2
+	return cell.TableDelayPS(k, slewIn, load1), cell.TableOutSlewPS(k, slewIn, load1)
 }
 
 // drivingNode is one source/buffer node with its cell pre-resolved, so
