@@ -61,8 +61,9 @@ test:
 # The race pass runs -short (skips the multi-minute matrices but still
 # drives a real optimization flow), then hammers the parallel-equivalence
 # tests three extra times: the move pool's bit-identical reduction, the
-# move scorer's read-only pre-order sink index shared by concurrent Gain
-# calls (TestSinkRangesMatchWalkParallel) and the timer's concurrent
+# move scorer's read-only pre-order sink index and per-scorer pair state
+# shared by concurrent Gain calls (TestSinkRangesMatchWalkParallel,
+# TestTouchedGainMatchesReferenceParallel) and the timer's concurrent
 # callers (one timer, or timers sharing a net cache) are the invariants
 # most worth catching a data race in.
 race:
@@ -120,7 +121,8 @@ bench-check:
 # disk, the LP solver against its dense reference solver, the
 # scratch-built route builders against their allocating reference, the
 # Algorithm-1 search against its per-candidate reference, the flat RC
-# layout against rctree.Builder (the last four bit-identical), and
+# layout against rctree.Builder, the local stage's top-move selection
+# against a stable sort of every move (the last five bit-identical), and
 # skewlint's CFG builder on arbitrary function bodies.
 fuzz:
 	$(GO) test ./internal/edaio/ -run '^$$' -fuzz FuzzReadDesign -fuzztime 30s
@@ -129,6 +131,7 @@ fuzz:
 	$(GO) test ./internal/route/ -run '^$$' -fuzz FuzzRouteMatchesReference -fuzztime 30s
 	$(GO) test ./internal/eco/ -run '^$$' -fuzz FuzzSelectMatchesReference -fuzztime 30s
 	$(GO) test ./internal/rctree/ -run '^$$' -fuzz FuzzBuildFlatTree -fuzztime 30s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzTopMoves -fuzztime 30s
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzBuildCFG -fuzztime 30s
 
 help:
@@ -145,4 +148,4 @@ help:
 	@echo "load-e2e         skewload load/durability end-to-end (group commit vs per-line fsync)"
 	@echo "journal-e2e      storage-fault end-to-end (compaction crash boundaries, disk-fault matrix, scrub)"
 	@echo "bench-check      vet + test + skewlint the bench/ pipeline-benchmark module"
-	@echo "fuzz             30s fuzz each: design reader, journal frames, LP solver, route builders, Algorithm-1 search, flat RC trees, CFG builder"
+	@echo "fuzz             30s fuzz each: design reader, journal frames, LP solver, route builders, Algorithm-1 search, flat RC trees, top-move selection, CFG builder"

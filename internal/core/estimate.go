@@ -114,9 +114,10 @@ type estScratch struct {
 	locs        []geom.Point
 	routes      [2]route.Tree // RSMT, single trunk
 	rs          route.Scratch
-	head, next  []int32 // route child lists: first child, next sibling
-	queue, rcOf []int32 // BFS queue; RC node of each route node
-	pinRC       []int32 // RC node of each route pin i+1
+	head, next  []int32   // route child lists: first child, next sibling
+	queue, rcOf []int32   // BFS queue; RC node of each route node
+	pinRC       []int32   // RC node of each route pin i+1
+	loads       []float64 // the load of each pin i, NaN for none
 	rc          rctree.Flat
 	d1, s1      []float64 // per corner: the first inverter's delay and output slew
 	slews       []float64
@@ -141,12 +142,16 @@ func (sc *estScratch) stageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID
 		return dst
 	}
 	sc.locs = append(sc.locs[:0], dn.Loc)
+	sc.loads = sc.loads[:0]
 	for _, p := range pins {
-		sc.locs = append(sc.locs, tr.Node(p).Loc)
+		pn := tr.Node(p)
+		sc.locs = append(sc.locs, pn.Loc)
+		sc.loads = append(sc.loads, pinLoad(t, pn))
 	}
 	sc.rs.RSMT(&sc.routes[0], sc.locs)
 	sc.rs.SingleTrunk(&sc.routes[1], sc.locs)
 	bb := geom.BBox(sc.locs)
+	area, ar := bb.Area(), bb.AspectRatio()
 	sc.d1 = slices.Grow(sc.d1[:0], K)[:K]
 	sc.s1 = slices.Grow(sc.s1[:0], K)[:K]
 	for k := range sc.d1 {
@@ -159,7 +164,7 @@ func (sc *estScratch) stageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID
 		for i, p := range pins {
 			rt.AddPinDetour(i+1, tr.Node(p).Detour)
 		}
-		sc.layout(t, tr, rt, pins)
+		sc.layout(t, rt)
 		for k := 0; k < K; k++ {
 			if k > 0 {
 				sc.rc.Replay(t.WireR(k), t.WireC(k))
@@ -177,8 +182,8 @@ func (sc *estScratch) stageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID
 		for k := 0; k < K; k++ {
 			f := out[(i*K+k)*numStageFeatures:]
 			f[4] = float64(len(pins))
-			f[5] = bb.Area()
-			f[6] = bb.AspectRatio()
+			f[5] = area
+			f[6] = ar
 			f[7] = slews[k]
 			f[8] = cell.InCap // proxy for drive strength
 		}
@@ -186,17 +191,31 @@ func (sc *estScratch) stageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID
 	return dst
 }
 
-// layout lays route rt out on sc.rc at corner 0's wire R/C, attaching pin
-// loads, and records each route pin's RC node in sc.pinRC. The walk is a
-// BFS from the driver visiting children in ascending route-node index, so
-// parents are materialized first and the RC node order is fixed by the
-// route alone.
-func (sc *estScratch) layout(t *tech.Tech, tr *ctree.Tree, rt *route.Tree, pins []ctree.NodeID) {
+// pinLoad returns the load a fanout pin puts on its net: a buffer's input
+// cap, the sink cap, or NaN for none (a buffer of unknown cell).
+func pinLoad(t *tech.Tech, pn *ctree.Node) float64 {
+	switch pn.Kind {
+	case ctree.KindBuffer:
+		if c := t.CellByName(pn.CellName); c != nil {
+			return c.InCap
+		}
+	case ctree.KindSink:
+		return t.SinkCap
+	}
+	return math.NaN()
+}
+
+// layout lays route rt out on sc.rc at corner 0's wire R/C, attaching the
+// pin loads of sc.loads, and records each route pin's RC node in
+// sc.pinRC. The walk is a BFS from the driver visiting children in
+// ascending route-node index, so parents are materialized first and the RC
+// node order is fixed by the route alone.
+func (sc *estScratch) layout(t *tech.Tech, rt *route.Tree) {
 	n := len(rt.Nodes)
 	sc.head = slices.Grow(sc.head[:0], n)[:n]
 	sc.next = slices.Grow(sc.next[:0], n)[:n]
 	sc.rcOf = slices.Grow(sc.rcOf[:0], n)[:n]
-	sc.pinRC = slices.Grow(sc.pinRC[:0], len(pins))[:len(pins)]
+	sc.pinRC = slices.Grow(sc.pinRC[:0], len(sc.loads))[:len(sc.loads)]
 	for i := range sc.head {
 		sc.head[i] = -1
 	}
@@ -222,14 +241,8 @@ func (sc *estScratch) layout(t *tech.Tech, tr *ctree.Tree, rt *route.Tree, pins 
 		sc.rcOf[ri] = int32(end)
 		if rn.Pin >= 1 {
 			sc.pinRC[rn.Pin-1] = int32(end)
-			pn := tr.Node(pins[rn.Pin-1])
-			switch pn.Kind {
-			case ctree.KindBuffer:
-				if c := t.CellByName(pn.CellName); c != nil {
-					f.AddLoad(end, c.InCap)
-				}
-			case ctree.KindSink:
-				f.AddLoad(end, t.SinkCap)
+			if l := sc.loads[rn.Pin-1]; !math.IsNaN(l) {
+				f.AddLoad(end, l)
 			}
 		}
 		for c := sc.head[ri]; c >= 0; c = sc.next[c] {

@@ -28,15 +28,17 @@ const (
 
 // digestScoring is TestEstimatorDigest's scoring set-up: a ridge model
 // trained on BuildDataset(Default28nm, 4, 8, 1), CLS1v1(120) with its top
-// 40 pairs, and every move enumerated on its buffers.
+// 40 pairs, and every move enumerated on its buffers. allPairs holds every
+// pair of the design.
 type digestScoring struct {
-	model  StageModel
-	tm     *sta.Timer
-	tree   *ctree.Tree
-	die    geom.Rect
-	alphas []float64
-	pairs  []ctree.SinkPair
-	moves  []eco.Move
+	model    StageModel
+	tm       *sta.Timer
+	tree     *ctree.Tree
+	die      geom.Rect
+	alphas   []float64
+	pairs    []ctree.SinkPair
+	allPairs []ctree.SinkPair
+	moves    []eco.Move
 }
 
 func newDigestScoring(t *testing.T) *digestScoring {
@@ -57,7 +59,7 @@ func newDigestScoring(t *testing.T) *digestScoring {
 	}
 	pairs := d.TopPairs(40)
 	s := &digestScoring{
-		model: ridge, tm: tm, tree: d.Tree, die: d.Die, pairs: pairs,
+		model: ridge, tm: tm, tree: d.Tree, die: d.Die, pairs: pairs, allPairs: d.TopPairs(0),
 		alphas: sta.Alphas(tm.Analyze(d.Tree), pairs),
 	}
 	for _, b := range d.Tree.Buffers() {

@@ -701,6 +701,10 @@ func buildBlockLP(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, allP
 			vars[ai].appendDelta(k, -mult, idx, coef)
 		}
 	}
+	// Every row is built in idx and coef; AddConstraint copies what it
+	// keeps.
+	var idx []int
+	var coef []float64
 	// Constraint (6): V bounds every pairwise-corner normalized
 	// variation.
 	for i, p := range blk {
@@ -710,10 +714,8 @@ func buildBlockLP(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, allP
 				s20 := a.Skew(k2, p.A, p.B)
 				base := alphas[k]*sk0 - alphas[k2]*s20
 				for sign := -1.0; sign <= 1.0; sign += 2 {
-					var idx []int
-					var coef []float64
-					idx = append(idx, vVar[i])
-					coef = append(coef, 1)
+					idx = append(idx[:0], vVar[i])
+					coef = append(coef[:0], 1)
 					pathDelta(p, k, -sign*alphas[k], &idx, &coef)
 					pathDelta(p, k2, sign*alphas[k2], &idx, &coef)
 					prob.AddConstraint(lp.GE, sign*base, idx, coef)
@@ -722,25 +724,21 @@ func buildBlockLP(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, allP
 		}
 	}
 	// Constraint (5): ΣV ≤ U, its bound set per rung.
-	{
-		idx := append([]int(nil), vVar...)
-		coef := make([]float64, len(vVar))
-		for i := range coef {
-			coef[i] = 1
-		}
-		bl.rowU = prob.AddConstraint(lp.LE, bl.curBlockV, idx, coef)
+	idx, coef = append(idx[:0], vVar...), coef[:0]
+	for range vVar {
+		coef = append(coef, 1)
 	}
+	bl.rowU = prob.AddConstraint(lp.LE, bl.curBlockV, idx, coef)
 	// Constraint (7): no local-skew degradation at corner 0. The
 	// block and sweep golden gates enforce (7) at the other corners,
 	// and subsume (8).
 	for _, p := range blk {
 		s0 := a.Skew(0, p.A, p.B)
 		bound := math.Abs(s0) + 1 // 1ps slack avoids freezing at s0≈0
-		var idx []int
-		var coef []float64
+		idx, coef = idx[:0], coef[:0]
 		pathDelta(p, 0, 1, &idx, &coef)
 		prob.AddConstraint(lp.LE, bound-s0, idx, coef)
-		idx, coef = nil, nil
+		idx, coef = idx[:0], coef[:0]
 		pathDelta(p, 0, -1, &idx, &coef)
 		prob.AddConstraint(lp.LE, bound+s0, idx, coef)
 	}
@@ -765,8 +763,7 @@ func buildBlockLP(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, allP
 		}
 		for _, e := range sinks {
 			for k := 0; k < K; k++ {
-				var idx []int
-				var coef []float64
+				idx, coef = idx[:0], coef[:0]
 				for _, ai := range pathOf[e.s] {
 					vars[ai].appendDelta(k, 1, &idx, &coef)
 				}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -175,7 +176,7 @@ func LocalOpt(ctx context.Context, tm *sta.Timer, d *ctree.Design, alphas []floa
 		if cfg.Random {
 			rng.Shuffle(len(scored), func(i, j int) { scored[i], scored[j] = scored[j], scored[i] })
 		} else {
-			sort.SliceStable(scored, func(i, j int) bool { return scored[i].gain > scored[j].gain })
+			scored = topMoves(scored, maxBatches*batchMoves)
 			// Termination per Algorithm 2: stop when the predictor sees no
 			// further reduction.
 			if scored[0].gain < minPredGain {
@@ -345,25 +346,24 @@ func enumerateCandidates(tm *sta.Timer, cur *ctree.Tree, d *ctree.Design, a *sta
 	if len(pvs) > coverPairs {
 		pvs = pvs[:coverPairs]
 	}
-	bufSet := map[ctree.NodeID]bool{}
+	// Flag every node on the covered pairs' paths to the root. A walk stops
+	// at a flagged node, whose own path is flagged already.
+	onPath := make([]bool, len(cur.Nodes))
 	for _, e := range pvs {
 		p := pairs[e.i]
-		for _, s := range []ctree.NodeID{p.A, p.B} {
-			for _, id := range cur.PathToRoot(s) {
-				if n := cur.Node(id); n != nil && n.Kind == ctree.KindBuffer {
-					bufSet[id] = true
-				}
+		for _, id := range [2]ctree.NodeID{p.A, p.B} {
+			for n := cur.Node(id); n != nil && !onPath[id]; n = cur.Node(id) {
+				onPath[id] = true
+				id = n.Parent
 			}
 		}
 	}
-	bufs := make([]ctree.NodeID, 0, len(bufSet))
-	for id := range bufSet {
-		bufs = append(bufs, id)
-	}
-	sort.Slice(bufs, func(i, j int) bool { return bufs[i] < bufs[j] })
+	// Id order is the sorted order of the buffers.
 	var moves []eco.Move
-	for _, b := range bufs {
-		moves = eco.AppendMoves(moves, cur, tm.Tech, b, d.Die)
+	for id, on := range onPath {
+		if on && cur.Nodes[id].Kind == ctree.KindBuffer {
+			moves = eco.AppendMoves(moves, cur, tm.Tech, ctree.NodeID(id), d.Die)
+		}
 	}
 	if len(moves) > cfg.MaxMoves {
 		rng.Shuffle(len(moves), func(i, j int) { moves[i], moves[j] = moves[j], moves[i] })
@@ -375,6 +375,31 @@ func enumerateCandidates(tm *sta.Timer, cur *ctree.Tree, d *ctree.Design, a *sta
 type scoredMove struct {
 	move eco.Move
 	gain float64
+}
+
+// topMoves returns the first n moves of scored in descending gain, ties in
+// index order: the first n of a stable sort, selected without sorting the
+// rest. It reorders scored, and the result is a prefix of it. No gain is
+// NaN while the golden timing is finite: Gain returns -Inf, 0, or a sum of
+// differences of maxima that drop NaN terms.
+func topMoves(scored []scoredMove, n int) []scoredMove {
+	top := scored[:0]
+	for _, sm := range scored {
+		if len(top) == n && !(sm.gain > top[n-1].gain) {
+			continue
+		}
+		// Insert after every kept move of at least its gain.
+		at := len(top)
+		for at > 0 && sm.gain > top[at-1].gain {
+			at--
+		}
+		if len(top) < n {
+			top = top[:len(top)+1]
+		}
+		copy(top[at+1:], top[at:len(top)-1])
+		top[at] = sm
+	}
+	return top
 }
 
 // MoveScorer predicts the ΣV gain of candidate moves against a fixed
@@ -390,8 +415,12 @@ type MoveScorer struct {
 	index            sinkIndex // the pre-move tree in pre-order
 	model            StageModel
 	lg               *legalize.Legalizer
-	skewCap          []float64 // per-corner local-skew ceiling (pre-move max |skew|)
-	posts            sync.Pool // *postTree over est.pre
+	// The pre-move state of the pairs: each pair's variation, its K skews
+	// at skew[pi*K:(pi+1)*K], and each corner's local-skew guard (the
+	// ceiling a predicted |skew| must not pierce).
+	pairVar, skew []float64
+	guard         []float64
+	posts         sync.Pool // *postTree over est.pre
 }
 
 // NewMoveScorer analyzes the tree and prepares a scorer over the pair set.
@@ -405,9 +434,10 @@ func newMoveScorer(t *tech.Tech, tr *ctree.Tree, a *sta.Analysis, lg *legalize.L
 		est:    newStageEstimator(t, tr, a),
 		alphas: alphas, pairs: pairs, model: model,
 		index: newSinkIndex(tr),
-		lg:    lg, skewCap: localSkews(a, pairs),
+		lg:    lg,
 	}
 	s.indexPairs(len(tr.Nodes))
+	s.pairState()
 	s.posts.New = func() interface{} {
 		return &postTree{Tree: ctree.Tree{Source: tr.Source, Nodes: slices.Clone(tr.Nodes)}}
 	}
@@ -416,8 +446,8 @@ func newMoveScorer(t *tech.Tech, tr *ctree.Tree, a *sta.Analysis, lg *legalize.L
 
 // indexPairs builds the per-sink pair lists over node ids [0, nodes): a
 // counting pass, then a fill in ascending pair order. A pair naming the
-// same sink at both ends is listed twice; the touched-pair walk's seen
-// flags count it once.
+// same sink at both ends is listed twice; the touched-pair bits count it
+// once.
 func (s *MoveScorer) indexPairs(nodes int) {
 	off := make([]int32, nodes+1)
 	for _, p := range s.pairs {
@@ -436,6 +466,25 @@ func (s *MoveScorer) indexPairs(nodes int) {
 		fill[p.B]++
 	}
 	s.pairOff, s.pairIdx = off, idx
+}
+
+// pairState computes the pairs' pre-move variations and skews and the
+// corners' guards, which every Gain call reads.
+func (s *MoveScorer) pairState() {
+	a := s.est.a
+	K := a.K
+	s.pairVar = make([]float64, len(s.pairs))
+	s.skew = make([]float64, len(s.pairs)*K)
+	for pi, p := range s.pairs {
+		s.pairVar[pi] = sta.PairVariation(a, s.alphas, p)
+		for k := 0; k < K; k++ {
+			s.skew[pi*K+k] = a.Skew(k, p.A, p.B)
+		}
+	}
+	s.guard = localSkews(a, s.pairs)
+	for k, c := range s.guard {
+		s.guard[k] = sta.SkewGuard(c)
+	}
 }
 
 // sinkIndex numbers a tree's nodes in pre-order, so that every subtree is
@@ -599,7 +648,7 @@ func (p *postTree) restore(pre *ctree.Tree) {
 
 // gainScratch is the pooled working set of one Gain call, indexed by
 // post-tree node and by pair. Between calls every slot is -1 and every
-// seen flag false; nothing in it outlives the call.
+// touched bit clear; nothing in it outlives the call.
 type gainScratch struct {
 	mutable   []ctree.NodeID // nodes the move mutates
 	nets      []netStages    // the move's affected nets
@@ -611,8 +660,8 @@ type gainScratch struct {
 	slot      []int32        // per node: sink-delta slot, or -1
 	sinks     []ctree.NodeID // sinks holding a slot, in slot order
 	sinkDelta []float64      // per slot, K accumulated deltas
-	seen      []bool         // per pair: already in touched
-	touched   []int32
+	touched   []uint64       // per pair, one bit: a sink of the pair holds a slot
+	postSkew  []float64      // one pair's K predicted post-move skews
 }
 
 var gainScratchPool = sync.Pool{New: func() interface{} { return new(gainScratch) }}
@@ -622,20 +671,18 @@ func (g *gainScratch) prepare(nodes, pairs int) {
 	for len(g.slot) < nodes {
 		g.slot = append(g.slot, -1)
 	}
-	for len(g.seen) < pairs {
-		g.seen = append(g.seen, false)
+	for len(g.touched) < (pairs+63)/64 {
+		g.touched = append(g.touched, 0)
 	}
 	g.heads, g.deltas = g.heads[:0], g.deltas[:0]
-	g.sinks, g.sinkDelta, g.touched = g.sinks[:0], g.sinkDelta[:0], g.touched[:0]
+	g.sinks, g.sinkDelta = g.sinks[:0], g.sinkDelta[:0]
 }
 
-// reset restores the between-calls invariant of the slots and seen flags.
+// reset restores the between-calls invariant of the slots; touchedGain
+// clears the bits it sets.
 func (g *gainScratch) reset() {
 	for _, id := range g.sinks {
 		g.slot[id] = -1
-	}
-	for _, pi := range g.touched {
-		g.seen[pi] = false
 	}
 }
 
@@ -741,60 +788,62 @@ func (s *MoveScorer) predictHeads(post *ctree.Tree, nets []netStages, g *gainScr
 // touchedGain returns the predicted variation reduction over the pairs
 // whose sinks hold a delta in g.
 func (s *MoveScorer) touchedGain(g *gainScratch) float64 {
-	a, alphas, pairs := s.est.a, s.alphas, s.pairs
-	K := a.K
+	alphas := s.alphas
+	K := s.est.a.K
 	// Surgery also changes the path itself: arrival(child) delta must be
 	// measured against the old path, which the head-delta of the new stage
 	// (predicted vs golden-pre fallback) already encodes.
-	// Touched pairs are summed in ascending pair-index order: float addition
-	// is not associative, so the order must follow from the pair set, not
-	// from the order propagation reached the sinks in.
+	// Touched pairs are summed in ascending pair-index order, the order of
+	// their bits: float addition is not associative, so the order must
+	// follow from the pair set, not from the order propagation reached the
+	// sinks in.
+	lo, hi := len(g.touched), -1
 	for _, sid := range g.sinks {
 		for _, pi := range s.pairIdx[s.pairOff[sid]:s.pairOff[sid+1]] {
-			if !g.seen[pi] {
-				g.seen[pi] = true
-				g.touched = append(g.touched, pi)
-			}
+			w := int(pi / 64)
+			g.touched[w] |= 1 << (pi % 64)
+			lo, hi = min(lo, w), max(hi, w)
 		}
 	}
-	slices.Sort(g.touched)
+	g.postSkew = slices.Grow(g.postSkew[:0], K)[:K]
+	post := g.postSkew
 	var gain float64
-	for _, pi := range g.touched {
-		p := pairs[pi]
-		oldV := sta.PairVariation(a, alphas, p)
-		newV := 0.0
-		dA, dB := g.sinkDeltaOf(p.A, K), g.sinkDeltaOf(p.B, K)
-		for k := 0; k < K; k++ {
-			sk := a.Skew(k, p.A, p.B)
-			if dA != nil {
-				sk += dA[k]
-			}
-			if dB != nil {
-				sk -= dB[k]
-			}
-			// Predicted local-skew guard: a move whose predicted |skew|
-			// pierces the pre-move per-corner ceiling would be rejected
-			// by the golden check anyway — filter it here so compliant
-			// moves surface in the ranking (the paper's "does not
-			// degrade local skew" constraint, applied at prediction
-			// time).
-			if len(s.skewCap) > k && math.Abs(sk) > sta.SkewGuard(s.skewCap[k]) {
-				return math.Inf(-1)
-			}
-			for k2 := k + 1; k2 < K; k2++ {
-				s2 := a.Skew(k2, p.A, p.B)
+	for w := lo; w <= hi; w++ {
+		word := g.touched[w]
+		g.touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			pi := w*64 + bits.TrailingZeros64(word)
+			p := s.pairs[pi]
+			dA, dB := g.sinkDeltaOf(p.A, K), g.sinkDeltaOf(p.B, K)
+			for k, sk := range s.skew[pi*K : (pi+1)*K] {
 				if dA != nil {
-					s2 += dA[k2]
+					sk += dA[k]
 				}
 				if dB != nil {
-					s2 -= dB[k2]
+					sk -= dB[k]
 				}
-				if d := math.Abs(alphas[k]*sk - alphas[k2]*s2); d > newV {
-					newV = d
+				// Predicted local-skew guard: a move whose predicted |skew|
+				// pierces the pre-move per-corner ceiling would be rejected
+				// by the golden check anyway — filter it here so compliant
+				// moves surface in the ranking (the paper's "does not
+				// degrade local skew" constraint, applied at prediction
+				// time).
+				if math.Abs(sk) > s.guard[k] {
+					clear(g.touched[w+1 : hi+1]) // the bits clear for the next call
+					return math.Inf(-1)
+				}
+				post[k] = sk
+			}
+			newV := 0.0
+			for k := 0; k < K; k++ {
+				for k2 := k + 1; k2 < K; k2++ {
+					if d := math.Abs(alphas[k]*post[k] - alphas[k2]*post[k2]); d > newV {
+						newV = d
+					}
 				}
 			}
+			gain += s.pairVar[pi] - newV
 		}
-		gain += oldV - newV
 	}
 	return gain
 }

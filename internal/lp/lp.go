@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"skewvar/internal/resilience"
 )
@@ -291,9 +292,8 @@ type solver struct {
 	rho        []float64
 	rhoSeen    []bool
 	rhoVars    []int
-	// The [B | I] rows of refactor, allocated at the first one, and the
-	// scratch of refactor, of the dual values and of the basic values.
-	gj       [][]float64
+	// The scratch of refactor's pivot rows, of the dual values and of the
+	// basic values.
 	gjNZ     []int
 	y        []float64
 	costRows []int
@@ -949,15 +949,10 @@ func (s *solver) updateBinv(leave int, w []float64) {
 func (s *solver) refactor() bool {
 	s.refactors++
 	m := s.m
-	// Assemble [B | I] in the scratch rows, allocated once per solver size.
-	if len(s.gj) != m {
-		buf := make([]float64, 2*m*m)
-		s.gj = make([][]float64, m)
-		for i := range s.gj {
-			s.gj[i] = buf[2*m*i : 2*m*(i+1) : 2*m*(i+1)]
-		}
-	}
-	a := s.gj
+	// Assemble [B | I] in pooled scratch rows.
+	gj := gjPool.Get().(*gjScratch)
+	defer gjPool.Put(gj)
+	a := gj.rows(m)
 	for i := range a {
 		clear(a[i])
 		a[i][m+i] = 1
@@ -1021,6 +1016,33 @@ func (s *solver) refactor() bool {
 	}
 	s.sinceRefactor = 0
 	return true
+}
+
+// gjScratch holds refactor's [B | I]: m rows of 2m floats in one buffer.
+// It is dead once B⁻¹ is copied into binv, so solvers share it through
+// gjPool for the length of a refactor rather than each keeping 2m² floats
+// for life.
+type gjScratch struct {
+	buf []float64
+	row [][]float64
+}
+
+var gjPool = sync.Pool{New: func() interface{} { return new(gjScratch) }}
+
+// rows returns m rows of 2m floats. Their order is whatever the last
+// refactor of the same size left; refactor clears every row first.
+func (g *gjScratch) rows(m int) [][]float64 {
+	if len(g.row) == m {
+		return g.row
+	}
+	if cap(g.buf) < 2*m*m {
+		g.buf = make([]float64, 2*m*m)
+	}
+	g.row = g.row[:0]
+	for i := 0; i < m; i++ {
+		g.row = append(g.row, g.buf[2*m*i:2*m*(i+1):2*m*(i+1)])
+	}
+	return g.row
 }
 
 // nonbasicRHS returns b − N·x_N in s.rhs.
