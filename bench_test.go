@@ -461,6 +461,69 @@ func BenchmarkLPSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkLPResolve times the warm path, the bounded dual simplex and the
+// primal clean-up after it. Each op re-solves an LP of BenchmarkLPSolve's
+// shape (300 variables in [0, 2], 400 ≤ rows of six positive entries),
+// which maximizes here so that its optimum sits on its rows, after SetRHS
+// tightens four rows and AddConstraint cuts off the optimum. The ops cycle
+// through eight seeded LPs. Building, the cold solve and the edits run
+// outside the timer. lp-iters/op counts the re-solve's pivots.
+func BenchmarkLPResolve(b *testing.B) {
+	n, m := 300, 400
+	iters := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rng := rand.New(rand.NewSource(int64(i % 8)))
+		p := lp.NewProblem()
+		x0 := make([]float64, n)
+		for j := 0; j < n; j++ {
+			x0[j] = rng.Float64()
+			p.AddVar(0, 2, -rng.Float64(), "")
+		}
+		rhs := make([]float64, m)
+		for r := 0; r < m; r++ {
+			var idx []int
+			var coef []float64
+			var lhs float64
+			for k := 0; k < 6; k++ {
+				j := rng.Intn(n)
+				c := 0.2 + rng.Float64()
+				idx = append(idx, j)
+				coef = append(coef, c)
+				lhs += c * x0[j]
+			}
+			rhs[r] = lhs + 0.1
+			p.AddConstraint(lp.LE, rhs[r], idx, coef)
+		}
+		sol, err := p.Solve()
+		if err != nil || sol.Status != lp.Optimal {
+			b.Fatalf("cold solve failed: %v %v", err, sol)
+		}
+		for k := 0; k < 4; k++ {
+			r := rng.Intn(m)
+			p.SetRHS(r, 0.8*rhs[r])
+		}
+		var idx []int
+		var coef []float64
+		var lhs float64
+		for j, x := range sol.X {
+			if x > 0 && len(idx) < 8 {
+				idx = append(idx, j)
+				coef = append(coef, 1)
+				lhs += x
+			}
+		}
+		p.AddConstraint(lp.LE, 0.8*lhs, idx, coef)
+		b.StartTimer()
+		sol, err = p.Solve()
+		if err != nil || sol.Status != lp.Optimal || !sol.Warm {
+			b.Fatalf("re-solve failed: %v %v", err, sol)
+		}
+		iters += sol.Iterations
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "lp-iters/op")
+}
+
 // BenchmarkGlobalOpt runs the global stage on the job shape of bench/'s
 // global-lp workload: CLS1v1 with 160 flip-flops at testgen's default seed,
 // its top 60 sink pairs in one LP block, and skew targets from sta.Alphas.

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -169,6 +171,89 @@ func TestGlobalLPResolvesMatchCold(t *testing.T) {
 		}))
 	}
 	t.Logf("%d designs: %d warm re-solves, %d pivots", designs, warm, pivots)
+}
+
+// Digests of every block LP solve TestGlobalLPResolvesMatchCold records:
+// FNV-1a over each solve's error class, status, warm flag, iteration and
+// refactorization counts, and the bits of its objective and of each X, in
+// solve order, over the full pool and over the pool -short trims.
+const (
+	wantGlobalLPDigest      = 0x094403cc143395c7
+	wantGlobalLPDigestShort = 0x656dfa6c0368d5c0
+)
+
+// TestGlobalLPSolveDigest runs TestGlobalLPResolvesMatchCold's pool and
+// holds every solve and re-solve to the committed digest, bit for bit.
+func TestGlobalLPSolveDigest(t *testing.T) {
+	base, ch := testTech(t)
+	designs, want := 10, uint64(wantGlobalLPDigest)
+	if testing.Short() {
+		designs, want = 2, wantGlobalLPDigestShort
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	var solves int
+	add := func(recs []solveRecord) {
+		for _, r := range recs {
+			solves++
+			if r.err != nil {
+				put(1)
+			} else {
+				put(0)
+			}
+			if r.sol == nil {
+				put(math.MaxUint64)
+				continue
+			}
+			warm := uint64(0)
+			if r.sol.Warm {
+				warm = 1
+			}
+			put(uint64(r.sol.Status))
+			put(warm)
+			put(uint64(r.sol.Iterations))
+			put(uint64(r.sol.Refactors))
+			put(math.Float64bits(r.sol.Obj))
+			put(uint64(len(r.sol.X)))
+			for _, x := range r.sol.X {
+				put(math.Float64bits(x))
+			}
+		}
+	}
+	for k := 0; k < designs; k++ {
+		v := testgen.CLS1v1(160)
+		v.Seed += int64(k)
+		gd, _, err := testgen.Build(base, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, tm := readBack(t, gd)
+		add(recordSolves(t, func() {
+			if _, err := RunFlows(context.Background(), tm, ch, d, nil, FlowConfig{
+				TopPairs: 60, Global: GlobalConfig{MaxPairsPerLP: 60}, Only: []string{"global"}, Workers: 1,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		if k > 0 {
+			continue
+		}
+		alphas := sta.Alphas(tm.Analyze(d.Tree), d.TopPairs(60))
+		add(recordSolves(t, func() {
+			if _, err := GlobalOpt(context.Background(), tm, ch, d, alphas, GlobalConfig{
+				TopPairs: 60, MaxPairsPerLP: 60, FreeDelta: true,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("%d block LP solves: digest %#x, want %#x", solves, got, want)
+	}
 }
 
 func sameBits(a, b []float64) bool {

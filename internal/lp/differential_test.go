@@ -1,9 +1,12 @@
 package lp
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
@@ -76,15 +79,40 @@ func solveDiff(got *Solution, gotErr error, want *Solution, wantErr error) strin
 	return ""
 }
 
+// checkUnitFlags fails t unless every column of the kept solver's B⁻¹
+// that is flagged as a unit column e_k is exactly e_k: 1 at row k and ±0
+// elsewhere. A problem that keeps no solver passes.
+func checkUnitFlags(t testing.TB, p *Problem) {
+	t.Helper()
+	s := p.s
+	if s == nil {
+		return
+	}
+	if len(s.unit) != s.m {
+		t.Fatalf("%d unit flags for %d columns of B⁻¹", len(s.unit), s.m)
+	}
+	for i, k := range s.unit {
+		if k < 0 {
+			continue
+		}
+		for r, b := range s.binv[i*s.m : (i+1)*s.m] {
+			if r == int(k) && b != 1 || r != int(k) && b != 0 {
+				t.Fatalf("column %d of B⁻¹ is flagged e_%d, but its row %d holds %v", i, k, r, b)
+			}
+		}
+	}
+}
+
 // solve runs Solve and refSolve on p, which has not been solved before,
-// and fails t unless they agree bit for bit. Every LP this package's tests
-// solve cold goes through it.
+// and fails t unless they agree bit for bit and the kept solver's unit
+// flags hold. Every LP this package's tests solve cold goes through it.
 func solve(t testing.TB, p *Problem) (*Solution, error) {
 	t.Helper()
 	if p.s != nil {
 		t.Fatal("solve compares cold solves, but the problem keeps a solver")
 	}
 	sol, err := p.Solve()
+	checkUnitFlags(t, p)
 	ref, refErr := refSolve(p, p.maxIters)
 	if d := solveDiff(sol, err, ref, refErr); d != "" {
 		t.Fatalf("Solve differs from the reference solver: %s", d)
@@ -93,16 +121,17 @@ func solve(t testing.TB, p *Problem) (*Solution, error) {
 }
 
 // resolve re-solves p, which keeps the solver of an earlier solve, and
-// fails t unless the answer agrees with the reference solving the edited p
-// cold: the same status and error class, an objective within 1e-6
-// relative, and, for a warm answer, a certificate that still holds at the
-// kept basis. It returns the answer.
+// fails t unless the kept solver's unit flags hold and the answer agrees
+// with the reference solving the edited p cold: the same status and error
+// class, an objective within 1e-6 relative, and, for a warm answer, a
+// certificate that still holds at the kept basis. It returns the answer.
 func resolve(t testing.TB, p *Problem) *Solution {
 	t.Helper()
 	if p.s == nil {
 		t.Fatal("resolve needs a problem that keeps a solver")
 	}
 	sol, err := p.Solve()
+	checkUnitFlags(t, p)
 	ref, refErr := refSolve(p, p.maxIters)
 	if (err == nil) != (refErr == nil) || errors.Is(err, resilience.ErrSolver) != errors.Is(refErr, resilience.ErrSolver) {
 		t.Fatalf("re-solve error %v, reference %v", err, refErr)
@@ -317,30 +346,73 @@ func TestSolveMatchesReference(t *testing.T) {
 	}
 }
 
+// hashSolution adds a solve's answer to h: its status, warm flag,
+// iteration and refactorization counts, and the bits of its objective and
+// of each X. A nil answer adds one marker byte.
+func hashSolution(h hash.Hash64, sol *Solution) {
+	if sol == nil {
+		h.Write([]byte{0xff})
+		return
+	}
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	warm := uint64(0)
+	if sol.Warm {
+		warm = 1
+	}
+	put(uint64(sol.Status))
+	put(warm)
+	put(uint64(sol.Iterations))
+	put(uint64(sol.Refactors))
+	put(math.Float64bits(sol.Obj))
+	put(uint64(len(sol.X)))
+	for _, x := range sol.X {
+		put(math.Float64bits(x))
+	}
+}
+
+// Digests (hashSolution, FNV-1a) of every solve and re-solve
+// TestResolveMatchesReference runs, over its full family and over the
+// family -short trims. The reference check holds a re-solve to a cold
+// solve only by status and objective; these hold every bit of it.
+const (
+	wantResolveDigest      = 0x1043673268a5d8ea
+	wantResolveDigestShort = 0xce1a9c227b401caf
+)
+
 // TestResolveMatchesReference re-solves each mixed-family LP after rounds
 // of seeded edits (right-hand sides, bounds tightened, loosened and fixed,
 // rows added) and holds every re-solve to the reference solving the edited
 // LP cold (see resolve). Most re-solves must finish warm, and the warm
 // ones must take fewer pivots in total than cold solves of the same LPs.
+// Every answer, cold and warm, must hash to the committed digest.
 func TestResolveMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	type size struct{ draws, n, m int }
 	sizes := []size{{60, 12, 10}, {30, 60, 45}, {6, 200, 160}}
+	want := uint64(wantResolveDigest)
 	if testing.Short() {
 		sizes = []size{{30, 12, 10}, {6, 60, 45}}
+		want = wantResolveDigestShort
 	}
+	h := fnv.New64a()
 	statuses := map[Status]int{}
 	var resolves, warm, warmPivots, coldPivots int
 	for _, sz := range sizes {
 		for d := 0; d < sz.draws; d++ {
 			p := mixedLP(rng, sz.n, sz.m).build(false)
 			sol, err := solve(t, p)
+			hashSolution(h, sol)
 			if err != nil {
 				continue
 			}
 			for round := 0; round < 4 && p.s != nil; round++ {
 				editLP(rng, p, sol.X, 1+rng.Intn(4))
 				sol = resolve(t, p)
+				hashSolution(h, sol)
 				resolves++
 				if sol == nil {
 					continue
@@ -364,6 +436,9 @@ func TestResolveMatchesReference(t *testing.T) {
 	}
 	if warmPivots >= coldPivots {
 		t.Errorf("warm re-solves took %d pivots, cold solves of the same LPs %d", warmPivots, coldPivots)
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("solve digest %#x, want %#x", got, want)
 	}
 }
 

@@ -16,7 +16,10 @@
 // eliminates over the pivot row's nonzero columns. The pivot row of B⁻¹ is
 // about 10% nonzero on the global stage's LPs (docs/SOLVER.md), so a pivot
 // costs far less than the O(m²) of a dense sweep; refactorization and the
-// storage stay O(m²). Each value that is computed comes from the same
+// storage stay O(m²). A flag per column of B⁻¹ marks the exact unit
+// columns, most of them those of rows whose slack is basic, and FTRAN, the
+// pivot-row gather, the duals and the basic values read such a column as
+// its one entry. Each value that is computed comes from the same
 // floating-point operations, in the same order, as in a dense sweep, so a
 // cold Solve's results are bit for bit those of the dense solver (see
 // iterate).
@@ -281,6 +284,10 @@ type solver struct {
 	xN      []float64
 	xB      []float64
 	binv    []float64 // B⁻¹, column-major: binv[i*m+r] = (B⁻¹)ᵣᵢ
+	// unit[i] is k when column i of B⁻¹ is exactly e_k (1 at row k, ±0
+	// elsewhere) and −1 otherwise. A flag may be missing, which only costs
+	// time, but a flag that is set must hold, or bits change (see ftran).
+	unit []int32
 
 	rhsCache []float64 // original constraint RHS b
 	d        []float64 // reduced costs of all variables (0 for basic)
@@ -292,6 +299,9 @@ type solver struct {
 	rho        []float64
 	rhoSeen    []bool
 	rhoVars    []int
+	// The active phase's columns with a nonzero cost, ascending; iterate
+	// lists them at phase start for objective.
+	costCols []int
 	// The scratch of refactor's pivot rows, of the dual values and of the
 	// basic values.
 	gjNZ     []int
@@ -452,8 +462,10 @@ func newSolver(p *Problem, maxIters int) *solver {
 		s.rowOf[v] = r
 	}
 	s.binv = make([]float64, m*m)
+	s.unit = make([]int32, m)
 	for i := 0; i < m; i++ {
 		s.binv[i*m+i] = 1
+		s.unit[i] = int32(i)
 	}
 	s.sizeScratch()
 	return s
@@ -593,13 +605,15 @@ func restValue(lo, hi float64) float64 {
 	}
 }
 
-// objective returns the current active-cost objective value.
+// objective returns the current active-cost objective value. Its
+// nonbasic part walks only the columns of s.costCols: a skipped column
+// adds 0·x_j = ±0, which leaves a sum that began at +0 as it was.
 func (s *solver) objective() float64 {
 	var o float64
 	for r, v := range s.basis {
 		o += s.cost[v] * s.xB[r]
 	}
-	for j := 0; j < s.n; j++ {
+	for _, j := range s.costCols {
 		if s.rowOf[j] == -1 && s.xN[j] != 0 {
 			o += s.cost[j] * s.xN[j]
 		}
@@ -609,7 +623,8 @@ func (s *solver) objective() float64 {
 
 // duals sets y = c_B·B⁻¹ for the costs cost: y_i = Σ_r c_B,r·(B⁻¹)ᵣᵢ over
 // ascending r with c_B,r ≠ 0, one column of B⁻¹ at a time — the terms,
-// and the order, of a sweep over B⁻¹'s rows.
+// and the order, of a sweep over B⁻¹'s rows. A unit column e_k gives
+// +0 + c_B,k·1 = c_B,k, or +0 when c_B,k is zero.
 func (s *solver) duals(cost, y []float64) {
 	m := s.m
 	rows := s.costRows[:0]
@@ -620,6 +635,13 @@ func (s *solver) duals(cost, y []float64) {
 	}
 	s.costRows = rows
 	for i := range y {
+		if k := s.unit[i]; k >= 0 {
+			y[i] = 0
+			if c := cost[s.basis[k]]; c != 0 {
+				y[i] = c
+			}
+			continue
+		}
 		bc := s.binv[i*m : i*m+m]
 		var v float64
 		for _, r := range rows {
@@ -653,6 +675,8 @@ func (s *solver) recomputeReducedCosts() {
 }
 
 // ftran sets s.w = B⁻¹·A_q, one contiguous column of B⁻¹ per entry of A_q.
+// A unit column e_k adds its one product, 1·a = a, to w_k: every other
+// term it would add is ±0, and each w_i is a sum that began at +0.
 func (s *solver) ftran(q int) {
 	m := s.m
 	w := s.w
@@ -660,6 +684,10 @@ func (s *solver) ftran(q int) {
 	c := &s.cols[q]
 	for t, r := range c.idx {
 		av := c.val[t]
+		if k := s.unit[r]; k >= 0 {
+			w[k] += av
+			continue
+		}
 		for i, b := range s.binv[r*m : r*m+m] {
 			w[i] += b * av
 		}
@@ -671,11 +699,12 @@ func (s *solver) ftran(q int) {
 // matrix-row product per pivot) rather than recomputed from duals.
 //
 // The basis-inverse update, the reduced-cost update and the refactorization
-// skip every operation whose operand is an exact zero; each value they do
-// compute comes from the same operations, in the same order, as a dense
-// sweep's. With finite values a skipped x −= f·0 or Σ += a·0 can change at
-// most the sign of a zero, and no result reads one: the solver divides only
-// by |w_r| > pivTol, by w_leave and by Gauss–Jordan pivots ≥ 1e-12, tests
+// skip every operation whose operand is an exact zero, and so do the
+// products with B⁻¹'s unit columns (s.unit); each value they do compute
+// comes from the same operations, in the same order, as a dense sweep's.
+// With finite values a skipped x −= f·0 or Σ += a·0 can change at most the
+// sign of a zero, and no result reads one: the solver divides only by
+// |w_r| > pivTol, by w_leave and by Gauss–Jordan pivots ≥ 1e-12, tests
 // values against zero only with ==, != or a tolerance, and every sum that
 // feeds x_B, w, y or ρ starts at +0, which round-to-nearest never turns
 // into −0. reference_test.go holds Solve to the dense solver bit for bit.
@@ -685,6 +714,12 @@ func (s *solver) iterate() Status {
 	m := s.m
 	w := s.w
 	s.recomputeReducedCosts()
+	s.costCols = s.costCols[:0]
+	for j, c := range s.cost[:s.n] {
+		if c != 0 {
+			s.costCols = append(s.costCols, j)
+		}
+	}
 	blandActive := false
 	for {
 		if s.iters >= s.maxIters {
@@ -791,6 +826,12 @@ func (s *solver) iterate() Status {
 // d'_j = d_j − γ·ρ_j with ρ_j = (old B⁻¹ row leave)·A_j, and the departing
 // variable lands at d = −γ since ρ_lv = 1. pivot refactors every
 // refactorEvery pivots and reports false if that finds the basis singular.
+//
+// When the entering column is a unit column e_i (a slack, an artificial or
+// a structural with one entry of 1), w is column i of the old B⁻¹, so the
+// update set each entry r ≠ leave of the new column i to w_r − w_r·l with
+// l its new entry in row leave, and left the others at ±0. If l is exactly
+// 1, every such entry is +0, and column i is e_leave.
 func (s *solver) pivot(leave, enter int, entVal, gamma float64) bool {
 	lv := s.basis[leave]
 	s.rowOf[lv] = -1
@@ -805,6 +846,11 @@ func (s *solver) pivot(leave, enter int, entVal, gamma float64) bool {
 	}
 	s.d[enter] = 0
 	s.updateBinv(leave, s.w)
+	if c := &s.cols[enter]; len(c.idx) == 1 && c.val[0] == 1 {
+		if i := c.idx[0]; s.binv[i*s.m+leave] == 1 {
+			s.unit[i] = int32(leave)
+		}
+	}
 	s.sinceRefactor++
 	if s.sinceRefactor >= refactorEvery {
 		if !s.refactor() {
@@ -852,12 +898,20 @@ func (s *solver) price(bland bool) (enter, dir int) {
 }
 
 // gatherPivotRow copies row leave of B⁻¹, before the basis change, into
-// s.pivRow and lists its nonzero columns, ascending, in s.nzRow.
+// s.pivRow and lists its nonzero columns, ascending, in s.nzRow. A unit
+// column's entry is read from its flag: 1, or +0 for the ±0 it holds.
+// Only the Farkas ray of a re-solve reads pivRow's zeros, and only through
+// sums that begin at +0, where a zero's sign is lost.
 func (s *solver) gatherPivotRow(leave int) {
 	m := s.m
 	nz := s.nzRow[:0]
 	for i := 0; i < m; i++ {
-		v := s.binv[i*m+leave]
+		var v float64
+		if k := s.unit[i]; k < 0 {
+			v = s.binv[i*m+leave]
+		} else if int(k) == leave {
+			v = 1
+		}
 		s.pivRow[i] = v
 		if v != 0 {
 			nz = append(nz, i)
@@ -921,6 +975,7 @@ func (s *solver) clearRho() {
 // row leave, where w = B⁻¹·A_enter and s.pivRow holds the old row leave.
 // Only the columns where that row is nonzero change, and in each only the
 // rows where w is nonzero: (B⁻¹)ᵣᵢ −= w_r·l with l = (B⁻¹)_leave,i·(1/w_leave).
+// Each column it rewrites loses its unit flag.
 func (s *solver) updateBinv(leave int, w []float64) {
 	m := s.m
 	inv := 1 / w[leave]
@@ -932,6 +987,7 @@ func (s *solver) updateBinv(leave int, w []float64) {
 	}
 	s.nzW = nzW
 	for _, i := range s.nzRow {
+		s.unit[i] = -1
 		bc := s.binv[i*m : i*m+m]
 		l := s.pivRow[i] * inv
 		bc[leave] = l
@@ -1003,7 +1059,14 @@ func (s *solver) refactor() bool {
 	s.gjNZ = nz
 	// Recompute the basic values as x_B = B⁻¹(b − N·x_N) from the cached
 	// right-hand side b, reading B⁻¹ from the row-major result before it is
-	// transposed into s.binv.
+	// transposed into s.binv. The transpose flags the unit columns: a
+	// column's first nonzero, if it is 1, sets its row, and any further
+	// nonzero clears it.
+	const noEntry = -2
+	unit := s.unit
+	for i := range unit {
+		unit[i] = noEntry
+	}
 	rhs := s.nonbasicRHS()
 	for r := 0; r < m; r++ {
 		row := a[r][m:]
@@ -1011,8 +1074,20 @@ func (s *solver) refactor() bool {
 		for i, b := range row {
 			v += b * rhs[i]
 			s.binv[i*m+r] = b
+			if b != 0 {
+				if b == 1 && unit[i] == noEntry {
+					unit[i] = int32(r)
+				} else {
+					unit[i] = -1
+				}
+			}
 		}
 		s.xB[r] = v
+	}
+	for i, k := range unit {
+		if k == noEntry {
+			unit[i] = -1
+		}
 	}
 	s.sinceRefactor = 0
 	return true

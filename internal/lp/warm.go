@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"cmp"
 	"math"
 	"slices"
 )
@@ -104,6 +103,7 @@ func (s *solver) sync(p *Problem) bool {
 		}
 		s.m, s.n = m, len(s.cols)
 		s.binv = make([]float64, m*m)
+		s.unit = make([]int32, m)
 		s.sizeScratch()
 		if !s.refactor() {
 			return false
@@ -156,12 +156,17 @@ func (s *solver) placeNonbasics() bool {
 }
 
 // computeXB sets the basic values to x_B = B⁻¹(b − N·x_N), one column of
-// B⁻¹ per nonzero entry of b − N·x_N.
+// B⁻¹ per nonzero entry of b − N·x_N. A unit column e_k adds only to x_k,
+// as in ftran.
 func (s *solver) computeXB() {
 	m := s.m
 	clear(s.xB)
 	for i, v := range s.nonbasicRHS() {
 		if v == 0 {
+			continue
+		}
+		if k := s.unit[i]; k >= 0 {
+			s.xB[k] += v
 			continue
 		}
 		for r, b := range s.binv[i*m : i*m+m] {
@@ -268,6 +273,11 @@ type breakpoint struct {
 	a, t float64
 }
 
+// before orders breakpoints by ratio, then by variable.
+func (x breakpoint) before(y breakpoint) bool {
+	return x.t < y.t || x.t == y.t && x.j < y.j
+}
+
 // dualRatio is the bound-flipping dual ratio test for a leaving row with
 // pivot-row entries α_j = s.rho[j], direction sigma and bound violation
 // excess. A nonbasic j is a breakpoint of the dual step when its reduced
@@ -276,12 +286,14 @@ type breakpoint struct {
 // it at t_j = d_j/α̂_j. Passing a boxed breakpoint flips the variable to
 // its other bound, which lowers the leaving row's violation — the dual
 // objective's slope — by |α̂_j|·(hi_j − lo_j). The test passes breakpoints
-// in ratio order while the slope stays positive; those are listed in
-// s.flips. Among the rest it applies Harris's two passes: the smallest
-// ratio with each reduced cost relaxed by optTol bounds the step, and the
-// largest |α̂_j| within it enters, which keeps the pivot element large.
-// It returns the entering variable, or −1 with the remaining slope when
-// the violation outlasts every breakpoint.
+// in (t, j) order while the slope stays positive; those are listed in
+// s.flips. It draws them from a min-heap, so only the passed ones and the
+// one that stops the walk are ordered. Among the rest it applies Harris's
+// two passes: the smallest ratio with each reduced cost relaxed by optTol
+// bounds the step, and the largest |α̂_j| within it enters, the least
+// (t, j) among equals, which keeps the pivot element large. It returns the
+// entering variable, or −1 with the remaining slope when the violation
+// outlasts every breakpoint.
 func (s *solver) dualRatio(sigma, excess float64) (enter int, slope float64) {
 	const pivTol = 1e-9
 	bps := s.bps[:0]
@@ -291,52 +303,75 @@ func (s *solver) dualRatio(sigma, excess float64) (enter int, slope float64) {
 			bps = append(bps, breakpoint{j, a, math.Max(0, s.d[j]/a)})
 		}
 	}
-	slices.SortFunc(bps, func(x, y breakpoint) int {
-		if c := cmp.Compare(x.t, y.t); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.j, y.j)
-	})
 	s.bps = bps
+	for i := len(bps)/2 - 1; i >= 0; i-- {
+		siftDown(bps, i)
+	}
 	slope = math.Abs(excess)
-	k := 0
-	for ; k < len(bps); k++ {
-		j := bps[k].j
+	s.flips = s.flips[:0]
+	for len(bps) > 0 {
+		j := bps[0].j
 		if math.IsInf(s.lo[j], -1) || math.IsInf(s.hi[j], 1) {
 			break
 		}
-		if slope -= math.Abs(bps[k].a) * (s.hi[j] - s.lo[j]); slope <= 0 {
+		if slope -= math.Abs(bps[0].a) * (s.hi[j] - s.lo[j]); slope <= 0 {
 			break
 		}
+		s.flips = append(s.flips, j)
+		last := len(bps) - 1
+		bps[0] = bps[last]
+		bps = bps[:last]
+		siftDown(bps, 0)
 	}
-	s.flips = s.flips[:0]
-	if k == len(bps) {
+	if len(bps) == 0 {
+		s.flips = s.flips[:0]
 		return -1, slope
 	}
 	bound := math.Inf(1)
-	for _, bp := range bps[k:] {
+	for _, bp := range bps {
 		relax := optTol
 		if bp.a < 0 {
 			relax = -optTol
 		}
 		bound = math.Min(bound, (s.d[bp.j]+relax)/bp.a)
 	}
-	enter, best := -1, 0.0
-	for _, bp := range bps[k:] {
-		if bp.t <= bound && math.Abs(bp.a) > best {
-			enter, best = bp.j, math.Abs(bp.a)
+	enter, best := -1, breakpoint{}
+	for _, bp := range bps {
+		if a := math.Abs(bp.a); bp.t <= bound && (enter < 0 || a > math.Abs(best.a) || a == math.Abs(best.a) && bp.before(best)) {
+			enter, best = bp.j, bp
 		}
-	}
-	for _, bp := range bps[:k] {
-		s.flips = append(s.flips, bp.j)
 	}
 	return enter, slope
 }
 
+// siftDown restores the min-heap order of h (by breakpoint.before) below
+// position i.
+func siftDown(h []breakpoint, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // flipBounds moves every variable in s.flips to its other bound and the
-// basic values with them: x_B −= B⁻¹·Σ_j A_j·Δx_j.
+// basic values with them: x_B −= B⁻¹·Σ_j A_j·Δx_j. x_B is not a fresh sum,
+// and x − (±0) differs from x only when x is −0 (−0 − −0 = +0), so a unit
+// column e_k subtracts from x_k alone only while no basic value is −0. A
+// subtraction never makes a −0 of a value that was not one, so one scan
+// before the sweep settles it.
 func (s *solver) flipBounds() {
 	m := s.m
+	units := !slices.ContainsFunc(s.xB, isNegZero)
 	delta := s.rhs
 	clear(delta)
 	for _, j := range s.flips {
@@ -357,11 +392,17 @@ func (s *solver) flipBounds() {
 		if v == 0 {
 			continue
 		}
+		if k := s.unit[i]; k >= 0 && units {
+			s.xB[k] -= v
+			continue
+		}
 		for r, b := range s.binv[i*m : i*m+m] {
 			s.xB[r] -= b * v
 		}
 	}
 }
+
+func isNegZero(x float64) bool { return x == 0 && math.Signbit(x) }
 
 // bindsDual reports whether nonbasic j, with signed pivot-row entry a,
 // is a breakpoint of the dual step (see dualRatio).
