@@ -122,9 +122,9 @@ bench-check:
 # test's heap against a sort of every breakpoint, the scratch-built route
 # builders against their allocating reference, the Algorithm-1 search
 # against its per-candidate reference, the flat RC layout against
-# rctree.Builder, the local stage's top-move selection against a stable
-# sort of every move (the last six bit-identical), and skewlint's CFG
-# builder on arbitrary function bodies.
+# rctree's test-only oracle tree (reference_test.go), the local stage's
+# top-move selection against a stable sort of every move (the last six
+# bit-identical), and skewlint's CFG builder on arbitrary function bodies.
 fuzz:
 	$(GO) test ./internal/edaio/ -run '^$$' -fuzz FuzzReadDesign -fuzztime 30s
 	$(GO) test ./internal/edaio/atomicio/ -run '^$$' -fuzz FuzzReadFrame -fuzztime 30s
@@ -150,4 +150,4 @@ help:
 	@echo "load-e2e         skewload load/durability end-to-end (group commit vs per-line fsync)"
 	@echo "journal-e2e      storage-fault end-to-end (compaction crash boundaries, disk-fault matrix, scrub)"
 	@echo "bench-check      vet + test + skewlint the bench/ pipeline-benchmark module"
-	@echo "fuzz             30s fuzz each: design reader, journal frames, LP solver, dual ratio test, route builders, Algorithm-1 search, flat RC trees, top-move selection, CFG builder"
+	@echo "fuzz             30s fuzz each: design reader, journal frames, LP solver, dual ratio test, route builders, Algorithm-1 search, flat RC trees vs their test oracle, top-move selection, CFG builder"

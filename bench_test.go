@@ -424,83 +424,82 @@ func BenchmarkRSMT(b *testing.B) {
 	}
 }
 
-func BenchmarkLPSolve(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
+// benchLP builds LP number seed of the LP benchmarks: 300 variables in
+// [0, 2] with negative costs, so it maximizes and its optimum sits on its
+// rows, and 400 ≤ rows of six positive entries, each 0.1 above its value
+// at a random point of [0, 1)³⁰⁰. It returns the rows' right-hand sides and
+// the generator, for edits drawn after the build.
+func benchLP(seed int64) (*lp.Problem, []float64, *rand.Rand) {
 	n, m := 300, 400
-	build := func() *lp.Problem {
-		p := lp.NewProblem()
-		x0 := make([]float64, n)
-		for j := 0; j < n; j++ {
-			x0[j] = rng.Float64()
-			p.AddVar(0, 2, rng.Float64(), "")
-		}
-		for r := 0; r < m; r++ {
-			var idx []int
-			var coef []float64
-			var lhs float64
-			for k := 0; k < 6; k++ {
-				j := rng.Intn(n)
-				c := 0.2 + rng.Float64()
-				idx = append(idx, j)
-				coef = append(coef, c)
-				lhs += c * x0[j]
-			}
-			p.AddConstraint(lp.LE, lhs+0.1, idx, coef)
-		}
-		return p
+	rng := rand.New(rand.NewSource(seed))
+	p := lp.NewProblem()
+	x0 := make([]float64, n)
+	for j := 0; j < n; j++ {
+		x0[j] = rng.Float64()
+		p.AddVar(0, 2, -rng.Float64())
 	}
-	probs := make([]*lp.Problem, b.N)
-	for i := range probs {
-		probs[i] = build()
+	rhs := make([]float64, m)
+	for r := 0; r < m; r++ {
+		var idx []int
+		var coef []float64
+		var lhs float64
+		for k := 0; k < 6; k++ {
+			j := rng.Intn(n)
+			c := 0.2 + rng.Float64()
+			idx = append(idx, j)
+			coef = append(coef, c)
+			lhs += c * x0[j]
+		}
+		rhs[r] = lhs + 0.1
+		p.AddConstraint(lp.LE, rhs[r], idx, coef)
 	}
+	return p, rhs, rng
+}
+
+// BenchmarkLPSolve times the cold path, the primal simplex from the slack
+// basis. Each op solves a fresh copy of one of benchLP's eight seeded LPs,
+// built once and copied outside the timer, so an op's work does not depend
+// on b.N. lp-iters/op counts the pivots; an op of fewer than 100 fails the
+// run, since it would time set-up rather than the simplex.
+func BenchmarkLPSolve(b *testing.B) {
+	probs := make([]*lp.Problem, 8)
+	for s := range probs {
+		probs[s], _, _ = benchLP(int64(s))
+	}
+	iters := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sol, err := probs[i].Solve(); err != nil || sol.Status != lp.Optimal {
+		b.StopTimer()
+		p := probs[i%len(probs)].Clone()
+		b.StartTimer()
+		sol, err := p.Solve()
+		if err != nil || sol.Status != lp.Optimal {
 			b.Fatalf("solve failed: %v %v", err, sol)
 		}
+		if sol.Iterations < 100 {
+			b.Fatalf("op %d solved in %d pivots, want at least 100", i, sol.Iterations)
+		}
+		iters += sol.Iterations
 	}
+	b.ReportMetric(float64(iters)/float64(b.N), "lp-iters/op")
 }
 
 // BenchmarkLPResolve times the warm path, the bounded dual simplex and the
-// primal clean-up after it. Each op re-solves an LP of BenchmarkLPSolve's
-// shape (300 variables in [0, 2], 400 ≤ rows of six positive entries),
-// which maximizes here so that its optimum sits on its rows, after SetRHS
-// tightens four rows and AddConstraint cuts off the optimum. The ops cycle
-// through eight seeded LPs. Building, the cold solve and the edits run
-// outside the timer. lp-iters/op counts the re-solve's pivots.
+// primal clean-up after it. Each op re-solves one of benchLP's eight
+// seeded LPs after SetRHS tightens four rows and AddConstraint cuts off
+// the optimum. Building, the cold solve and the edits run outside the
+// timer. lp-iters/op counts the re-solve's pivots.
 func BenchmarkLPResolve(b *testing.B) {
-	n, m := 300, 400
 	iters := 0
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		rng := rand.New(rand.NewSource(int64(i % 8)))
-		p := lp.NewProblem()
-		x0 := make([]float64, n)
-		for j := 0; j < n; j++ {
-			x0[j] = rng.Float64()
-			p.AddVar(0, 2, -rng.Float64(), "")
-		}
-		rhs := make([]float64, m)
-		for r := 0; r < m; r++ {
-			var idx []int
-			var coef []float64
-			var lhs float64
-			for k := 0; k < 6; k++ {
-				j := rng.Intn(n)
-				c := 0.2 + rng.Float64()
-				idx = append(idx, j)
-				coef = append(coef, c)
-				lhs += c * x0[j]
-			}
-			rhs[r] = lhs + 0.1
-			p.AddConstraint(lp.LE, rhs[r], idx, coef)
-		}
+		p, rhs, rng := benchLP(int64(i % 8))
 		sol, err := p.Solve()
 		if err != nil || sol.Status != lp.Optimal {
 			b.Fatalf("cold solve failed: %v %v", err, sol)
 		}
 		for k := 0; k < 4; k++ {
-			r := rng.Intn(m)
+			r := rng.Intn(len(rhs))
 			p.SetRHS(r, 0.8*rhs[r])
 		}
 		var idx []int

@@ -19,8 +19,8 @@ import (
 // derives them): BuildDataset(Default28nm, 4, 8, 1) made 3,986 allocations
 // once the routes, the ridge view, the fanout lists and Enumerate's buffer
 // list stopped allocating (8,229 before, 510,982 when every stage rebuilt
-// its RC trees through rctree.Builder), and its ceiling is a quarter above
-// that; a warm Gain call makes none.
+// its RC trees through rctree's pointer-based Builder, since removed), and
+// its ceiling is a quarter above that; a warm Gain call makes none.
 const (
 	maxDatasetAllocs = 4983
 	maxGainAllocs    = 0

@@ -20,7 +20,9 @@ import (
 // referenceStageFeatures is the per-(driver, pin) stage estimator the
 // production path replaced, kept as the oracle its differential test
 // compares against: every stage rebuilds both routes' RC trees at every
-// corner through rctree.Builder, walking each route with a map-keyed BFS.
+// corner on a fresh rctree.Flat (no Replay, cache or pool), walking each
+// route with a map-keyed BFS. It shares Flat's moment arithmetic with the
+// production path; rctree's oracle (FuzzBuildFlatTree) checks that.
 func referenceStageFeatures(t *tech.Tech, tr *ctree.Tree, d, pin ctree.NodeID, slews []float64) [][]float64 {
 	dn := tr.Node(d)
 	cell := t.CellByName(dn.CellName)
@@ -89,8 +91,9 @@ func zeroRows(n, width int) [][]float64 {
 // referenceRouteToRC converts a routing tree into an RC tree at corner k,
 // attaching pin loads. It returns the RC and the rc-node index per route
 // pin index.
-func referenceRouteToRC(t *tech.Tech, tr *ctree.Tree, rt *route.Tree, pins []ctree.NodeID, k int) (*rctree.RC, map[int]int) {
-	b := rctree.NewBuilder(0)
+func referenceRouteToRC(t *tech.Tech, tr *ctree.Tree, rt *route.Tree, pins []ctree.NodeID, k int) (*rctree.Flat, map[int]int) {
+	b := &rctree.Flat{}
+	b.Reset(0)
 	rcOf := map[int]int{0: 0}
 	pinNode := map[int]int{0: 0}
 	// BFS so parents are materialized first.
@@ -115,7 +118,7 @@ func referenceRouteToRC(t *tech.Tech, tr *ctree.Tree, rt *route.Tree, pins []ctr
 		}
 		queue = append(queue, rt.Children(ri)...)
 	}
-	return b.Done(), pinNode
+	return b, pinNode
 }
 
 // estimatorCase is one design of the estimator's differential corpus.

@@ -55,11 +55,13 @@ type FlowConfig struct {
 	// scoring and golden trials (cmd/skewopt's -j flag). The timer is
 	// serial. 0 = runtime.GOMAXPROCS(0); 1 = the exact serial path.
 	// Results — FlowResult metrics and checkpoint bytes — are identical at
-	// any setting. A LocalConfig.Workers value, when set, takes precedence.
+	// any setting. RunFlows sets LocalConfig.Workers to it.
 	Workers int
 
 	// Faults is an optional deterministic fault injector threaded into every
-	// stage (nil = no injection).
+	// stage (nil = no injection). RunFlows sets both stage configs' Faults
+	// to it and their Rec to the flow's own recorder, whose counts become
+	// FlowResult.Faults.
 	Faults *faults.Injector
 
 	// Checkpoint enables periodic checkpointing; Resume restarts from a
@@ -70,9 +72,8 @@ type FlowConfig struct {
 	// Obs, when non-nil, receives the run's trace (flow/flow.stage spans,
 	// checkpoint and fault events, plus the stage-level spans of GlobalOpt,
 	// LocalOpt, and the timer) and metrics (docs/OBSERVABILITY.md). It is
-	// installed on the timer and propagated to both stage configs unless
-	// they carry their own. Nil (the default) keeps every instrumentation
-	// site a no-op.
+	// installed on the timer and set on both stage configs. Nil (the
+	// default) keeps every instrumentation site a no-op.
 	Obs *obs.Recorder
 
 	// Logf receives degradation warnings (nil = silent).
@@ -253,30 +254,12 @@ func RunFlows(ctx context.Context, tm *sta.Timer, ch *lut.Char, d *ctree.Design,
 
 	gcfg := cfg.Global
 	gcfg.TopPairs = cfg.TopPairs
-	if gcfg.Faults == nil {
-		gcfg.Faults = cfg.Faults
-	}
-	if gcfg.Rec == nil {
-		gcfg.Rec = rec
-	}
-	if gcfg.Obs == nil {
-		gcfg.Obs = cfg.Obs
-	}
+	gcfg.Faults, gcfg.Rec, gcfg.Obs = cfg.Faults, rec, cfg.Obs
 	lcfg := cfg.Local
 	lcfg.Model = model
 	lcfg.TopPairs = cfg.TopPairs
-	if lcfg.Faults == nil {
-		lcfg.Faults = cfg.Faults
-	}
-	if lcfg.Rec == nil {
-		lcfg.Rec = rec
-	}
-	if lcfg.Workers == 0 {
-		lcfg.Workers = workers
-	}
-	if lcfg.Obs == nil {
-		lcfg.Obs = cfg.Obs
-	}
+	lcfg.Faults, lcfg.Rec, lcfg.Obs = cfg.Faults, rec, cfg.Obs
+	lcfg.Workers = workers
 
 	// runLocal runs one local stage on base with mid-stage checkpointing
 	// and resume. It returns the stage's tree, if any, and the last

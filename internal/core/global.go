@@ -40,14 +40,14 @@ type GlobalConfig struct {
 
 	// Faults is an optional deterministic fault injector (nil = no
 	// injection); Rec receives fault counts from the degradation paths
-	// (nil = not recorded). Both are normally threaded in by RunFlows.
+	// (nil = not recorded). RunFlows overwrites both with the flow's.
 	Faults *faults.Injector
 	Rec    *resilience.Recorder
 
 	// Obs, when non-nil, receives the global.opt/global.sweep span tree,
 	// lp.solve and global.budget_halved events, and the LP counters
-	// (docs/OBSERVABILITY.md). Normally set by RunFlows. Nil keeps
-	// instrumentation free.
+	// (docs/OBSERVABILITY.md). RunFlows overwrites it with FlowConfig.Obs.
+	// Nil keeps instrumentation free.
 	Obs *obs.Recorder
 
 	// FreeDelta switches to the paper's literal formulation with an
@@ -632,7 +632,7 @@ func buildBlockLP(tm *sta.Timer, reb *eco.Rebuilder, tree *ctree.Tree, blk, allP
 	addVar := func(lo, hi, cost float64) int {
 		bl.lo = append(bl.lo, lo)
 		bl.hi = append(bl.hi, hi)
-		return prob.AddVar(lo, hi, cost, "")
+		return prob.AddVar(lo, hi, cost)
 	}
 	for _, ai := range arcs {
 		frozen := external[ai]

@@ -72,10 +72,10 @@ func TestArcKnobsDeltaAndAppend(t *testing.T) {
 		slopeW: []float64{0.1, 0.2},
 		prof:   []float64{1.0, 1.8},
 	}
-	v.wp = prob.AddVar(0, 100, 1, "")
-	v.wm = prob.AddVar(0, 100, 1, "")
-	v.gp = prob.AddVar(0, 100, 1, "")
-	v.gm = prob.AddVar(0, 100, 1, "")
+	v.wp = prob.AddVar(0, 100, 1)
+	v.wm = prob.AddVar(0, 100, 1)
+	v.gp = prob.AddVar(0, 100, 1)
+	v.gm = prob.AddVar(0, 100, 1)
 	sol := &lp.Solution{X: []float64{30, 10, 5, 2}} // w=20, g=3
 	if d := v.delta(sol, 0); math.Abs(d-(0.1*20+1.0*3)) > 1e-12 {
 		t.Errorf("delta c0 = %v", d)

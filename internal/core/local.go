@@ -46,7 +46,8 @@ type LocalConfig struct {
 	// path). Concurrent trials share the caller's timer. Results are
 	// identical at any setting: trials write to indexed slots and the
 	// winner is reduced deterministically by (score, move index), never by
-	// completion order.
+	// completion order. RunFlows overwrites it with the flow's worker
+	// count (FlowConfig.Workers).
 	Workers int
 
 	// StartIter resumes the iteration count from a checkpoint: the loop
@@ -60,13 +61,15 @@ type LocalConfig struct {
 	OnIter func(iter int, tree *ctree.Tree)
 
 	// Faults is an optional deterministic fault injector (nil = none); Rec
-	// counts absorbed faults (nil = not recorded). Normally set by RunFlows.
+	// counts absorbed faults (nil = not recorded). RunFlows overwrites both
+	// with the flow's.
 	Faults *faults.Injector
 	Rec    *resilience.Recorder
 
 	// Obs, when non-nil, receives the local.opt/local.iter span tree,
 	// local.accept events, and the move trial counters (docs/OBSERVABILITY.md).
-	// Normally set by RunFlows. Nil keeps instrumentation free.
+	// RunFlows overwrites it with FlowConfig.Obs. Nil keeps instrumentation
+	// free.
 	Obs *obs.Recorder
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"skewvar/internal/ctree"
 	"skewvar/internal/faults"
+	"skewvar/internal/obs"
 	"skewvar/internal/resilience"
 	"skewvar/internal/sta"
 )
@@ -88,6 +89,57 @@ func TestFaultClassesDegradeGracefully(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunFlowsOwnsStagePlumbing pins the Degraded contract against stage
+// configs that carry their own plumbing: RunFlows sets both stages'
+// Faults, Rec and Obs to the flow's, so a foreign recorder, injector or
+// trace recorder set through FlowConfig.Global/Local can neither swallow a
+// fault the flow must report nor take the stages' spans from the flow's
+// trace.
+func TestRunFlowsOwnsStagePlumbing(t *testing.T) {
+	d, tm := smallDesign(t, 100)
+	_, ch := testTech(t)
+	model := cheapModel(t, tm.Tech)
+	for _, foreignFaults := range []bool{false, true} {
+		in := faults.New(42)
+		in.Arm(faults.LPSolve, faults.Spec{First: 1})
+		in.Arm(faults.MoveApply, faults.Spec{First: 1})
+		foreignRec, foreignObs, flowObs := resilience.NewRecorder(), obs.New(), obs.New()
+
+		cfg := fastFlowConfig()
+		cfg.Only = []string{"global", "local"}
+		cfg.Workers = 1
+		cfg.Faults, cfg.Obs = in, flowObs
+		cfg.Global.Rec, cfg.Global.Obs = foreignRec, foreignObs
+		cfg.Local.Rec, cfg.Local.Obs = foreignRec, foreignObs
+		if foreignFaults {
+			// Unarmed injectors of the stages' own.
+			cfg.Global.Faults, cfg.Local.Faults = faults.New(1), faults.New(1)
+		}
+		res, err := RunFlows(context.Background(), tm, ch, d, model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Degraded || res.Faults["lp-solve"] == 0 || res.Faults["move-apply"] == 0 {
+			t.Errorf("foreign faults %v: Degraded = %v, Faults = %v; want both stages' injected faults reported",
+				foreignFaults, res.Degraded, res.Faults)
+		}
+		if n := foreignRec.Total(); n != 0 {
+			t.Errorf("foreign faults %v: a stage's own recorder took %d faults: %v", foreignFaults, n, foreignRec.Counts())
+		}
+		if recs := foreignObs.Records(); len(recs) != 0 {
+			t.Errorf("foreign faults %v: a stage's own trace recorder took %d records", foreignFaults, len(recs))
+		}
+		spans := map[string]bool{}
+		for _, r := range flowObs.Records() {
+			spans[r.Name] = true
+		}
+		if !spans["global.opt"] || !spans["local.opt"] {
+			t.Errorf("foreign faults %v: flow trace lacks a stage span: global.opt %v, local.opt %v",
+				foreignFaults, spans["global.opt"], spans["local.opt"])
+		}
 	}
 }
 

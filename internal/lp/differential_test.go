@@ -37,7 +37,7 @@ type rowSpec struct {
 func (sp *lpSpec) build(keepZeros bool) *Problem {
 	p := NewProblem()
 	for _, v := range sp.vars {
-		p.AddVar(v.lo, v.hi, v.cost, "")
+		p.AddVar(v.lo, v.hi, v.cost)
 	}
 	for _, r := range sp.rows {
 		if keepZeros {

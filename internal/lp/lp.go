@@ -79,7 +79,6 @@ func (s Status) String() string {
 // scratch), and the next Solve re-optimizes from that basis.
 type Problem struct {
 	lo, hi, cost []float64
-	names        []string
 
 	rowSense []Sense
 	rowRHS   []float64
@@ -119,21 +118,21 @@ func (p *Problem) Err() error { return p.err }
 // (NaN, lo > hi) record a sticky error reported by Err/Solve; the variable is
 // still appended (with zeroed bounds) so indices stay consistent. A variable
 // added after a solve makes the next Solve a cold one.
-func (p *Problem) AddVar(lo, hi, cost float64, name string) int {
+func (p *Problem) AddVar(lo, hi, cost float64) int {
+	j := len(p.lo)
 	switch {
 	case math.IsNaN(lo) || math.IsNaN(hi) || math.IsNaN(cost):
-		p.fail("lp: variable %q has NaN bound or cost (lo %v, hi %v, cost %v)", name, lo, hi, cost)
+		p.fail("lp: variable %d has NaN bound or cost (lo %v, hi %v, cost %v)", j, lo, hi, cost)
 		lo, hi, cost = 0, 0, 0
 	case lo > hi:
-		p.fail("lp: variable %q has lo %v > hi %v", name, lo, hi)
+		p.fail("lp: variable %d has lo %v > hi %v", j, lo, hi)
 		lo, hi = 0, 0
 	}
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
 	p.cost = append(p.cost, cost)
-	p.names = append(p.names, name)
 	p.s = nil
-	return len(p.lo) - 1
+	return j
 }
 
 // SetBounds changes variable j's bounds to [lo, hi]. Invalid inputs (an
@@ -144,9 +143,9 @@ func (p *Problem) SetBounds(j int, lo, hi float64) {
 	case j < 0 || j >= len(p.lo):
 		p.fail("lp: SetBounds on unknown variable %d", j)
 	case math.IsNaN(lo) || math.IsNaN(hi):
-		p.fail("lp: variable %q gets a NaN bound (lo %v, hi %v)", p.names[j], lo, hi)
+		p.fail("lp: variable %d gets a NaN bound (lo %v, hi %v)", j, lo, hi)
 	case lo > hi:
-		p.fail("lp: variable %q gets lo %v > hi %v", p.names[j], lo, hi)
+		p.fail("lp: variable %d gets lo %v > hi %v", j, lo, hi)
 	default:
 		p.lo[j], p.hi[j] = lo, hi
 	}
@@ -171,7 +170,6 @@ func (p *Problem) Clone() *Problem {
 	// Rows are never changed in place, so the copy shares them.
 	return &Problem{
 		lo: slices.Clone(p.lo), hi: slices.Clone(p.hi), cost: slices.Clone(p.cost),
-		names:    slices.Clone(p.names),
 		rowSense: slices.Clone(p.rowSense), rowRHS: slices.Clone(p.rowRHS),
 		rowIdx: slices.Clone(p.rowIdx), rowCoef: slices.Clone(p.rowCoef),
 		err: p.err, maxIters: p.maxIters,

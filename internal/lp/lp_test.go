@@ -55,8 +55,8 @@ func TestSimple2D(t *testing.T) {
 	// max x+y s.t. x+2y ≤ 4, 3x+y ≤ 6, x,y ≥ 0 → minimize -(x+y).
 	// Optimum at intersection: x=8/5, y=6/5, obj = 14/5.
 	p := NewProblem()
-	x := p.AddVar(0, Inf, -1, "x")
-	y := p.AddVar(0, Inf, -1, "y")
+	x := p.AddVar(0, Inf, -1)
+	y := p.AddVar(0, Inf, -1)
 	p.AddConstraint(LE, 4, []int{x, y}, []float64{1, 2})
 	p.AddConstraint(LE, 6, []int{x, y}, []float64{3, 1})
 	sol := solveOK(t, p)
@@ -72,8 +72,8 @@ func TestSimple2D(t *testing.T) {
 func TestEqualityAndGE(t *testing.T) {
 	// min 2x+3y s.t. x+y = 10, x ≥ 3, y ≥ 2  → x=8,y=2, obj=22.
 	p := NewProblem()
-	x := p.AddVar(3, Inf, 2, "x")
-	y := p.AddVar(2, Inf, 3, "y")
+	x := p.AddVar(3, Inf, 2)
+	y := p.AddVar(2, Inf, 3)
 	p.AddConstraint(EQ, 10, []int{x, y}, []float64{1, 1})
 	sol := solveOK(t, p)
 	feasCheck(t, p, sol.X, 1e-7)
@@ -85,8 +85,8 @@ func TestEqualityAndGE(t *testing.T) {
 func TestGEConstraintPhase1(t *testing.T) {
 	// min x+y s.t. x+y ≥ 5, x ≤ 3, x,y ≥ 0 → obj 5.
 	p := NewProblem()
-	x := p.AddVar(0, 3, 1, "x")
-	y := p.AddVar(0, Inf, 1, "y")
+	x := p.AddVar(0, 3, 1)
+	y := p.AddVar(0, Inf, 1)
 	p.AddConstraint(GE, 5, []int{x, y}, []float64{1, 1})
 	sol := solveOK(t, p)
 	feasCheck(t, p, sol.X, 1e-7)
@@ -97,7 +97,7 @@ func TestGEConstraintPhase1(t *testing.T) {
 
 func TestInfeasible(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar(0, 1, 1, "x")
+	x := p.AddVar(0, 1, 1)
 	p.AddConstraint(GE, 5, []int{x}, []float64{1})
 	sol, err := solve(t, p)
 	if err != nil {
@@ -110,8 +110,8 @@ func TestInfeasible(t *testing.T) {
 
 func TestInfeasibleContradiction(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar(-Inf, Inf, 0, "x")
-	y := p.AddVar(-Inf, Inf, 0, "y")
+	x := p.AddVar(-Inf, Inf, 0)
+	y := p.AddVar(-Inf, Inf, 0)
 	p.AddConstraint(EQ, 1, []int{x, y}, []float64{1, 1})
 	p.AddConstraint(EQ, 3, []int{x, y}, []float64{1, 1})
 	sol, _ := solve(t, p)
@@ -122,8 +122,8 @@ func TestInfeasibleContradiction(t *testing.T) {
 
 func TestUnbounded(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar(0, Inf, -1, "x")
-	y := p.AddVar(0, Inf, 0, "y")
+	x := p.AddVar(0, Inf, -1)
+	y := p.AddVar(0, Inf, 0)
 	p.AddConstraint(LE, 5, []int{y}, []float64{1})
 	sol, _ := solve(t, p)
 	_ = x
@@ -135,7 +135,7 @@ func TestUnbounded(t *testing.T) {
 func TestFreeVariable(t *testing.T) {
 	// min |style| with free var: min x s.t. x ≥ -7 handled via constraint.
 	p := NewProblem()
-	x := p.AddVar(-Inf, Inf, 1, "x")
+	x := p.AddVar(-Inf, Inf, 1)
 	p.AddConstraint(GE, -7, []int{x}, []float64{1})
 	sol := solveOK(t, p)
 	if math.Abs(sol.Obj+7) > 1e-7 {
@@ -146,8 +146,8 @@ func TestFreeVariable(t *testing.T) {
 func TestUpperBoundedVars(t *testing.T) {
 	// max 3x+2y, x≤2, y≤3, x+y≤4 → x=2,y=2, obj=10.
 	p := NewProblem()
-	x := p.AddVar(0, 2, -3, "x")
-	y := p.AddVar(0, 3, -2, "y")
+	x := p.AddVar(0, 2, -3)
+	y := p.AddVar(0, 3, -2)
 	p.AddConstraint(LE, 4, []int{x, y}, []float64{1, 1})
 	sol := solveOK(t, p)
 	feasCheck(t, p, sol.X, 1e-7)
@@ -159,7 +159,7 @@ func TestUpperBoundedVars(t *testing.T) {
 func TestNegativeBounds(t *testing.T) {
 	// min x, -10 ≤ x ≤ -2 → -10.
 	p := NewProblem()
-	p.AddVar(-10, -2, 1, "x")
+	p.AddVar(-10, -2, 1)
 	sol := solveOK(t, p)
 	if math.Abs(sol.Obj+10) > 1e-9 {
 		t.Errorf("obj = %v", sol.Obj)
@@ -168,8 +168,8 @@ func TestNegativeBounds(t *testing.T) {
 
 func TestFixedVariable(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar(5, 5, 1, "x")
-	y := p.AddVar(0, Inf, 1, "y")
+	x := p.AddVar(5, 5, 1)
+	y := p.AddVar(0, Inf, 1)
 	p.AddConstraint(GE, 8, []int{x, y}, []float64{1, 1})
 	sol := solveOK(t, p)
 	feasCheck(t, p, sol.X, 1e-7)
@@ -180,7 +180,7 @@ func TestFixedVariable(t *testing.T) {
 
 func TestDuplicateIndicesMerged(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar(0, Inf, 1, "x")
+	x := p.AddVar(0, Inf, 1)
 	p.AddConstraint(GE, 6, []int{x, x, x}, []float64{1, 1, 1}) // 3x ≥ 6
 	sol := solveOK(t, p)
 	if math.Abs(sol.X[x]-2) > 1e-7 {
@@ -192,8 +192,8 @@ func TestAbsValueSplitPattern(t *testing.T) {
 	// The core optimization writes |Δ| as Δ⁺+Δ⁻. Verify the pattern:
 	// min Δ⁺+Δ⁻ s.t. (base + Δ⁺ − Δ⁻) = target.
 	p := NewProblem()
-	dp := p.AddVar(0, Inf, 1, "d+")
-	dn := p.AddVar(0, Inf, 1, "d-")
+	dp := p.AddVar(0, Inf, 1)
+	dn := p.AddVar(0, Inf, 1)
 	// base 10, target 7: Δ = −3 → Δ⁻=3.
 	p.AddConstraint(EQ, 7-10, []int{dp, dn}, []float64{1, -1})
 	sol := solveOK(t, p)
@@ -208,8 +208,8 @@ func TestAbsValueSplitPattern(t *testing.T) {
 func TestDegenerate(t *testing.T) {
 	// Multiple constraints active at the optimum; classic degeneracy.
 	p := NewProblem()
-	x := p.AddVar(0, Inf, -1, "x")
-	y := p.AddVar(0, Inf, -1, "y")
+	x := p.AddVar(0, Inf, -1)
+	y := p.AddVar(0, Inf, -1)
 	p.AddConstraint(LE, 1, []int{x, y}, []float64{1, 1})
 	p.AddConstraint(LE, 1, []int{x, y}, []float64{1, 1})
 	p.AddConstraint(LE, 1, []int{x}, []float64{1})
@@ -238,7 +238,7 @@ func TestAssignmentLPIsIntegralAndOptimal(t *testing.T) {
 		for i := 0; i < n; i++ {
 			vars[i] = make([]int, n)
 			for j := 0; j < n; j++ {
-				vars[i][j] = p.AddVar(0, 1, cost[i][j], "")
+				vars[i][j] = p.AddVar(0, 1, cost[i][j])
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -303,7 +303,7 @@ func randomBoundedLP(rng *rand.Rand) (*Problem, []float64) {
 		lo := rng.Float64()*4 - 2
 		hi := lo + 0.5 + rng.Float64()*4
 		x0[j] = lo + (hi-lo)*rng.Float64()
-		p.AddVar(lo, hi, rng.NormFloat64(), "")
+		p.AddVar(lo, hi, rng.NormFloat64())
 	}
 	for r := 0; r < m; r++ {
 		var idx []int
@@ -361,7 +361,7 @@ func TestMediumScalePerformance(t *testing.T) {
 	x0 := make([]float64, n)
 	for j := 0; j < n; j++ {
 		x0[j] = rng.Float64()
-		p.AddVar(0, 2, rng.Float64(), "")
+		p.AddVar(0, 2, rng.Float64())
 	}
 	for r := 0; r < m; r++ {
 		var idx []int
@@ -405,9 +405,9 @@ func TestBuildErrorsAreSticky(t *testing.T) {
 		name  string
 		build func(p *Problem, x int)
 	}{
-		{"lo>hi", func(p *Problem, x int) { p.AddVar(2, 1, 0, "bad") }},
-		{"nan-bound", func(p *Problem, x int) { p.AddVar(0, math.NaN(), 0, "bad") }},
-		{"nan-cost", func(p *Problem, x int) { p.AddVar(0, 1, math.NaN(), "bad") }},
+		{"lo>hi", func(p *Problem, x int) { p.AddVar(2, 1, 0) }},
+		{"nan-bound", func(p *Problem, x int) { p.AddVar(0, math.NaN(), 0) }},
+		{"nan-cost", func(p *Problem, x int) { p.AddVar(0, 1, math.NaN()) }},
 		{"len-mismatch", func(p *Problem, x int) { p.AddConstraint(LE, 0, []int{x}, []float64{1, 2}) }},
 		{"unknown-var", func(p *Problem, x int) { p.AddConstraint(LE, 0, []int{99}, []float64{1}) }},
 		{"nan-coef", func(p *Problem, x int) { p.AddConstraint(LE, 0, []int{x}, []float64{math.NaN()}) }},
@@ -422,7 +422,7 @@ func TestBuildErrorsAreSticky(t *testing.T) {
 	}
 	for _, tc := range cases {
 		p := NewProblem()
-		x := p.AddVar(0, 1, 0, "x")
+		x := p.AddVar(0, 1, 0)
 		if p.Err() != nil {
 			t.Fatalf("%s: valid var recorded error", tc.name)
 		}
@@ -441,9 +441,9 @@ func TestBuildErrorsAreSticky(t *testing.T) {
 	}
 	// Variable indices stay consistent after an invalid AddVar.
 	p := NewProblem()
-	p.AddVar(0, 1, 0, "x")
-	bad := p.AddVar(1, 0, 0, "bad")
-	y := p.AddVar(0, 1, 0, "y")
+	p.AddVar(0, 1, 0)
+	bad := p.AddVar(1, 0, 0)
+	y := p.AddVar(0, 1, 0)
 	if bad != 1 || y != 2 || p.NumVars() != 3 {
 		t.Errorf("indices after invalid var: bad=%d y=%d n=%d", bad, y, p.NumVars())
 	}
@@ -452,8 +452,8 @@ func TestBuildErrorsAreSticky(t *testing.T) {
 func TestIterLimitIsTypedSolverError(t *testing.T) {
 	// A tiny LP that needs more than one pivot, capped at one iteration.
 	p := NewProblem()
-	x := p.AddVar(0, Inf, -1, "x")
-	y := p.AddVar(0, Inf, -1, "y")
+	x := p.AddVar(0, Inf, -1)
+	y := p.AddVar(0, Inf, -1)
 	p.AddConstraint(LE, 4, []int{x, y}, []float64{1, 2})
 	p.AddConstraint(LE, 4, []int{x, y}, []float64{2, 1})
 	p.maxIters = 1
@@ -481,7 +481,7 @@ func TestIterLimitIsTypedSolverError(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	p := NewProblem()
-	p.AddVar(0, 1, 0, "x")
+	p.AddVar(0, 1, 0)
 	p.AddConstraint(LE, 1, []int{0}, []float64{1})
 	if p.NumVars() != 1 || p.NumRows() != 1 {
 		t.Errorf("NumVars/NumRows = %d/%d", p.NumVars(), p.NumRows())
@@ -491,7 +491,7 @@ func TestAccessors(t *testing.T) {
 func TestAddConstraintMergesInInputOrderAndDropsZeros(t *testing.T) {
 	p := NewProblem()
 	for j := 0; j < 3; j++ {
-		p.AddVar(0, 1, 0, "")
+		p.AddVar(0, 1, 0)
 	}
 	// Column 1's coefficients sum to 0.1 + 0.2 − 0.3 in input order, which
 	// is not zero in floating point (nor equal to 0.1 + (0.2 − 0.3));
@@ -560,7 +560,7 @@ func dualOf(p *Problem) *Problem {
 		case GE:
 			lo = 0
 		}
-		y := d.AddVar(lo, hi, -p.rowRHS[r], "")
+		y := d.AddVar(lo, hi, -p.rowRHS[r])
 		for i, j := range p.rowIdx[r] {
 			colIdx[j] = append(colIdx[j], y)
 			colCoef[j] = append(colCoef[j], p.rowCoef[r][i])
@@ -568,11 +568,11 @@ func dualOf(p *Problem) *Problem {
 	}
 	for j := range colIdx {
 		if !math.IsInf(p.lo[j], -1) {
-			colIdx[j] = append(colIdx[j], d.AddVar(0, Inf, -p.lo[j], ""))
+			colIdx[j] = append(colIdx[j], d.AddVar(0, Inf, -p.lo[j]))
 			colCoef[j] = append(colCoef[j], 1)
 		}
 		if !math.IsInf(p.hi[j], 1) {
-			colIdx[j] = append(colIdx[j], d.AddVar(0, Inf, p.hi[j], ""))
+			colIdx[j] = append(colIdx[j], d.AddVar(0, Inf, p.hi[j]))
 			colCoef[j] = append(colCoef[j], -1)
 		}
 		d.AddConstraint(EQ, p.cost[j], colIdx[j], colCoef[j])
@@ -626,8 +626,8 @@ func TestStrongDuality(t *testing.T) {
 // optimum, and rays that prove nothing.
 func TestCertificateRejectsWrongAnswers(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar(0, Inf, -1, "x")
-	y := p.AddVar(0, Inf, -1, "y")
+	x := p.AddVar(0, Inf, -1)
+	y := p.AddVar(0, Inf, -1)
 	p.AddConstraint(LE, 4, []int{x, y}, []float64{1, 2})
 	p.AddConstraint(LE, 4, []int{x, y}, []float64{2, 1})
 	sol := solveOK(t, p)
@@ -653,7 +653,7 @@ func TestCertificateRejectsWrongAnswers(t *testing.T) {
 
 	// z ∈ [0, 1] with z ≥ 2: y = 1 on the row proves it infeasible.
 	q := NewProblem()
-	z := q.AddVar(0, 1, 0, "z")
+	z := q.AddVar(0, 1, 0)
 	q.AddConstraint(GE, 2, []int{z}, []float64{1})
 	if sol, _ := solve(t, q); sol.Status != Infeasible {
 		t.Fatalf("status %v, want infeasible", sol.Status)
@@ -673,7 +673,7 @@ func TestCertificateRejectsWrongAnswers(t *testing.T) {
 // feasible, so the re-solve solves cold, and so does a clone.
 func TestResolveFallsBackCold(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar(0, Inf, 1, "x")
+	x := p.AddVar(0, Inf, 1)
 	p.AddConstraint(GE, -3, []int{x}, []float64{1})
 	if sol := solveOK(t, p); sol.X[x] != 0 {
 		t.Fatalf("x = %v, want 0", sol.X[x])

@@ -17,7 +17,7 @@ func TestLargeishLPPerf(t *testing.T) {
 	x0 := make([]float64, n)
 	for j := 0; j < n; j++ {
 		x0[j] = rng.Float64()
-		p.AddVar(0, 3, rng.Float64(), "")
+		p.AddVar(0, 3, rng.Float64())
 	}
 	for r := 0; r < m; r++ {
 		var idx []int

@@ -206,22 +206,24 @@ func TestEnvelopeNonNominalPair(t *testing.T) {
 	}
 }
 
-// TestStageWireMatchesBuilder holds the pooled stage-wire reduction bitwise
-// equal to a fresh rctree.Builder tree over a grid of lengths, corners and
-// end loads.
-func TestStageWireMatchesBuilder(t *testing.T) {
+// TestStageWireMatchesFreshFlat holds the pooled stage-wire reduction
+// bitwise equal to a fresh, unpooled rctree.Flat built at corner k's wire
+// R/C over a grid of lengths, corners and end loads, so a pooled tree
+// carries nothing over from the stage it held before. Flat's moments are
+// held to rctree's oracle (FuzzBuildFlatTree).
+func TestStageWireMatchesFreshFlat(t *testing.T) {
 	th := tech.Default28nm()
 	for _, q := range []float64{0, 1, 10, 37.5, 200, 800} {
 		for k := 0; k < th.NumCorners(); k++ {
 			for _, load := range []float64{0, 1.3, 12} {
-				b := rctree.NewBuilder(0)
-				end := b.AddWire(0, q, th.WireR(k), th.WireC(k))
-				b.AddLoad(end, load)
-				rc := b.Done()
-				m1, m2 := rc.Moments()
-				want := stageWire{totalCap: rc.TotalCap(), m1: m1[end], m2: m2[end]}
+				f := &rctree.Flat{}
+				f.Reset(0)
+				end := f.AddWire(0, q, th.WireR(k), th.WireC(k))
+				f.AddLoad(end, load)
+				m1, m2 := f.Moments()
+				want := stageWire{totalCap: f.TotalCap(), m1: m1[end], m2: m2[end]}
 				if got := buildStageWire(th, q, k, load); got != want {
-					t.Fatalf("q=%v k=%d load=%v: pooled %+v, builder %+v", q, k, load, got, want)
+					t.Fatalf("q=%v k=%d load=%v: pooled %+v, fresh %+v", q, k, load, got, want)
 				}
 			}
 		}

@@ -1,27 +1,35 @@
 package rctree
 
-// Flat is the struct-of-arrays counterpart of RC + Builder for the hot
-// analysis paths: one value per column, no per-node objects, and every
-// working array (moment accumulators, the recorded program) retained
-// across Reset so a pooled Flat reaches a steady state with zero
-// allocations per net.
+// Flat is a rooted RC tree stored as struct-of-arrays columns: Parent,
+// Res (kΩ, the edge from Parent[i] to i) and Cap (fF, lumped at node i).
+// Node 0 is the driving point, and Parent[0] is -1. Every working array
+// (moment accumulators, the recorded program) is retained across Reset,
+// so a pooled Flat reaches a steady state with zero allocations per net.
 //
-// The numerical contract is strict bit-identity with the pointer-based
-// implementation: AddWire/AddLoad perform the same floating-point
-// operations in the same order as Builder, and Moments/TotalCap replicate
-// RC.Moments/RC.TotalCap operation for operation. The differential fuzz
-// test in flat_test.go enforces this.
+// Construction. Reset starts the tree with the driving point's cap.
+// AddWire splits a wire into WireSegments π sections: each section gets
+// its length times the per-µm R and C, then half its C moves to the
+// section's near end. AddLoad lumps a pin cap at a node.
 //
-// A Flat records what its Reset/AddWire/AddLoad calls did — the root cap,
-// each π section's length and each pin load, in call order — so Replay
-// can refill Res/Cap for another per-µm R/C without repeating the walk
-// that produced the calls. This file is the only place that knows the op
-// order the refill must follow.
+// Index order. Every AddWire appends sections whose parent index is
+// strictly smaller than their own, so index order is parents-first; a
+// caller that fills the columns directly must keep Parent[i] < i too.
+// TotalCap sums Cap in index order, and Moments sweeps the columns in
+// index order (downstream sums in reverse, moments forward) with no sort.
 //
-// A Flat is built front to back: node 0 is the driving point and every
-// AddWire appends segments whose parent index is strictly smaller than
-// their own, so index order is already parents-first and the moment
-// sweeps run over it directly.
+// Replay. A Flat records what its Reset/AddWire/AddLoad calls did: the
+// root cap, each π section's length and each pin load, in call order.
+// Replay refills Res/Cap for another per-µm R/C in that order: the root
+// cap, then the sections in index order, each after the loads recorded
+// before it was added, then the loads recorded after the last section.
+// The result is bitwise a fresh build at the new R/C. This file is the
+// only place that knows that op order.
+//
+// The test oracle is the parent-linked tree in reference_test.go, built
+// with the same π-section statements; its moments sweep a depth-stable
+// order computed from the parent links, not index order.
+// FuzzBuildFlatTree holds Flat's columns, TotalCap, Moments and Replay to
+// it bit for bit.
 type Flat struct {
 	Parent []int32
 	Res    []float64 // kΩ
@@ -61,8 +69,7 @@ func (f *Flat) Len() int { return len(f.Parent) }
 
 // AddWire attaches a wire of the given length (µm) and per-µm RC to
 // parent, split into WireSegments π sections, and returns the far-end
-// node index — the same construction, in the same floating-point order,
-// as Builder.AddWire.
+// node index. A negative length panics.
 func (f *Flat) AddWire(parent int, lengthUM, rPerUM, cPerUM float64) int {
 	if lengthUM < 0 {
 		panic("rctree: negative wire length")
@@ -81,9 +88,8 @@ func (f *Flat) AddWire(parent int, lengthUM, rPerUM, cPerUM float64) int {
 	return cur
 }
 
-// section fills π section i from its recorded length with Builder.AddWire's
-// statements: the section's R and C, then half the C moved to the near
-// end.
+// section fills π section i from its recorded length: the section's R
+// and C, then half the C moved to the near end.
 func (f *Flat) section(i int, rPerUM, cPerUM float64) {
 	segLen := f.seg[i]
 	f.Res[i] = segLen * rPerUM
@@ -127,13 +133,14 @@ func (f *Flat) TotalCap() float64 {
 	return t
 }
 
-// Moments returns the first two impulse-response moments at every node,
-// exactly as RC.Moments computes them. Index order is parents-first, so
-// no sort is needed: a reverse index sweep adds each node's children in
-// descending index order, after their own subtrees — the order of
-// RC.Moments' reverse stable-depth sweep — and a forward sweep sets every
-// parent before its children. The returned slices are owned by the Flat
-// and valid until the next Moments/Reset call.
+// Moments returns the first two impulse-response moments at every node:
+// m1 is the Elmore delay, and m2 feeds D2M and StepSlew. Both are
+// returned positive (|m̃2| of the transfer function). Index order is
+// parents-first, so no sort is needed: a reverse index sweep adds each
+// node's children in descending index order, after their own subtrees,
+// and a forward sweep sets every parent before its children. The
+// returned slices are owned by the Flat and valid until the next
+// Moments/Reset call.
 func (f *Flat) Moments() (m1, m2 []float64) {
 	n := len(f.Parent)
 	par := f.Parent

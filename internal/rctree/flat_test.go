@@ -36,7 +36,7 @@ func decodeOps(data []byte) []buildOp {
 	return ops
 }
 
-// opsBuilder is the call surface Builder and Flat share.
+// opsBuilder is the call surface refTree and Flat share.
 type opsBuilder interface {
 	AddWire(parent int, lengthUM, rPerUM, cPerUM float64) int
 	AddLoad(node int, capFF float64)
@@ -60,16 +60,16 @@ func applyOps(b opsBuilder, ops []buildOp, rPer, cPer float64, ends []int) []int
 	return ends
 }
 
-// buildRef constructs the operation list through the legacy Builder.
-func buildRef(ops []buildOp, rootCap, rPer, cPer float64) *RC {
-	b := NewBuilder(rootCap)
-	applyOps(b, ops, rPer, cPer, nil)
-	return b.Done()
+// buildRef constructs the operation list on the oracle tree.
+func buildRef(ops []buildOp, rootCap, rPer, cPer float64) *refTree {
+	ref := newRefTree(rootCap)
+	applyOps(ref, ops, rPer, cPer, nil)
+	return ref
 }
 
-// buildBoth constructs the same topology through the legacy Builder and
-// a Flat, returning both.
-func buildBoth(ops []buildOp, rootCap, rPer, cPer float64) (*RC, *Flat) {
+// buildBoth constructs the same topology on the oracle tree and on a
+// Flat, returning both.
+func buildBoth(ops []buildOp, rootCap, rPer, cPer float64) (*refTree, *Flat) {
 	f := &Flat{}
 	f.Reset(rootCap)
 	applyOps(f, ops, rPer, cPer, nil)
@@ -80,34 +80,34 @@ func bitsEq(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// compareRC asserts the flat tree matches the legacy tree bit for bit:
+// compareRC asserts the flat tree matches the oracle tree bit for bit:
 // structure, R/C columns, total cap, and both moments. It also asserts
 // that every node's parent index is below its own, the invariant
 // Flat.Moments' index-order sweeps rely on.
-func compareRC(t *testing.T, rc *RC, f *Flat) {
+func compareRC(t *testing.T, ref *refTree, f *Flat) {
 	t.Helper()
-	if len(rc.Parent) != f.Len() {
-		t.Fatalf("node count: legacy %d flat %d", len(rc.Parent), f.Len())
+	if len(ref.parent) != f.Len() {
+		t.Fatalf("node count: oracle %d flat %d", len(ref.parent), f.Len())
 	}
-	for i := range rc.Parent {
-		if int32(rc.Parent[i]) != f.Parent[i] {
-			t.Fatalf("parent[%d]: legacy %d flat %d", i, rc.Parent[i], f.Parent[i])
+	for i := range ref.parent {
+		if int32(ref.parent[i]) != f.Parent[i] {
+			t.Fatalf("parent[%d]: oracle %d flat %d", i, ref.parent[i], f.Parent[i])
 		}
 		if i > 0 && f.Parent[i] >= int32(i) {
 			t.Fatalf("parent[%d] = %d: a parent's index must be below its child's", i, f.Parent[i])
 		}
-		if !bitsEq(rc.Res[i], f.Res[i]) || !bitsEq(rc.Cap[i], f.Cap[i]) {
-			t.Fatalf("RC[%d]: legacy (%v,%v) flat (%v,%v)", i, rc.Res[i], rc.Cap[i], f.Res[i], f.Cap[i])
+		if !bitsEq(ref.res[i], f.Res[i]) || !bitsEq(ref.cap[i], f.Cap[i]) {
+			t.Fatalf("RC[%d]: oracle (%v,%v) flat (%v,%v)", i, ref.res[i], ref.cap[i], f.Res[i], f.Cap[i])
 		}
 	}
-	if !bitsEq(rc.TotalCap(), f.TotalCap()) {
-		t.Fatalf("TotalCap: legacy %v flat %v", rc.TotalCap(), f.TotalCap())
+	if !bitsEq(ref.TotalCap(), f.TotalCap()) {
+		t.Fatalf("TotalCap: oracle %v flat %v", ref.TotalCap(), f.TotalCap())
 	}
-	lm1, lm2 := rc.Moments()
+	rm1, rm2 := ref.Moments()
 	fm1, fm2 := f.Moments()
-	for i := range lm1 {
-		if !bitsEq(lm1[i], fm1[i]) || !bitsEq(lm2[i], fm2[i]) {
-			t.Fatalf("moments[%d]: legacy (%v,%v) flat (%v,%v)", i, lm1[i], lm2[i], fm1[i], fm2[i])
+	for i := range rm1 {
+		if !bitsEq(rm1[i], fm1[i]) || !bitsEq(rm2[i], fm2[i]) {
+			t.Fatalf("moments[%d]: oracle (%v,%v) flat (%v,%v)", i, rm1[i], rm2[i], fm1[i], fm2[i])
 		}
 	}
 }
@@ -124,14 +124,16 @@ var chainOps = []buildOp{
 	{parentSel: 1, length: 0, load: 0},
 }
 
+// TestFlatMatchesLegacyOnChains holds a Flat built from chainOps to the
+// oracle tree built by the same calls.
 func TestFlatMatchesLegacyOnChains(t *testing.T) {
-	rc, f := buildBoth(chainOps, 0, 0.0021, 0.19)
-	compareRC(t, rc, f)
+	ref, f := buildBoth(chainOps, 0, 0.0021, 0.19)
+	compareRC(t, ref, f)
 }
 
 // TestFlatReplayMatchesFreshBuild lays a tree out at one corner's wire
 // R/C with a nonzero root cap and replays it at others: each replay must
-// equal a fresh Builder build at that R/C bit for bit, and replaying the
+// equal a fresh oracle build at that R/C bit for bit, and replaying the
 // first R/C again must restore the original tree.
 func TestFlatReplayMatchesFreshBuild(t *testing.T) {
 	const rootCap = 2.75
@@ -183,11 +185,12 @@ func TestFlatResetReuse(t *testing.T) {
 	}
 }
 
-// FuzzBuildFlatTree drives both builders over arbitrary topologies and
-// per-µm RC values, asserting bitwise-equal structure, total cap, and
-// moments — the equivalence the flat STA kernel's correctness rests on —
-// and then replays the Flat at a second corner's R/C, which must equal a
-// fresh Builder build there. Odd-length inputs carry a root cap.
+// FuzzBuildFlatTree builds arbitrary topologies at arbitrary per-µm RC
+// values on a Flat and on the oracle tree, asserting bitwise-equal
+// structure, total cap, and moments — the equivalence every timer and
+// estimator built on Flat rests on — and then replays the Flat at a
+// second corner's R/C, which must equal a fresh oracle build there.
+// Odd-length inputs carry a root cap.
 func FuzzBuildFlatTree(fz *testing.F) {
 	fz.Add([]byte{1, 0, 200, 1, 16, 0, 0, 0, 90, 3, 0, 2})
 	fz.Add([]byte{0, 0, 0, 0, 0, 0})
@@ -202,8 +205,8 @@ func FuzzBuildFlatTree(fz *testing.F) {
 		if len(data)%2 == 1 {
 			rootCap = float64(data[len(data)-1]) / 32
 		}
-		rc, f := buildBoth(ops, rootCap, 0.0021, 0.19)
-		compareRC(t, rc, f)
+		ref, f := buildBoth(ops, rootCap, 0.0021, 0.19)
+		compareRC(t, ref, f)
 		f.Replay(0.0021*1.05, 0.19*1.15)
 		compareRC(t, buildRef(ops, rootCap, 0.0021*1.05, 0.19*1.15), f)
 	})

@@ -1,169 +1,14 @@
 // Package rctree computes wire delays and slews on distributed RC trees:
 // Elmore (first moment), the D2M two-moment delay metric [Alpert et al.,
 // ISPD 2000], and the step-response slew used by PERI-style slew propagation
-// [Kashyap et al., TAU 2002].
+// [Kashyap et al., TAU 2002]. Flat (flat.go) is the tree; the functions
+// here turn its moments into delays and slews.
 //
 // Units follow the project convention (kΩ, fF, ps): resistance×capacitance
 // products are picoseconds directly.
 package rctree
 
-import (
-	"fmt"
-	"math"
-)
-
-// RC is a rooted RC tree. Node 0 is the driving point (driver output).
-// Parent[0] must be -1. Res[i] is the resistance of the edge from Parent[i]
-// to i; Cap[i] is the lumped capacitance at node i (half of each incident
-// wire's capacitance plus any pin load).
-type RC struct {
-	Parent []int
-	Res    []float64 // kΩ
-	Cap    []float64 // fF
-	order  []int     // topological order (parents first), built lazily
-}
-
-// New allocates an RC tree with n nodes; the caller fills Parent/Res/Cap.
-func New(n int) *RC {
-	rc := &RC{
-		Parent: make([]int, n),
-		Res:    make([]float64, n),
-		Cap:    make([]float64, n),
-	}
-	for i := range rc.Parent {
-		rc.Parent[i] = -1
-	}
-	return rc
-}
-
-// Check validates shape: node 0 is the root, parents precede children is NOT
-// required (order is computed), but parent indices must be in range, the
-// structure must be acyclic, and R/C must be non-negative.
-func (rc *RC) Check() error {
-	n := len(rc.Parent)
-	if n == 0 {
-		return fmt.Errorf("rctree: empty tree")
-	}
-	if len(rc.Res) != n || len(rc.Cap) != n {
-		return fmt.Errorf("rctree: mismatched arrays")
-	}
-	if rc.Parent[0] != -1 {
-		return fmt.Errorf("rctree: node 0 must be root")
-	}
-	for i := 1; i < n; i++ {
-		if rc.Parent[i] < 0 || rc.Parent[i] >= n {
-			return fmt.Errorf("rctree: node %d parent %d out of range", i, rc.Parent[i])
-		}
-		if rc.Res[i] < 0 || rc.Cap[i] < 0 {
-			return fmt.Errorf("rctree: node %d negative R or C", i)
-		}
-		steps := 0
-		for cur := i; cur != 0; cur = rc.Parent[cur] {
-			if steps++; steps > n {
-				return fmt.Errorf("rctree: cycle at node %d", i)
-			}
-		}
-	}
-	return nil
-}
-
-// topo returns (and caches) node indices ordered parents-first.
-func (rc *RC) topo() []int {
-	if rc.order != nil {
-		return rc.order
-	}
-	n := len(rc.Parent)
-	depth := make([]int, n)
-	for i := 1; i < n; i++ {
-		d := 0
-		for cur := i; cur != 0; cur = rc.Parent[cur] {
-			d++
-		}
-		depth[i] = d
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	// Counting-free stable sort by depth (depths are small).
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && depth[order[j]] < depth[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	rc.order = order
-	return order
-}
-
-// TotalCap returns the sum of all node capacitances — the load the driver
-// sees for gate-delay lookup.
-func (rc *RC) TotalCap() float64 {
-	var t float64
-	for _, c := range rc.Cap {
-		t += c
-	}
-	return t
-}
-
-// DownCap returns, per node, the total capacitance at or below the node.
-func (rc *RC) DownCap() []float64 {
-	order := rc.topo()
-	dc := append([]float64(nil), rc.Cap...)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		if p := rc.Parent[v]; p >= 0 {
-			dc[p] += dc[v]
-		}
-	}
-	return dc
-}
-
-// Elmore returns the first moment (Elmore delay, ps) from the driving point
-// to every node.
-func (rc *RC) Elmore() []float64 {
-	order := rc.topo()
-	dc := rc.DownCap()
-	m1 := make([]float64, len(rc.Parent))
-	for _, v := range order {
-		if p := rc.Parent[v]; p >= 0 {
-			m1[v] = m1[p] + rc.Res[v]*dc[v]
-		}
-	}
-	return m1
-}
-
-// Moments returns the first two moments (m1, m2) of the impulse response at
-// every node. m1 is the Elmore delay; m2 feeds D2M and the step-slew metric.
-// Sign convention: both returned positive (|m̃2| of the transfer function).
-func (rc *RC) Moments() (m1, m2 []float64) {
-	order := rc.topo()
-	dc := rc.DownCap()
-	n := len(rc.Parent)
-	m1 = make([]float64, n)
-	for _, v := range order {
-		if p := rc.Parent[v]; p >= 0 {
-			m1[v] = m1[p] + rc.Res[v]*dc[v]
-		}
-	}
-	// Downstream Σ C_k·m1_k per node.
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rc.Cap[i] * m1[i]
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		if p := rc.Parent[v]; p >= 0 {
-			b[p] += b[v]
-		}
-	}
-	m2 = make([]float64, n)
-	for _, v := range order {
-		if p := rc.Parent[v]; p >= 0 {
-			m2[v] = m2[p] + rc.Res[v]*b[v]
-		}
-	}
-	return m1, m2
-}
+import "math"
 
 // D2M is the two-moment delay metric: ln2 · m1²/√m2. It degrades gracefully
 // to the Elmore delay scaled by ln2 when m2 collapses (lumped node).
@@ -191,54 +36,7 @@ func PERISlew(driverSlew, stepSlew float64) float64 {
 	return math.Sqrt(driverSlew*driverSlew + stepSlew*stepSlew)
 }
 
-// WireSegmentation: number of π sections a wire edge is broken into when
-// building RC trees from routes. More sections improve distributed-RC
-// fidelity; 1 section is a single π.
+// WireSegments is the number of π sections Flat.AddWire breaks a wire edge
+// into. More sections improve distributed-RC fidelity; 1 section is a
+// single π.
 const WireSegments = 2
-
-// Builder incrementally assembles an RC tree.
-type Builder struct {
-	rc *RC
-}
-
-// NewBuilder starts a tree with the driving point (node 0) carrying the
-// given lumped capacitance.
-func NewBuilder(rootCap float64) *Builder {
-	rc := New(1)
-	rc.Cap[0] = rootCap
-	return &Builder{rc: rc}
-}
-
-// AddWire attaches a wire of the given length (µm) and per-µm RC to parent,
-// split into WireSegments π sections, and returns the far-end node index.
-func (b *Builder) AddWire(parent int, lengthUM, rPerUM, cPerUM float64) int {
-	if lengthUM < 0 {
-		panic("rctree: negative wire length")
-	}
-	segs := WireSegments
-	segLen := lengthUM / float64(segs)
-	cur := parent
-	for s := 0; s < segs; s++ {
-		idx := len(b.rc.Parent)
-		b.rc.Parent = append(b.rc.Parent, cur)
-		b.rc.Res = append(b.rc.Res, segLen*rPerUM)
-		b.rc.Cap = append(b.rc.Cap, segLen*cPerUM)
-		// Half of the segment cap belongs at the near end.
-		half := segLen * cPerUM / 2
-		b.rc.Cap[idx] -= half
-		b.rc.Cap[cur] += half
-		cur = idx
-	}
-	return cur
-}
-
-// AddLoad lumps extra pin capacitance at a node.
-func (b *Builder) AddLoad(node int, capFF float64) {
-	b.rc.Cap[node] += capFF
-}
-
-// Done finalizes and returns the RC tree.
-func (b *Builder) Done() *RC {
-	b.rc.order = nil
-	return b.rc
-}

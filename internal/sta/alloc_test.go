@@ -58,8 +58,9 @@ func TestAnalyzeWarmZeroAllocFourCorners(t *testing.T) {
 
 // coldAllocBudget bounds the allocations of one cold-cache Analyze of
 // CLS1v1(140): a quarter of the 20,507 that rebuilding every net per
-// corner with rctree.Builder cost on this design, the kernel's headline
-// allocation target.
+// corner cost on this design, the kernel's headline allocation target.
+// That figure was measured on rctree's pointer-based Builder tree, which
+// has since been removed.
 const coldAllocBudget = 5126
 
 // TestAnalyzeColdAllocBudget enforces coldAllocBudget: building every net

@@ -3,11 +3,14 @@ package sta
 // The reference timer the differential suite (differential_test.go) holds
 // Analyze and AnalyzeIncremental to, bit for bit. It is the timing
 // algorithm written as plainly as possible: one corner at a time, every
-// driven net rebuilt with rctree.Builder on every visit, drivers walked in
-// Tree.Topo order. It keeps no cache, pools no memory, starts no
-// goroutines and emits no spans, and it calls none of the kernel's walk,
-// hash or cache helpers — only PairDelay and the rctree metrics, which
-// define the timing model. Of the Timer it reads Tech and Cong.
+// driven net rebuilt on every visit on a fresh rctree.Flat at that
+// corner's wire R/C (no Replay), drivers walked in Tree.Topo order. It
+// keeps no cache, pools no memory, starts no goroutines and emits no
+// spans, and it calls none of the kernel's walk, hash or cache helpers —
+// only PairDelay, Flat's build calls and moments, and the rctree metrics,
+// which define the timing model. The moments it shares with the kernel;
+// rctree's oracle (FuzzBuildFlatTree) checks them. Of the Timer it reads
+// Tech and Cong.
 
 import (
 	"fmt"
@@ -149,7 +152,8 @@ func refCell(tm *Timer, n *ctree.Node) *tech.Cell {
 // walk order with the driver's load and each node's first two moments.
 func refNet(tm *Timer, tr *ctree.Tree, d ctree.NodeID, k int) (ids []ctree.NodeID, load float64, m1, m2 []float64) {
 	rPer, cPer := tm.Tech.WireR(k), tm.Tech.WireC(k)
-	b := rctree.NewBuilder(0)
+	b := &rctree.Flat{}
+	b.Reset(0)
 	at := map[ctree.NodeID]int{d: 0} // RC index of each placed tree node
 	type frame struct{ id, parent ctree.NodeID }
 	var stack []frame
@@ -185,13 +189,12 @@ func refNet(tm *Timer, tr *ctree.Tree, d ctree.NodeID, k int) (ids []ctree.NodeI
 			}
 		}
 	}
-	rc := b.Done()
-	all1, all2 := rc.Moments()
+	all1, all2 := b.Moments()
 	for _, ri := range ris {
 		m1 = append(m1, all1[ri])
 		m2 = append(m2, all2[ri])
 	}
-	return ids, rc.TotalCap(), m1, m2
+	return ids, b.TotalCap(), m1, m2
 }
 
 // refTimeNet times the net driven by d at corner k: the driver's pair
