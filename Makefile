@@ -61,8 +61,10 @@ test:
 # The race pass runs -short (skips the multi-minute matrices but still
 # drives a real optimization flow), then hammers the parallel-equivalence
 # tests three extra times: the move pool's bit-identical reduction, the
-# move scorer's read-only pre-order sink index and per-scorer pair state
-# shared by concurrent Gain calls (TestSinkRangesMatchWalkParallel,
+# move scorer's read-only pre-order index of pair sinks, its per-scorer
+# pair state and the read-only pre-move wire (preNet) that concurrent
+# Gain calls share (TestSinkRangesMatchWalkParallel,
+# TestGainMatchesAllSinksReferenceParallel,
 # TestTouchedGainMatchesReferenceParallel) and the timer's concurrent
 # callers (one timer, or timers sharing a net cache) are the invariants
 # most worth catching a data race in.

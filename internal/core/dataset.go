@@ -37,17 +37,22 @@ func (d *Dataset) Len() int {
 }
 
 // netStages is one net a move affects: its driver d and d's fanout pins,
-// one per stage "d → pin", in FanoutPins order.
+// one per stage "d → pin", in FanoutPins order. resized marks a net whose
+// driver the move resizes and nothing else: its pins, their places and
+// loads, and the driver's place are as they were before the move.
 type netStages struct {
-	d    ctree.NodeID
-	pins []ctree.NodeID
+	d       ctree.NodeID
+	pins    []ctree.NodeID
+	resized bool
 }
 
 // affectedStages lists the stages whose delay a move changes, evaluated on
 // the post-move tree, net by net so that each net is estimated once: the
 // moved buffer's driver net (load and wiring change), the moved buffer's
 // own net, a resized child's net (Type II), and both old and new driver
-// nets for surgery (Type III). Nets without fanout pins are left out.
+// nets for surgery (Type III). Nets without fanout pins are left out. The
+// resized child's net, and the buffer's own net of a Type I move that does
+// not displace it, are marked resized.
 func affectedStages(tr *ctree.Tree, m eco.Move) []netStages {
 	nets, _ := appendAffectedStages(nil, nil, tr, m)
 	return nets
@@ -59,11 +64,16 @@ func affectedStages(tr *ctree.Tree, m eco.Move) []netStages {
 func appendAffectedStages(nets []netStages, pins []ctree.NodeID, tr *ctree.Tree, m eco.Move) ([]netStages, []ctree.NodeID) {
 	var drivers [3]ctree.NodeID
 	ds := drivers[:0]
+	resized := ctree.NoNode
 	switch m.Type {
 	case eco.TypeI:
 		ds = append(ds, tr.Driver(m.Buffer), m.Buffer)
+		if m.DX == 0 && m.DY == 0 {
+			resized = m.Buffer
+		}
 	case eco.TypeII:
 		ds = append(ds, tr.Driver(m.Buffer), m.Buffer, m.Child)
+		resized = m.Child
 	case eco.TypeIII:
 		ds = append(ds, m.Buffer, m.NewDrv) // the old driver (child has left its net)
 	}
@@ -76,7 +86,7 @@ func appendAffectedStages(nets []netStages, pins []ctree.NodeID, tr *ctree.Tree,
 		lo := len(pins)
 		pins = tr.AppendFanoutPins(pins, d)
 		if hi := len(pins); hi > lo {
-			nets = append(nets, netStages{d: d, pins: pins[lo:hi:hi]})
+			nets = append(nets, netStages{d: d, pins: pins[lo:hi:hi], resized: d == resized})
 		}
 	}
 	return nets, pins
@@ -126,7 +136,7 @@ func BuildDataset(ctx context.Context, t *tech.Tech, cases, movesPer int, seed i
 			// tolerance; see the dataset regression test).
 			postA := tm.AnalyzeIncremental(post, preA, moveDirty(mv))
 			for _, net := range affectedStages(post, mv) {
-				feats := est.features(post, net.d, net.pins, nil)
+				feats := est.features(post, net, nil)
 				for i, pin := range net.pins {
 					for kk := 0; kk < k; kk++ {
 						row := featureRow(feats, i, kk, k)

@@ -88,11 +88,13 @@ const numStageFeatures = 9
 // (i*K+k)*numStageFeatures, K = len(slews). A driver without a known cell
 // gets zero rows.
 //
-// The RSMT and single-trunk routes are corner- and pin-independent, so
-// each is built and laid out as an RC tree once, replayed per corner, and
-// one moment computation per corner serves every pin. The driver's first
-// inverter sees only its input slew, so its table lookups are made once
-// per corner and serve both routes.
+// A net's estimate has a wire part and a gate part. The wire part is what
+// the driver's cell does not change: the RSMT and single-trunk routes are
+// corner- and pin-independent, so each is built and laid out as an RC tree
+// once, replayed per corner, and one moment computation per corner serves
+// every pin. The gate part is the inverter pair's delay at each route's
+// total cap. Its first inverter sees only its input slew, so its table
+// lookups are made once per corner and serve both routes.
 //
 // The estimators deliberately see less than the golden timer: they route
 // the net fresh with RSMT / single-trunk topologies over pin locations
@@ -100,48 +102,72 @@ const numStageFeatures = 9
 // — that estimation gap is what the trained models absorb.
 func StageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID, pins []ctree.NodeID, slews []float64, dst []float64) []float64 {
 	sc := estScratchPool.Get().(*estScratch)
-	dst = sc.stageFeatures(t, tr, d, pins, slews, dst)
+	dst = sc.stageFeatures(t, tr, d, pins, slews, &sc.wire, dst)
 	estScratchPool.Put(sc)
 	return dst
 }
 
 // estScratch is the pooled working set of one net estimate: the two
 // routes and their builders' scratch, the route child lists and BFS queue,
-// the RC layout, the first inverter's per-corner delay and slew, and the
-// post-move estimator's slew and stage-row buffers. Nothing in it outlives
-// the call that took it from the pool.
+// the RC layout, a net's wire part, and the post-move estimator's slew and
+// stage-row buffers. Nothing in it outlives the call that took it from the
+// pool.
 type estScratch struct {
 	locs        []geom.Point
-	routes      [2]route.Tree // RSMT, single trunk
+	routes      [numRoutes]route.Tree
 	rs          route.Scratch
 	head, next  []int32   // route child lists: first child, next sibling
 	queue, rcOf []int32   // BFS queue; RC node of each route node
 	pinRC       []int32   // RC node of each route pin i+1
 	loads       []float64 // the load of each pin i, NaN for none
 	rc          rctree.Flat
-	d1, s1      []float64 // per corner: the first inverter's delay and output slew
+	wire        netWire
 	slews       []float64
 	stage       []float64
 }
 
 var estScratchPool = sync.Pool{New: func() interface{} { return new(estScratch) }}
 
-// stageFeatures is StageFeatures over caller-owned scratch.
-func (sc *estScratch) stageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID, pins []ctree.NodeID, slews []float64, dst []float64) []float64 {
-	K := len(slews)
-	n0 := len(dst)
-	dst = slices.Grow(dst, len(pins)*K*numStageFeatures)[:n0+len(pins)*K*numStageFeatures]
-	out := dst[n0:]
-	clear(out)
+// numRoutes is the number of route topologies an estimate lays out: RSMT,
+// then single trunk. Each gives one Elmore and one D2M EstMode.
+const numRoutes = 2
+
+// netWire is the wire part of one net's estimate, at K corners over n
+// pins: what a new cell on the driver leaves as it is.
+type netWire struct {
+	area, ar float64   // the pins' bounding box, driver included
+	cap      []float64 // per route and corner, at topo*K+k: the RC tree's total cap
+	// Per pin and corner, at (i*K+k)*NumEstModes+m: EstMode m's wire delay
+	// from the driver to pin i, m1 for Elmore and D2M for D2M.
+	delay []float64
+}
+
+// stageFeatures is StageFeatures over caller-owned scratch; it leaves the
+// net's wire part in w.
+func (sc *estScratch) stageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID, pins []ctree.NodeID, slews []float64, w *netWire, dst []float64) []float64 {
 	if len(pins) == 0 {
 		return dst
 	}
-	dn := tr.Node(d)
-	cell := t.CellByName(dn.CellName)
+	cell := t.CellByName(tr.Node(d).CellName)
 	if cell == nil {
-		return dst
+		return zeroStageRows(dst, len(pins), len(slews))
 	}
-	sc.locs = append(sc.locs[:0], dn.Loc)
+	sc.estimateWire(t, tr, d, pins, len(slews), w)
+	return gateFeatures(t, cell, len(pins), slews, w, dst)
+}
+
+// zeroStageRows appends n pins' zero rows at K corners to dst.
+func zeroStageRows(dst []float64, n, K int) []float64 {
+	n0 := len(dst)
+	dst = slices.Grow(dst, n*K*numStageFeatures)[:n0+n*K*numStageFeatures]
+	clear(dst[n0:])
+	return dst
+}
+
+// estimateWire computes the wire part of d's net over pins at K corners
+// into w.
+func (sc *estScratch) estimateWire(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID, pins []ctree.NodeID, K int, w *netWire) {
+	sc.locs = append(sc.locs[:0], tr.Node(d).Loc)
 	sc.loads = sc.loads[:0]
 	for _, p := range pins {
 		pn := tr.Node(p)
@@ -151,12 +177,9 @@ func (sc *estScratch) stageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID
 	sc.rs.RSMT(&sc.routes[0], sc.locs)
 	sc.rs.SingleTrunk(&sc.routes[1], sc.locs)
 	bb := geom.BBox(sc.locs)
-	area, ar := bb.Area(), bb.AspectRatio()
-	sc.d1 = slices.Grow(sc.d1[:0], K)[:K]
-	sc.s1 = slices.Grow(sc.s1[:0], K)[:K]
-	for k := range sc.d1 {
-		sc.d1[k], sc.s1[k] = sta.PairFirstStageTable(t, cell, k, slews[k])
-	}
+	w.area, w.ar = bb.Area(), bb.AspectRatio()
+	w.cap = slices.Grow(w.cap[:0], numRoutes*K)[:numRoutes*K]
+	w.delay = slices.Grow(w.delay[:0], len(pins)*K*int(NumEstModes))[:len(pins)*K*int(NumEstModes)]
 	for topo := range sc.routes {
 		rt := &sc.routes[topo]
 		// Estimator knows intended snaking detours (they are in the design
@@ -169,21 +192,44 @@ func (sc *estScratch) stageFeatures(t *tech.Tech, tr *ctree.Tree, d ctree.NodeID
 			if k > 0 {
 				sc.rc.Replay(t.WireR(k), t.WireC(k))
 			}
-			gate := sc.d1[k] + cell.TableDelayPS(k, sc.s1[k], sc.rc.TotalCap())
+			w.cap[topo*K+k] = sc.rc.TotalCap()
 			m1, m2 := sc.rc.Moments()
 			for i, ri := range sc.pinRC {
-				f := out[(i*K+k)*numStageFeatures:]
-				f[2*topo] = gate + m1[ri]                       // Elmore
-				f[2*topo+1] = gate + rctree.D2M(m1[ri], m2[ri]) // D2M
+				at := (i*K+k)*int(NumEstModes) + 2*topo
+				w.delay[at] = m1[ri]
+				w.delay[at+1] = rctree.D2M(m1[ri], m2[ri])
 			}
 		}
 	}
-	for i := range pins {
+}
+
+// gateFeatures appends the stage rows of a net of n pins whose driver has
+// the given cell and wire part w, at the K = len(slews) corners: each
+// route's inverter-pair delay at its total cap, plus each pin's wire
+// delays, and the net context.
+func gateFeatures(t *tech.Tech, cell *tech.Cell, n int, slews []float64, w *netWire, dst []float64) []float64 {
+	K := len(slews)
+	n0 := len(dst)
+	dst = slices.Grow(dst, n*K*numStageFeatures)[:n0+n*K*numStageFeatures]
+	out := dst[n0:]
+	for k := 0; k < K; k++ {
+		d1, s1 := sta.PairFirstStageTable(t, cell, k, slews[k])
+		for topo := 0; topo < numRoutes; topo++ {
+			gate := d1 + cell.TableDelayPS(k, s1, w.cap[topo*K+k])
+			for i := 0; i < n; i++ {
+				at := (i*K+k)*int(NumEstModes) + 2*topo
+				f := out[(i*K+k)*numStageFeatures:]
+				f[2*topo] = gate + w.delay[at]     // Elmore
+				f[2*topo+1] = gate + w.delay[at+1] // D2M
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
 		for k := 0; k < K; k++ {
 			f := out[(i*K+k)*numStageFeatures:]
-			f[4] = float64(len(pins))
-			f[5] = area
-			f[6] = ar
+			f[4] = float64(n)
+			f[5] = w.area
+			f[6] = w.ar
 			f[7] = slews[k]
 			f[8] = cell.InCap // proxy for drive strength
 		}
@@ -274,10 +320,13 @@ type stageEstimator struct {
 }
 
 // preNet is the cached pre-move estimate of one net: the driver's fanout
-// pins in the pre-move tree and their StageFeatures rows.
+// pins in the pre-move tree, their StageFeatures rows, and the net's wire
+// part (nil slices when the driver's cell is unknown). Concurrent features
+// calls share it read-only.
 type preNet struct {
 	pins  []ctree.NodeID
 	feats []float64
+	wire  netWire
 }
 
 func newStageEstimator(t *tech.Tech, pre *ctree.Tree, a *sta.Analysis) *stageEstimator {
@@ -299,8 +348,9 @@ func (e *stageEstimator) slewsAt(d ctree.NodeID, slews []float64) []float64 {
 }
 
 // preEstimates returns the pre-move estimate of d's net, computing every
-// pin's rows on the first request for any of them.
-func (e *stageEstimator) preEstimates(d ctree.NodeID) *preNet {
+// pin's rows on the first request for any of them, on scratch sc whose
+// slews are d's.
+func (e *stageEstimator) preEstimates(d ctree.NodeID, sc *estScratch) *preNet {
 	e.mu.Lock()
 	v, ok := e.preCache[d]
 	e.mu.Unlock()
@@ -308,7 +358,7 @@ func (e *stageEstimator) preEstimates(d ctree.NodeID) *preNet {
 		return v
 	}
 	v = &preNet{pins: e.pre.FanoutPins(d)}
-	v.feats = StageFeatures(e.t, e.pre, d, v.pins, e.slewsAt(d, nil), nil)
+	v.feats = sc.stageFeatures(e.t, e.pre, d, v.pins, sc.slews, &v.wire, nil)
 	e.mu.Lock()
 	e.preCache[d] = v
 	e.mu.Unlock()
@@ -316,22 +366,36 @@ func (e *stageEstimator) preEstimates(d ctree.NodeID) *preNet {
 }
 
 // features appends one delta-latency feature row (the layout above) per
-// stage "d → pins[i]" of the post-move tree and corner k, at offset
-// (i*K+k)*NumFeatures, where pins are d's fanout pins there: the four
-// analytic estimates of the stage-delay change, the post-move estimates
-// and net context, and the golden pre-move stage delay.
+// stage "net.d → net.pins[i]" of the post-move tree and corner k, at
+// offset (i*K+k)*NumFeatures, where the pins are d's fanout pins there:
+// the four analytic estimates of the stage-delay change, the post-move
+// estimates and net context, and the golden pre-move stage delay.
+//
+// A net the move only resizes keeps its pins and their places, so its
+// post-move estimate is the pre-move net's wire part under the new cell's
+// gate part; a net whose pins differ from the pre-move net's is estimated
+// afresh all the same.
 //
 // The change is measured against the same analytic pipeline on the
 // pre-move tree when the stage exists before the move; otherwise (Type-III
 // surgery creates brand-new stages) against the golden pre-move stage
 // delay in every mode, so the estimated delta is measured against the true
 // old path.
-func (e *stageEstimator) features(post *ctree.Tree, d ctree.NodeID, pins []ctree.NodeID, dst []float64) []float64 {
+func (e *stageEstimator) features(post *ctree.Tree, net netStages, dst []float64) []float64 {
 	K := e.a.K
+	d, pins := net.d, net.pins
 	sc := estScratchPool.Get().(*estScratch)
 	sc.slews = e.slewsAt(d, sc.slews)
-	sc.stage = sc.stageFeatures(e.t, post, d, pins, sc.slews, sc.stage[:0])
-	pre := e.preEstimates(d)
+	pre := e.preEstimates(d, sc)
+	var cell *tech.Cell
+	if net.resized && pre.wire.cap != nil && slices.Equal(pins, pre.pins) {
+		cell = e.t.CellByName(post.Node(d).CellName)
+	}
+	if cell != nil {
+		sc.stage = gateFeatures(e.t, cell, len(pins), sc.slews, &pre.wire, sc.stage[:0])
+	} else {
+		sc.stage = sc.stageFeatures(e.t, post, d, pins, sc.slews, &sc.wire, sc.stage[:0])
+	}
 	n0 := len(dst)
 	dst = slices.Grow(dst, len(pins)*K*NumFeatures)[:n0+len(pins)*K*NumFeatures]
 	for i, pin := range pins {

@@ -146,6 +146,8 @@ func LocalOpt(ctx context.Context, tm *sta.Timer, d *ctree.Design, alphas []floa
 			obs.I("start_iter", cfg.StartIter), obs.I("pairs", len(pairs)))
 	}
 	var runErr error
+	sample := moveSamples.Get().(*moveSample)
+	defer moveSamples.Put(sample)
 	for iter := cfg.StartIter; iter < cfg.MaxIters; iter++ {
 		if err := resilience.Canceled(ctx); err != nil {
 			runErr = err
@@ -160,13 +162,14 @@ func LocalOpt(ctx context.Context, tm *sta.Timer, d *ctree.Design, alphas []floa
 		// iterations, so a resumed run replays the exact move subsets the
 		// uninterrupted run would have seen from the same iteration.
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(iter)*1000003))
-		moves := enumerateCandidates(tm, cur, d, a, alphas, pairs, cfg, rng)
+		moves := sample.enumerate(tm, cur, d, a, alphas, pairs, cfg, rng)
 		cfg.Obs.Counter("local.moves.enumerated").Add(int64(len(moves)))
 		if len(moves) == 0 {
 			isp.End()
 			break
 		}
-		scored := predictGains(ctx, newMoveScorer(tm.Tech, cur, a, lg, alphas, pairs, cfg.Model), moves, cfg)
+		sample.scored = predictGains(ctx, newMoveScorer(tm.Tech, cur, a, lg, alphas, pairs, cfg.Model), moves, cfg, sample.scored)
+		scored := sample.scored
 		res.MovesPred += len(moves)
 		cfg.Obs.Counter("local.moves.predicted").Add(int64(len(moves)))
 		// A cancellation that landed mid-predict leaves unevaluated slots;
@@ -333,9 +336,25 @@ func LocalOpt(ctx context.Context, tm *sta.Timer, d *ctree.Design, alphas []floa
 	return res, runErr
 }
 
-// enumerateCandidates lists Table-2 moves on buffers that drive the
-// highest-variation pairs.
-func enumerateCandidates(tm *sta.Timer, cur *ctree.Tree, d *ctree.Design, a *sta.Analysis, alphas []float64, pairs []ctree.SinkPair, cfg LocalConfig, rng *rand.Rand) []eco.Move {
+// moveSample is the local stage's move buffer, which LocalOpt takes from
+// a pool for its run and reuses across its iterations: every Table-2 move
+// of the covered buffers, the index permutation that shuffles them, the
+// moves a cap keeps, and their predicted gains.
+type moveSample struct {
+	all    []eco.Move
+	perm   []int32
+	kept   []eco.Move
+	scored []scoredMove
+}
+
+var moveSamples = sync.Pool{New: func() interface{} { return new(moveSample) }}
+
+// enumerate lists Table-2 moves on buffers that drive the
+// highest-variation pairs. Past cfg.MaxMoves it keeps a random sample:
+// the first MaxMoves of rng's shuffle of the list, drawn on an index
+// permutation, since the shuffle's draws depend only on the list's
+// length. The result is valid until the next call.
+func (ms *moveSample) enumerate(tm *sta.Timer, cur *ctree.Tree, d *ctree.Design, a *sta.Analysis, alphas []float64, pairs []ctree.SinkPair, cfg LocalConfig, rng *rand.Rand) []eco.Move {
 	// Rank pairs by current variation; take path buffers of the top ones.
 	type pv struct {
 		i int
@@ -362,17 +381,29 @@ func enumerateCandidates(tm *sta.Timer, cur *ctree.Tree, d *ctree.Design, a *sta
 		}
 	}
 	// Id order is the sorted order of the buffers.
-	var moves []eco.Move
+	moves := ms.all[:0]
 	for id, on := range onPath {
 		if on && cur.Nodes[id].Kind == ctree.KindBuffer {
 			moves = eco.AppendMoves(moves, cur, tm.Tech, ctree.NodeID(id), d.Die)
 		}
 	}
-	if len(moves) > cfg.MaxMoves {
-		rng.Shuffle(len(moves), func(i, j int) { moves[i], moves[j] = moves[j], moves[i] })
-		moves = moves[:cfg.MaxMoves]
+	ms.all = moves
+	n := len(moves)
+	if n <= cfg.MaxMoves {
+		return moves
 	}
-	return moves
+	perm := slices.Grow(ms.perm[:0], n)[:n]
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	ms.perm = perm
+	kept := slices.Grow(ms.kept[:0], cfg.MaxMoves)
+	for _, i := range perm[:cfg.MaxMoves] {
+		kept = append(kept, moves[i])
+	}
+	ms.kept = kept
+	return kept
 }
 
 type scoredMove struct {
@@ -415,7 +446,7 @@ type MoveScorer struct {
 	// The pairs of sink id are pairIdx[pairOff[id]:pairOff[id+1]], in
 	// ascending pair order.
 	pairOff, pairIdx []int32
-	index            sinkIndex // the pre-move tree in pre-order
+	index            sinkIndex // the pre-move tree in pre-order, listing its pair sinks
 	model            StageModel
 	lg               *legalize.Legalizer
 	// The pre-move state of the pairs: each pair's variation, its K skews
@@ -436,10 +467,10 @@ func newMoveScorer(t *tech.Tech, tr *ctree.Tree, a *sta.Analysis, lg *legalize.L
 	s := &MoveScorer{
 		est:    newStageEstimator(t, tr, a),
 		alphas: alphas, pairs: pairs, model: model,
-		index: newSinkIndex(tr),
-		lg:    lg,
+		lg: lg,
 	}
 	s.indexPairs(len(tr.Nodes))
+	s.index = newSinkIndex(tr, s.pairSink)
 	s.pairState()
 	s.posts.New = func() interface{} {
 		return &postTree{Tree: ctree.Tree{Source: tr.Source, Nodes: slices.Clone(tr.Nodes)}}
@@ -471,6 +502,12 @@ func (s *MoveScorer) indexPairs(nodes int) {
 	s.pairOff, s.pairIdx = off, idx
 }
 
+// pairSink reports whether some pair names sink id: only such a sink's
+// deltas are ever read.
+func (s *MoveScorer) pairSink(id ctree.NodeID) bool {
+	return s.pairOff[id] < s.pairOff[id+1]
+}
+
 // pairState computes the pairs' pre-move variations and skews and the
 // corners' guards, which every Gain call reads.
 func (s *MoveScorer) pairState() {
@@ -491,37 +528,38 @@ func (s *MoveScorer) pairState() {
 }
 
 // sinkIndex numbers a tree's nodes in pre-order, so that every subtree is
-// a run of positions and the sinks below a node are a run of the
-// pre-ordered sinks.
+// a run of positions and the listed sinks below a node are a run of the
+// pre-ordered listed sinks.
 type sinkIndex struct {
 	span  []nodeSpan     // by node id; zero for a node the source does not reach
-	sinks []ctree.NodeID // the sinks in pre-order
+	sinks []ctree.NodeID // the listed sinks in pre-order
 }
 
 // nodeSpan is one node's place in the pre-order: its subtree holds the
-// positions [pos, end) and the sinks sinks[sinkLo:sinkHi].
+// positions [pos, end) and the listed sinks sinks[sinkLo:sinkHi].
 type nodeSpan struct{ pos, end, sinkLo, sinkHi int32 }
 
-func newSinkIndex(tr *ctree.Tree) sinkIndex {
+// newSinkIndex numbers tr and lists the sinks for which listed holds.
+func newSinkIndex(tr *ctree.Tree, listed func(ctree.NodeID) bool) sinkIndex {
 	x := sinkIndex{span: make([]nodeSpan, len(tr.Nodes))}
-	x.number(tr, tr.Source, 0)
+	x.number(tr, tr.Source, 0, listed)
 	return x
 }
 
 // number numbers id's subtree from position pos on and returns the
 // position after it.
-func (x *sinkIndex) number(tr *ctree.Tree, id ctree.NodeID, pos int32) int32 {
+func (x *sinkIndex) number(tr *ctree.Tree, id ctree.NodeID, pos int32, listed func(ctree.NodeID) bool) int32 {
 	n := tr.Node(id)
 	if n == nil {
 		return pos
 	}
 	sp := nodeSpan{pos: pos, sinkLo: int32(len(x.sinks))}
-	if n.Kind == ctree.KindSink {
+	if n.Kind == ctree.KindSink && listed(id) {
 		x.sinks = append(x.sinks, id)
 	}
 	pos++
 	for _, c := range n.Children {
-		pos = x.number(tr, c, pos)
+		pos = x.number(tr, c, pos, listed)
 	}
 	sp.end, sp.sinkHi = pos, int32(len(x.sinks))
 	x.span[id] = sp
@@ -549,7 +587,7 @@ func (x *sinkIndex) keepsSinks(mv eco.Move, head ctree.NodeID) bool {
 	return !x.contains(head, mv.Child) && !x.contains(head, mv.NewDrv)
 }
 
-// sinksBelow returns the sinks of id's subtree, in pre-order.
+// sinksBelow returns the listed sinks of id's subtree, in pre-order.
 func (x *sinkIndex) sinksBelow(id ctree.NodeID) []ctree.NodeID {
 	sp := x.span[id]
 	return x.sinks[sp.sinkLo:sp.sinkHi]
@@ -559,10 +597,11 @@ func (x *sinkIndex) sinksBelow(id ctree.NodeID) []ctree.NodeID {
 func (s *MoveScorer) Analysis() *sta.Analysis { return s.est.a }
 
 // predictGains evaluates every candidate move on the worker pool (inline
-// when Workers <= 1). Scores land in indexed slots, so the ranking that
-// follows is identical at any worker count.
-func predictGains(ctx context.Context, sc *MoveScorer, moves []eco.Move, cfg LocalConfig) []scoredMove {
-	out := make([]scoredMove, len(moves))
+// when Workers <= 1), into dst's array when it is large enough. Scores
+// land in indexed slots, so the ranking that follows is identical at any
+// worker count.
+func predictGains(ctx context.Context, sc *MoveScorer, moves []eco.Move, cfg LocalConfig, dst []scoredMove) []scoredMove {
+	out := slices.Grow(dst[:0], len(moves))[:len(moves)]
 	for i := range out {
 		out[i] = scoredMove{move: moves[i], gain: math.Inf(-1)}
 	}
@@ -581,8 +620,9 @@ func predictGains(ctx context.Context, sc *MoveScorer, moves []eco.Move, cfg Loc
 
 // Gain returns the predicted ΣV gain of a single move: the affected stages
 // of the (virtually applied) move are re-estimated with the model, the
-// per-sink latency deltas are propagated down the post-move tree, and the
-// predicted variation reduction over the touched pairs is summed.
+// per-sink latency deltas are propagated down the post-move tree to the
+// sinks that pairs name, and the predicted variation reduction over the
+// touched pairs is summed.
 //
 // The move is applied to one of the scorer's pooled post-move trees, whose
 // slots for the nodes the move mutates point at private copies for the
@@ -661,7 +701,7 @@ type gainScratch struct {
 	deltas    []float64      // per head, K predicted stage-delay changes
 	stack     []ctree.NodeID // subtree walk of a head whose sinks the move changes
 	slot      []int32        // per node: sink-delta slot, or -1
-	sinks     []ctree.NodeID // sinks holding a slot, in slot order
+	sinks     []ctree.NodeID // pair sinks holding a slot, in slot order
 	sinkDelta []float64      // per slot, K accumulated deltas
 	touched   []uint64       // per pair, one bit: a sink of the pair holds a slot
 	postSkew  []float64      // one pair's K predicted post-move skews
@@ -690,7 +730,7 @@ func (g *gainScratch) reset() {
 }
 
 // sinkDeltaOf returns the accumulated deltas of a sink, nil when no
-// affected stage reaches it.
+// affected stage reaches it or no pair names it.
 func (g *gainScratch) sinkDeltaOf(id ctree.NodeID, K int) []float64 {
 	if int(id) >= len(g.slot) || g.slot[id] < 0 {
 		return nil
@@ -715,9 +755,9 @@ func (g *gainScratch) addSinkDelta(id ctree.NodeID, delta []float64) {
 	}
 }
 
-// walkSinks adds a head's deltas to every sink of its subtree in the
+// walkSinks adds a head's deltas to every pair sink of its subtree in the
 // post-move tree.
-func (g *gainScratch) walkSinks(post *ctree.Tree, head ctree.NodeID, delta []float64) {
+func (s *MoveScorer) walkSinks(post *ctree.Tree, head ctree.NodeID, delta []float64, g *gainScratch) {
 	g.stack = append(g.stack[:0], head)
 	for len(g.stack) > 0 {
 		id := g.stack[len(g.stack)-1]
@@ -727,7 +767,7 @@ func (g *gainScratch) walkSinks(post *ctree.Tree, head ctree.NodeID, delta []flo
 			continue
 		}
 		g.stack = append(g.stack, n.Children...)
-		if n.Kind == ctree.KindSink {
+		if n.Kind == ctree.KindSink && s.pairSink(id) {
 			g.addSinkDelta(id, delta)
 		}
 	}
@@ -735,18 +775,18 @@ func (g *gainScratch) walkSinks(post *ctree.Tree, head ctree.NodeID, delta []flo
 
 // gain is Gain's body over pooled scratch.
 func (s *MoveScorer) gain(post *ctree.Tree, mv eco.Move, nets []netStages, g *gainScratch) float64 {
-	if !s.predictHeads(post, nets, g) {
+	if !s.predictHeads(post, mv, nets, g) {
 		return 0
 	}
 	s.propagate(post, mv, g)
 	return s.touchedGain(g)
 }
 
-// propagate adds each head's deltas to every sink below it, heads in
+// propagate adds each head's deltas to every pair sink below it, heads in
 // order. A head whose sinks the move keeps reads them off the pre-move
 // index; any other walks its subtree in the post-move tree, where surgery
-// re-parenting is already in effect. Either way each sink sums the same
-// deltas in the same order.
+// re-parenting is already in effect. Either way each pair sink sums the
+// same deltas in the same order.
 func (s *MoveScorer) propagate(post *ctree.Tree, mv eco.Move, g *gainScratch) {
 	K := s.est.a.K
 	for h, head := range g.heads {
@@ -756,19 +796,34 @@ func (s *MoveScorer) propagate(post *ctree.Tree, mv eco.Move, g *gainScratch) {
 				g.addSinkDelta(id, delta)
 			}
 		} else {
-			g.walkSinks(post, head, delta)
+			s.walkSinks(post, head, delta, g)
 		}
 	}
 }
 
+// reachesPair reports whether pin p's stage delay can reach a pair sink
+// after move mv: the move changes the sinks below p, or a pair names one
+// of them.
+func (s *MoveScorer) reachesPair(mv eco.Move, p ctree.NodeID) bool {
+	return !s.index.keepsSinks(mv, p) || len(s.index.sinksBelow(p)) > 0
+}
+
 // predictHeads estimates each affected net once and records in g the pins
-// whose predicted stage delay the move changes, with their K deltas. It
-// reports whether there are any.
-func (s *MoveScorer) predictHeads(post *ctree.Tree, nets []netStages, g *gainScratch) bool {
+// whose predicted stage delay the move changes, with their K deltas. Pins
+// whose deltas reach no pair sink are not predicted, and a net of only
+// such pins is not estimated. It reports whether there are any heads.
+func (s *MoveScorer) predictHeads(post *ctree.Tree, mv eco.Move, nets []netStages, g *gainScratch) bool {
 	K := s.est.a.K
 	for _, net := range nets {
-		g.feats = s.est.features(post, net.d, net.pins, g.feats[:0])
+		estimated := false
 		for i, p := range net.pins {
+			if !s.reachesPair(mv, p) {
+				continue
+			}
+			if !estimated {
+				g.feats = s.est.features(post, net, g.feats[:0])
+				estimated = true
+			}
 			n0 := len(g.deltas)
 			changed := false
 			for k := 0; k < K; k++ {

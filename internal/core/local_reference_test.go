@@ -170,7 +170,7 @@ func headGain(t *testing.T, s *MoveScorer, skewCap []float64, mv eco.Move) (gain
 	}
 	g := new(gainScratch)
 	g.prepare(len(post.Nodes), len(s.pairs))
-	if !s.predictHeads(post, nets, g) {
+	if !s.predictHeads(post, mv, nets, g) {
 		return 0, false
 	}
 	s.propagate(post, mv, g)

@@ -265,7 +265,8 @@ func fullAnalysisDataset(th *tech.Tech, cases, movesPer int, seed int64) *Datase
 			}
 			postA := tm.Analyze(post)
 			for _, net := range affectedStages(post, mv) {
-				feats := est.features(post, net.d, net.pins, nil)
+				// A fresh estimate of every net, resized ones included.
+				feats := est.features(post, netStages{d: net.d, pins: net.pins}, nil)
 				for i, pin := range net.pins {
 					for kk := 0; kk < k; kk++ {
 						base := GoldenStageDelay(preA, net.d, pin, kk)
